@@ -16,7 +16,6 @@
 #include "offload/cache_planner.hpp"
 #include "offload/pinned_pool.hpp"
 #include "offload/selective_copy.hpp"
-#include "render/culling.hpp"
 
 namespace clm {
 namespace {
@@ -112,33 +111,6 @@ BM_CachedCopy(benchmark::State &state)
                             * kNonCriticalBytesPerGaussian);
 }
 BENCHMARK(BM_CachedCopy);
-
-void
-BM_CullPacked(benchmark::State &state)
-{
-    // Supporting micro: the pre-rendering culling sweep over the packed
-    // critical store (§5.1) — the kernel CLM keeps resident-only.
-    const size_t n = static_cast<size_t>(state.range(0));
-    Rng rng(4);
-    std::vector<float> critical(n * kCriticalDim);
-    for (size_t i = 0; i < n; ++i) {
-        float *rec = &critical[i * kCriticalDim];
-        Vec3 p = rng.uniformInBox({-50, -50, -50}, {50, 50, 50});
-        rec[0] = p.x;
-        rec[1] = p.y;
-        rec[2] = p.z;
-        rec[3] = rec[4] = rec[5] = std::log(0.5f);
-        rec[6] = 1;
-    }
-    Camera cam = Camera::lookAt({0, 0, -60}, {0, 0, 0}, {0, 1, 0}, 640,
-                                480, 1.0f, 0.1f, 200.0f);
-    for (auto _ : state) {
-        auto sel = frustumCullPacked(critical.data(), n, cam);
-        benchmark::DoNotOptimize(sel.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_CullPacked)->Arg(1 << 14)->Arg(1 << 17);
 
 } // namespace
 } // namespace clm

@@ -104,7 +104,7 @@ class GaussianModel
     Quat &rotation(size_t i) { return rotation_[i]; }
     const float *sh(size_t i) const { return &sh_[i * kShDim]; }
     float *sh(size_t i) { return &sh_[i * kShDim]; }
-    float rawOpacity(size_t i) const { return raw_opacity_[i]; }
+    const float &rawOpacity(size_t i) const { return raw_opacity_[i]; }
     float &rawOpacity(size_t i) { return raw_opacity_[i]; }
     /// @}
 

@@ -30,25 +30,6 @@ frustumCull(const GaussianModel &model, const Camera &camera,
     }
 }
 
-std::vector<uint32_t>
-frustumCullPacked(const float *critical, size_t count, const Camera &camera)
-{
-    std::vector<uint32_t> selected;
-    const Frustum &fr = camera.frustum();
-    for (size_t i = 0; i < count; ++i) {
-        const float *rec = critical + i * kCriticalDim;
-        Vec3 pos{rec[0], rec[1], rec[2]};
-        Vec3 scale{std::exp(rec[3]), std::exp(rec[4]), std::exp(rec[5])};
-        Quat rot{rec[6], rec[7], rec[8], rec[9]};
-        Ellipsoid e = Ellipsoid::fromGaussian(pos, scale, rot);
-        if (!fr.intersectsSphere(e.center, e.boundingRadius()))
-            continue;
-        if (e.intersectsFrustum(fr))
-            selected.push_back(static_cast<uint32_t>(i));
-    }
-    return selected;
-}
-
 double
 sparsity(size_t in_frustum, size_t total)
 {

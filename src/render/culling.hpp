@@ -59,16 +59,6 @@ void frustumCull(const GaussianModel &model, const Camera &camera,
                  std::vector<uint32_t> &selected);
 
 /**
- * Same selection rule evaluated from packed critical-attribute records
- * (10 floats per Gaussian: position, log-scale, rotation) — the exact data
- * the GPU-resident critical store holds.
- *
- * @param critical Pointer to @p count records of kCriticalDim floats.
- */
-std::vector<uint32_t> frustumCullPacked(const float *critical, size_t count,
-                                        const Camera &camera);
-
-/**
  * Per-view sparsity rho_i = |S_i| / N (§3). Returns 0 for an empty model.
  */
 double sparsity(size_t in_frustum, size_t total);

@@ -1,24 +1,45 @@
 #include "serve/snapshot.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "util/fault.hpp"
+#include "util/mix.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clm {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+/** Rows per hash chunk. Fixed, so chunk boundaries — and with them the
+ *  hash — never depend on how chunks are spread over threads. */
+constexpr size_t kHashChunkRows = 4096;
 
-void
-fnvMix(uint64_t &h, const void *data, size_t bytes)
+/** Odd multiplier of the word mix (the 64-bit golden ratio). */
+constexpr uint64_t kWordMul = 0x9e3779b97f4a7c15ull;
+
+/**
+ * Word-at-a-time mix of @p bytes at @p data into @p h. Each step
+ * h = (h ^ w) * odd is a bijection of h, so changing any one word of
+ * the input always changes the result.
+ */
+uint64_t
+mixWords(const unsigned char *data, size_t bytes, uint64_t h)
 {
-    const unsigned char *c = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        h ^= c[i];
-        h *= kFnvPrime;
+    size_t i = 0;
+    for (; i + sizeof(uint64_t) <= bytes; i += sizeof(uint64_t)) {
+        uint64_t w;
+        std::memcpy(&w, data + i, sizeof(w));
+        h = (h ^ w) * kWordMul;
     }
+    if (i < bytes) {
+        uint64_t w = 0;
+        std::memcpy(&w, data + i, bytes - i);
+        h = (h ^ w) * kWordMul;
+    }
+    return h;
 }
 
 } // namespace
@@ -26,17 +47,47 @@ fnvMix(uint64_t &h, const void *data, size_t bytes)
 uint64_t
 hashModelParams(const GaussianModel &model)
 {
-    uint64_t h = kFnvOffset;
     const size_t n = model.size();
-    fnvMix(h, &n, sizeof(n));
-    for (size_t i = 0; i < n; ++i) {
-        fnvMix(h, &model.position(i), sizeof(Vec3));
-        fnvMix(h, &model.logScale(i), sizeof(Vec3));
-        fnvMix(h, &model.rotation(i), sizeof(Quat));
-        fnvMix(h, model.sh(i), kShDim * sizeof(float));
-        const float op = model.rawOpacity(i);
-        fnvMix(h, &op, sizeof(op));
-    }
+    uint64_t h = splitmix64(n);
+    if (n == 0)
+        return h;
+
+    // The five raw attribute arrays, each hashed in fixed row chunks.
+    struct Array
+    {
+        const void *base;
+        size_t row_bytes;
+    };
+    const Array arrays[] = {
+        {&model.position(0), sizeof(Vec3)},
+        {&model.logScale(0), sizeof(Vec3)},
+        {&model.rotation(0), sizeof(Quat)},
+        {model.sh(0), kShDim * sizeof(float)},
+        {&model.rawOpacity(0), sizeof(float)},
+    };
+    constexpr size_t kArrays = sizeof(arrays) / sizeof(arrays[0]);
+    const size_t chunks = (n + kHashChunkRows - 1) / kHashChunkRows;
+
+    // One task per row chunk covers that chunk of every array, so tasks
+    // carry equal work; chunk hashes land at fixed slots.
+    std::vector<uint64_t> chunk_hash(kArrays * chunks);
+    poolForRange(chunks, true, 2, [&](size_t begin, size_t end) {
+        for (size_t c = begin; c < end; ++c) {
+            const size_t row0 = c * kHashChunkRows;
+            const size_t rows = std::min(kHashChunkRows, n - row0);
+            for (size_t a = 0; a < kArrays; ++a) {
+                const unsigned char *p =
+                    static_cast<const unsigned char *>(arrays[a].base)
+                    + row0 * arrays[a].row_bytes;
+                chunk_hash[a * chunks + c] =
+                    mixWords(p, rows * arrays[a].row_bytes, 0);
+            }
+        }
+    });
+    // Combine in (array, chunk) order; splitmix64 is a bijection too, so
+    // a change confined to one chunk still changes the result.
+    for (uint64_t ch : chunk_hash)
+        h = splitmix64(h ^ ch);
     return h;
 }
 

@@ -33,13 +33,20 @@ struct ModelSnapshot
     GaussianModel model;
     uint64_t version = 0;      //!< Publication sequence number (from 1).
     int train_step = 0;        //!< Trainer batches completed at publish.
-    /** FNV-1a hash over every raw parameter, so served frames can be
-     *  traced back to exactly one published state (the
+    /** hashModelParams() of the model, so served frames can be traced
+     *  back to exactly one published state (the
      *  snapshot-swap-under-load test keys on it). */
     uint64_t param_hash = 0;
 };
 
-/** FNV-1a over the raw parameter arrays of @p model. */
+/**
+ * Hash of every raw parameter of @p model: a word-at-a-time
+ * multiplicative mix over each attribute array in fixed 4096-row
+ * chunks, chunks hashed in parallel on the global pool and combined in
+ * (array, chunk) order with splitmix64. The value depends only on the
+ * parameters, never on the thread count, and changing any single
+ * parameter always changes it.
+ */
 uint64_t hashModelParams(const GaussianModel &model);
 
 /**

@@ -61,7 +61,8 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
     // 1. Pre-rendering frustum culling (§5.1) + batch planning (§4.2):
     // ordering, caching, finalization — the Figure 13 scheduling stage.
     Timer sched;
-    BatchWorkload wl = ctx_.buildWorkload(cameras_, view_ids);
+    BatchWorkload wl =
+        ctx_.buildWorkload(cameras_, view_ids, config_.render.parallel);
     PlannerConfig pc = config_.planner;
     pc.system = SystemKind::Clm;
     const BatchPlanResult &plan = ctx_.planViews(pc, wl);

@@ -60,6 +60,12 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     BatchStats stats;
     size_t n = model_.size();
 
+    // Cull the whole batch up front in one fused sweep: the critical
+    // store cannot change inside a naive batch, because the only
+    // finalization runs after the view loop.
+    std::vector<std::vector<uint32_t>> subsets =
+        ctx_.cullViews(cameras_, view_ids, config_.render.parallel);
+
     // "Load ALL parameters" — the full CPU->GPU copy of Figure 3, as one
     // whole-model microbatch with caching disabled.
     std::vector<uint32_t> all(n);
@@ -72,8 +78,9 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     // Train one view at a time with gradient accumulation into the
     // staging rows (the "GPU" working copy).
     std::vector<uint32_t> touched;
-    for (int v : view_ids) {
-        std::vector<uint32_t> subset = ctx_.cullView(cameras_[v]);
+    for (size_t k = 0; k < view_ids.size(); ++k) {
+        const int v = view_ids[k];
+        const std::vector<uint32_t> &subset = subsets[k];
         stats.gaussians_rendered += subset.size();
         ctx_.scratchGrads().zeroRows(subset);
         stats.loss += renderAndBackprop(ctx_.scratch(), v, subset,

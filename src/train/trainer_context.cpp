@@ -3,7 +3,6 @@
 #include <cstring>
 #include <limits>
 
-#include "render/culling.hpp"
 #include "util/logging.hpp"
 
 namespace clm {
@@ -19,38 +18,45 @@ void
 TrainerContext::rebuild()
 {
     // Attribute-wise offload (§4.1): non-critical attributes live in the
-    // engine's pinned pool; critical attributes are resident here.
+    // engine's pinned pool; critical attributes are resident in the
+    // scratch render model, whose non-critical rows are only valid
+    // while materialized.
     size_t n = model_.size();
-    critical_.assign(n * kCriticalDim, 0.0f);
     scratch_.resize(n);
+    float rec[kCriticalDim];
     for (size_t i = 0; i < n; ++i) {
-        model_.packCritical(i, &critical_[i * kCriticalDim]);
-        // The scratch render model shares the critical attributes; its
-        // non-critical rows are only valid while materialized.
-        scratch_.unpackCritical(i, &critical_[i * kCriticalDim]);
+        model_.packCritical(i, rec);
+        scratch_.unpackCritical(i, rec);
     }
     scratch_grads_.resize(n);
     cpu_grads_.resize(n);
 }
 
-std::vector<uint32_t>
-TrainerContext::cullView(const Camera &camera) const
+std::vector<std::vector<uint32_t>>
+TrainerContext::cullViews(const std::vector<Camera> &cameras,
+                          const std::vector<int> &view_ids, bool parallel)
 {
-    return frustumCullPacked(critical_.data(), model_.size(), camera);
+    CLM_ASSERT(!view_ids.empty(), "empty batch");
+    std::vector<Camera> batch;
+    batch.reserve(view_ids.size());
+    for (int v : view_ids)
+        batch.push_back(cameras[v]);
+    // Cache key 0: the critical store changes every batch.
+    std::vector<std::vector<uint32_t>> sets;
+    frustumCullBatch(scratch_, batch, cull_, sets, parallel, 0);
+    return sets;
 }
 
 BatchWorkload
 TrainerContext::buildWorkload(const std::vector<Camera> &cameras,
-                              const std::vector<int> &view_ids) const
+                              const std::vector<int> &view_ids,
+                              bool parallel)
 {
-    CLM_ASSERT(!view_ids.empty(), "empty batch");
     BatchWorkload wl;
-    wl.sets.reserve(view_ids.size());
+    wl.sets = cullViews(cameras, view_ids, parallel);
     wl.camera_centers.reserve(view_ids.size());
-    for (int v : view_ids) {
-        wl.sets.push_back(cullView(cameras[v]));
+    for (int v : view_ids)
         wl.camera_centers.push_back(cameras[v].eye());
-    }
     wl.n_synthetic = model_.size();
     wl.n_target = static_cast<double>(model_.size());
     wl.pixels_per_view = cameras[view_ids[0]].pixels();
@@ -86,9 +92,10 @@ TrainerContext::materialize(const DeviceBuffer &buf)
 void
 TrainerContext::writeBackCritical(const std::vector<uint32_t> &indices)
 {
+    float rec[kCriticalDim];
     for (uint32_t g : indices) {
-        model_.packCritical(g, &critical_[size_t(g) * kCriticalDim]);
-        scratch_.unpackCritical(g, &critical_[size_t(g) * kCriticalDim]);
+        model_.packCritical(g, rec);
+        scratch_.unpackCritical(g, rec);
     }
 }
 

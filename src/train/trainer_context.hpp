@@ -1,12 +1,13 @@
 /**
  * @file
  * Shared per-trainer offload state that ClmTrainer and NaiveOffloadTrainer
- * previously duplicated: the packed GPU-resident critical store (§4.1),
- * the scratch render model whose non-critical rows are materialized from
- * staged device buffers, the gradient staging buffers, batch workload
- * construction (pre-rendering frustum culling, §5.1), planner invocation,
- * and the finalization step (subset CPU Adam from pinned gradient records
- * plus parameter write-back, §4.2.2/§5.4).
+ * previously duplicated: the scratch render model, whose critical fields
+ * (position, log-scale, rotation) are the GPU-resident critical store
+ * (§4.1) and whose non-critical rows are materialized from staged device
+ * buffers, the gradient staging buffers, batch workload construction
+ * (pre-rendering frustum culling of the whole batch in one fused sweep,
+ * §5.1), planner invocation, and the finalization step (subset CPU Adam
+ * from pinned gradient records plus parameter write-back, §4.2.2/§5.4).
  */
 
 #ifndef CLM_TRAIN_TRAINER_CONTEXT_HPP
@@ -19,6 +20,7 @@
 #include "gaussian/model.hpp"
 #include "offload/planner.hpp"
 #include "offload/transfer_engine.hpp"
+#include "render/batch.hpp"
 #include "render/camera.hpp"
 
 namespace clm {
@@ -38,13 +40,21 @@ class TrainerContext
      *  model's current topology (construction, densification). */
     void rebuild();
 
-    /** Pre-rendering frustum culling from the packed critical store. */
-    std::vector<uint32_t> cullView(const Camera &camera) const;
+    /**
+     * Pre-rendering frustum culling (§5.1) of every view in @p view_ids
+     * from the critical store, in one fused frustumCullBatch sweep:
+     * element k is exactly frustumCull(model, cameras[view_ids[k]]).
+     * Call only while no finalization is in flight (between batches).
+     */
+    std::vector<std::vector<uint32_t>>
+    cullViews(const std::vector<Camera> &cameras,
+              const std::vector<int> &view_ids, bool parallel);
 
-    /** Build the planner workload for a batch of views (culling every
-     *  view from the critical store). */
+    /** Build the planner workload for a batch of views (cullViews()
+     *  plus the camera centers the ordering reads). */
     BatchWorkload buildWorkload(const std::vector<Camera> &cameras,
-                                const std::vector<int> &view_ids) const;
+                                const std::vector<int> &view_ids,
+                                bool parallel);
 
     /** Run the batch planner and stash the result. */
     const BatchPlanResult &planViews(const PlannerConfig &config,
@@ -88,14 +98,18 @@ class TrainerContext
 
   private:
     /** Push master's critical attributes for @p indices to the critical
-     *  store and the scratch model. */
+     *  store (the scratch model's critical fields). */
     void writeBackCritical(const std::vector<uint32_t> &indices);
 
     GaussianModel &model_;      //!< Master copy (CPU, Adam-updated).
     CpuAdam &adam_;
     Densifier &densifier_;
-    std::vector<float> critical_;    //!< Packed critical store ("GPU").
-    GaussianModel scratch_;          //!< Materialized render inputs.
+    /** Render inputs: critical fields always valid (the "GPU"
+     *  critical store), non-critical rows valid once materialized. */
+    GaussianModel scratch_;
+    /** Fused cull stage, rebuilt every batch (the model changes every
+     *  batch, so it is never cached across batches). */
+    BatchCullScratch cull_;
     GaussianGrads scratch_grads_;    //!< Per-microbatch backprop target.
     GaussianGrads cpu_grads_;        //!< Staging for subset Adam.
     BatchPlanResult last_plan_;

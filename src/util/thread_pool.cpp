@@ -91,11 +91,21 @@ ThreadPool::parallelFor(size_t n,
         return;
     }
     size_t chunk = (n + chunks - 1) / chunks;
+    // This call's own completion count, guarded by mutex_: a chunk
+    // decrements it before the worker's pool-wide in_flight_ bookkeeping,
+    // and the caller returns once it alone reaches zero.
+    size_t remaining = (n + chunk - 1) / chunk;
     for (size_t begin = 0; begin < n; begin += chunk) {
         size_t end = std::min(begin + chunk, n);
-        submit([=, &body] { body(begin, end); });
+        submit([=, &body, &remaining] {
+            body(begin, end);
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (--remaining == 0)
+                done_cv_.notify_all();
+        });
     }
-    wait();
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&remaining] { return remaining == 0; });
 }
 
 ThreadPool &

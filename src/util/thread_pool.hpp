@@ -38,8 +38,11 @@ class ThreadPool
 
     /**
      * Run @p body over [0, n) split into contiguous chunks across the
-     * pool (the calling thread also works). Blocks until all chunks are
-     * done. @p body receives (begin, end).
+     * pool's workers; the calling thread only waits. Blocks until this
+     * call's own chunks are done: each call counts its own completions,
+     * so concurrent callers (the async-Adam thread beside a render, a
+     * snapshot publisher beside a serve worker) never wait on each
+     * other's chunks. @p body receives (begin, end).
      */
     void parallelFor(size_t n,
                      const std::function<void(size_t, size_t)> &body);
@@ -47,7 +50,8 @@ class ThreadPool
     /** Enqueue one task; returns immediately. */
     void submit(std::function<void()> task);
 
-    /** Block until every submitted task has finished. */
+    /** Block until every task in flight has finished, including the
+     *  chunks of concurrent parallelFor calls. */
     void wait();
 
     /** Process-wide shared pool. */
@@ -60,8 +64,10 @@ class ThreadPool
     std::queue<std::function<void()>> tasks_;
     std::mutex mutex_;
     std::condition_variable task_cv_;    //!< Wakes workers.
-    std::condition_variable done_cv_;    //!< Wakes wait().
-    size_t in_flight_ = 0;
+    /** Wakes wait() and parallelFor callers; each rechecks its own
+     *  count. */
+    std::condition_variable done_cv_;
+    size_t in_flight_ = 0;    //!< Pool-wide, for wait().
     bool stop_ = false;
 };
 

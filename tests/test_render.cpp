@@ -155,21 +155,6 @@ TEST(Culling, MatchesBruteForceReference)
     }
 }
 
-TEST(Culling, PackedMatchesModel)
-{
-    Camera cam = canonicalCamera();
-    Rng rng(43);
-    GaussianModel m = GaussianModel::random(300, {-15, -15, -10},
-                                            {15, 15, 30}, 0.4f, rng);
-    std::vector<float> packed(m.size() * kCriticalDim);
-    for (size_t i = 0; i < m.size(); ++i)
-        m.packCritical(i, &packed[i * kCriticalDim]);
-
-    auto a = frustumCull(m, cam);
-    auto b = frustumCullPacked(packed.data(), m.size(), cam);
-    EXPECT_EQ(a, b);
-}
-
 TEST(Culling, SparsityHelper)
 {
     EXPECT_DOUBLE_EQ(sparsity(5, 100), 0.05);

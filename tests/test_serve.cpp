@@ -320,6 +320,64 @@ TEST(SnapshotSlot, PublishesVersionsAndHashes)
     EXPECT_EQ(s1->version, 1u);
 }
 
+/** A model spanning two full 4096-row hash chunks and a partial third,
+ *  filled with exactly representable values (so the pinned hash below
+ *  cannot depend on floating-point contraction). */
+GaussianModel
+hashFixtureModel()
+{
+    const size_t n = 2 * 4096 + 123;
+    GaussianModel m(n);
+    for (size_t i = 0; i < n; ++i) {
+        const float f = static_cast<float>(i % 1000);
+        m.position(i) = {f * 0.5f, -f * 0.25f, f};
+        m.logScale(i) = {-f * 0.125f, 0.5f, -1.0f};
+        m.rotation(i) = {1.0f, f * 0.0625f, 0.0f, -0.5f};
+        for (int k = 0; k < kShDim; ++k)
+            m.sh(i)[k] = static_cast<float>((i * 7 + k) % 64) * 0.125f;
+        m.rawOpacity(i) = f * -0.5f;
+    }
+    return m;
+}
+
+TEST(HashModelParams, CopyHashesEqual)
+{
+    const GaussianModel m = hashFixtureModel();
+    const GaussianModel copy = m;
+    EXPECT_EQ(hashModelParams(copy), hashModelParams(m));
+    EXPECT_NE(hashModelParams(m), hashModelParams(GaussianModel()));
+}
+
+TEST(HashModelParams, AnyOneFloatChangeChangesTheHash)
+{
+    GaussianModel m = hashFixtureModel();
+    const uint64_t base = hashModelParams(m);
+    // One float in each of the five attribute arrays, in the first row,
+    // mid-way through the second chunk, and in the final partial chunk.
+    const size_t n = m.size();
+    for (size_t row : {size_t(0), size_t(4096 + 5), n - 1}) {
+        std::vector<float *> fields = {
+            &m.position(row).y, &m.logScale(row).z, &m.rotation(row).w,
+            &m.sh(row)[kShDim - 1], &m.rawOpacity(row)};
+        for (size_t a = 0; a < fields.size(); ++a) {
+            const float saved = *fields[a];
+            *fields[a] = saved + 1.0f;
+            EXPECT_NE(hashModelParams(m), base)
+                << "array " << a << " row " << row;
+            *fields[a] = saved;
+        }
+    }
+    EXPECT_EQ(hashModelParams(m), base);
+}
+
+TEST(HashModelParams, ValueIsPinnedAtEveryThreadCount)
+{
+    // The chunking is fixed, so the value depends only on the
+    // parameters. ctest also runs this test with CLM_THREADS=1
+    // (test_serve_one_thread), which must reproduce the same constant.
+    EXPECT_EQ(hashModelParams(hashFixtureModel()), 0xa38dddfb1b5d816bull);
+}
+
 TEST(SnapshotSlot, ReusesRetiredBuffersWhenUnreferenced)
 {
     BatchFixture fix(200);

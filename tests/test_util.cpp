@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the util layer: logging error paths, the table printer, the
- * timer, image file output, and the blocking MPMC queue behind the
- * render service.
+ * timer, image file output, the thread pool, and the blocking MPMC
+ * queue behind the render service.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +11,10 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -214,6 +216,49 @@ TEST(ThreadPool, ClmThreadsEnvPinsDefaultWorkerCount)
         EXPECT_EQ(pool.threads(), 2u);
     }
     ASSERT_EQ(unsetenv("CLM_THREADS"), 0);
+}
+
+TEST(ThreadPool, ConcurrentParallelForCallersDoNotWaitOnEachOther)
+{
+    // Caller A's chunks block until caller B's parallelFor has returned.
+    // B must return as soon as its own chunks are done; a pool-wide
+    // "nothing in flight" wait would hold B behind A's blocked chunks
+    // until A's bounded wait times out.
+    ThreadPool pool(4);
+    std::mutex m;
+    std::condition_variable cv;
+    int a_started = 0;
+    bool b_returned = false;
+    bool a_saw_b_return = true;
+
+    std::thread a([&] {
+        pool.parallelFor(2, [&](size_t, size_t) {
+            std::unique_lock<std::mutex> lock(m);
+            ++a_started;
+            cv.notify_all();
+            if (!cv.wait_for(lock, std::chrono::seconds(2),
+                             [&] { return b_returned; }))
+                a_saw_b_return = false;
+        });
+    });
+    {
+        // Both of A's chunks occupy workers before B is issued.
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return a_started == 2; });
+    }
+    std::atomic<int> b_items{0};
+    pool.parallelFor(8, [&](size_t begin, size_t end) {
+        b_items += static_cast<int>(end - begin);
+    });
+    {
+        std::lock_guard<std::mutex> lock(m);
+        b_returned = true;
+    }
+    cv.notify_all();
+    a.join();
+    EXPECT_EQ(b_items.load(), 8);
+    EXPECT_TRUE(a_saw_b_return)
+        << "a parallelFor caller waited on another caller's chunks";
 }
 
 TEST(MpmcQueue, PopBatchDrainsInFifoOrderUpToCap)
