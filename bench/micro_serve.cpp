@@ -2,17 +2,21 @@
  * @file
  * Serving micro-benchmark: requests/sec and p50/p99 latency of the
  * RenderService over city-scale synthetic models, swept across
- * coalescing batch sizes 1/2/4/8. max_batch=1 is view-at-a-time
- * serving (plain frustumCull + renderForward per request); larger
- * batches render through the fused multi-view pipeline, whose shared
- * per-Gaussian work (cull setup, covariance/opacity precompute, one
- * key-sorted buffer) is what batching amortizes. The workload is the
- * paper's serving setting: a large host-resident model with small
- * per-view sparsity, so per-request culling is a dominant cost.
+ * coalescing batch sizes 1/2/4/8 with a single render worker. Every
+ * batch, a batch of one included, renders through the one fused
+ * multi-view pipeline, whose shared per-Gaussian work (the snapshot-
+ * cached cull setup, covariance/opacity precompute, one key-sorted
+ * buffer) is what batching amortizes. The workload is the paper's
+ * serving setting: a large host-resident model with small per-view
+ * sparsity, so per-request culling is a dominant cost. The cases use
+ * the BigCity 150k model at 128x72 that perfbench's serve_city
+ * workload serves, plus a 400k model.
  *
- * Before timing, each case verifies the fused batch path bitwise
- * against sequential renders (the images must be identical — batching
- * is a scheduling choice, never a quality choice).
+ * Before timing, each case verifies the fused pipeline bitwise against
+ * sequential frustumCull + renderForward — a four-view batch and a
+ * batch of one, under the dispatched kernel table AND the forced
+ * scalar table (the images must be identical — batching is a
+ * scheduling choice, never a quality choice).
  *
  * Load model: N closed-loop synthetic clients walk the scene's camera
  * path from staggered offsets, each keeping one request in flight, so
@@ -34,12 +38,14 @@
 #include <vector>
 
 #include "common.hpp"
+#include "math/simd_backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "render/batch.hpp"
 #include "render/culling.hpp"
 #include "render/rasterizer.hpp"
+#include "render/simd_kernels.hpp"
 #include "serve/render_service.hpp"
 #include "serve/snapshot.hpp"
 
@@ -122,11 +128,12 @@ struct CaseResult
     }
 };
 
-/** Fused batch vs sequential renders: must be bitwise identical. */
+/** Fused batch vs sequential renders under one config: must be
+ *  bitwise identical. */
 bool
-verifyBitIdentity(const GaussianModel &model,
-                  const std::vector<Camera> &cams,
-                  const RenderConfig &render)
+batchMatchesSequential(const GaussianModel &model,
+                       const std::vector<Camera> &cams,
+                       const RenderConfig &render)
 {
     BatchCullScratch cull;
     std::vector<std::vector<uint32_t>> subsets;
@@ -146,6 +153,24 @@ verifyBitIdentity(const GaussianModel &model,
             || seq.n_contrib != bat.n_contrib)
             return false;
     }
+    return true;
+}
+
+/** The served pipeline at the probe's batch size and at batch one,
+ *  under the dispatched kernel table and the forced scalar table. */
+bool
+verifyBitIdentity(const GaussianModel &model,
+                  const std::vector<Camera> &cams,
+                  const RenderConfig &render)
+{
+    RenderConfig scalar = render;
+    scalar.kernels = renderKernelsFor(SimdBackend::kScalar);
+    const std::vector<Camera> one(cams.begin(), cams.begin() + 1);
+    for (const RenderConfig *cfg :
+         {&render, static_cast<const RenderConfig *>(&scalar)})
+        if (!batchMatchesSequential(model, cams, *cfg)
+            || !batchMatchesSequential(model, one, *cfg))
+            return false;
     return true;
 }
 
@@ -370,9 +395,8 @@ main(int argc, char **argv)
     if (smoke) {
         cases = {{"smoke", "BigCity", 20000, 96, 54, 1, 4, 24}};
     } else {
-        cases = {{"small", "BigCity", 100000, 160, 90, 2, 16, 192},
-                 {"medium", "BigCity", 300000, 192, 108, 2, 16, 160},
-                 {"large", "BigCity", 600000, 256, 144, 2, 16, 96}};
+        cases = {{"small", "BigCity", 150000, 128, 72, 2, 8, 192},
+                 {"medium", "BigCity", 400000, 160, 90, 2, 8, 128}};
     }
 
     std::cout << "=== micro_serve: concurrent serving throughput ===\n"

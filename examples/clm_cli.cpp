@@ -11,7 +11,7 @@
  *
  *   clm_cli serve [--scene NAME] [--system ...] [--steps N]
  *                 [--clients N] [--requests N] [--max-batch N]
- *                 [--shards N] [--shed block|reject|drop-oldest]
+ *                 [--shed block|reject|drop-oldest]
  *                 [--deadline-ms N] [--queue N] [--trace-out FILE]
  *                 [--metrics-out FILE] [--metrics-every-ms N]
  *                 [--slo FILE|SPEC]
@@ -21,10 +21,7 @@
  * request views from a RenderService — the live-model serving loop:
  * training republishes a model snapshot every batch, clients render
  * from whatever snapshot is current, and requests are coalesced into
- * fused multi-view batches. With --shards N every published snapshot is
- * additionally carved into N spatial shards and each request's frustum
- * is routed against the shard AABBs, rendering only the shards it can
- * see — frames stay bitwise identical to unsharded serving.
+ * fused multi-view batches of up to --max-batch requests.
  *
  * --shed selects the admission policy (default from CLM_SHED, else
  * block) and --deadline-ms bounds how stale a queued request may get
@@ -130,7 +127,7 @@ usage(const char *argv0)
         "[--render FILE]\n"
         "       %s serve [--scene NAME] [--system ...] [--steps N]\n"
         "          [--clients N] [--requests N] [--max-batch N]\n"
-        "          [--shards N] [--shed block|reject|drop-oldest]\n"
+        "          [--shed block|reject|drop-oldest]\n"
         "          [--deadline-ms N] [--queue N] [--trace-out FILE]\n"
         "          [--metrics-out FILE] [--metrics-every-ms N]\n"
         "          [--slo FILE|SPEC]\n"
@@ -173,7 +170,7 @@ const char *const kDefaultSloSpec =
  */
 int
 runServe(Clm &session, int warmup_steps, int n_clients, int n_requests,
-         int max_batch, int shards, ShedPolicy shed, double deadline_ms,
+         int max_batch, ShedPolicy shed, double deadline_ms,
          int queue_capacity, const std::string &trace_path,
          const std::string &metrics_path, double metrics_every_ms,
          const std::string &slo_spec)
@@ -213,20 +210,7 @@ runServe(Clm &session, int warmup_steps, int n_clients, int n_requests,
     serve_config.admission.shed = shed;
     serve_config.admission.deadline_s = deadline_ms / 1e3;
     serve_config.metrics = &registry;
-    // Sharded mode carves every published snapshot into spatial shards
-    // and frustum-routes each request; unsharded serves the whole
-    // model. Frames are bitwise identical either way.
-    std::unique_ptr<RenderService> service_ptr;
-    if (shards > 0) {
-        std::printf("[serve] sharded serving: %d spatial shards\n",
-                    shards);
-        service_ptr = std::make_unique<RenderService>(
-            session.enableSharding(shards), serve_config);
-    } else {
-        service_ptr = std::make_unique<RenderService>(
-            session.snapshots(), serve_config);
-    }
-    RenderService &service = *service_ptr;
+    RenderService service(session.snapshots(), serve_config);
 
     // SLO monitor over the same registry. Constructed after the
     // service so the serve.* metrics it watches are registered; its
@@ -337,18 +321,11 @@ runServe(Clm &session, int warmup_steps, int n_clients, int n_requests,
         static_cast<unsigned long long>(stats.throttled_client),
         static_cast<unsigned long long>(retries), backoffs_us / 1e3,
         static_cast<unsigned long long>(gave_up_total.load()));
-    if (stats.sharded_requests > 0)
-        std::printf("[serve] frustum routing: %.2f/%d shards rendered "
-                    "per request (%.0f%% pruned)\n",
-                    stats.mean_shards_selected, shards,
-                    stats.mean_shard_frac_pruned * 100.0);
     std::printf("[serve] batch occupancy:");
     for (size_t k = 0; k < stats.batch_occupancy.size(); ++k)
         std::printf(" %zux%llu", k + 1,
                     static_cast<unsigned long long>(
                         stats.batch_occupancy[k]));
-    if (stats.mean_batch_shards > 0)
-        std::printf(" (mean %.2f shards/batch)", stats.mean_batch_shards);
     std::printf("\n");
     std::printf(
         "[serve] snapshots served: versions %llu..%llu (training "
@@ -416,7 +393,6 @@ main(int argc, char **argv)
     int clients = 4;
     int requests = 64;
     int max_batch = 4;
-    int shards = 0;
     std::string shed_name = defaultShed();
     double deadline_ms = 0;
     int queue_capacity = 0;
@@ -472,10 +448,6 @@ main(int argc, char **argv)
             max_batch = static_cast<int>(parseIntArg(
                 "--max-batch", need_value("--max-batch").c_str(),
                 max_batch, 1, 1024));
-        else if (serve_mode && !std::strcmp(argv[i], "--shards"))
-            shards = static_cast<int>(parseIntArg(
-                "--shards", need_value("--shards").c_str(), shards, 0,
-                1024));
         else if (serve_mode && !std::strcmp(argv[i], "--shed"))
             shed_name = need_value("--shed");
         else if (serve_mode && !std::strcmp(argv[i], "--deadline-ms"))
@@ -525,7 +497,7 @@ main(int argc, char **argv)
         if (metrics_path.empty() && metrics_every_ms > 0)
             metrics_path = "metrics.jsonl";
         return runServe(session, steps, clients, requests, max_batch,
-                        shards, parseShed(shed_name), deadline_ms,
+                        parseShed(shed_name), deadline_ms,
                         queue_capacity, trace_path, metrics_path,
                         metrics_every_ms,
                         slo_arg.empty() ? std::string()

@@ -123,21 +123,6 @@ def extract_train_step(data):
     return m
 
 
-def extract_compose(data):
-    m = {}
-    for case in data.get("cases", []):
-        name = case.get("name", "case")
-        if case.get("composed_speedup"):
-            m[f"{name}.composed_speedup"] = (case["composed_speedup"],
-                                             "higher", RATIO)
-        for pt in case.get("grid", []):
-            tag = f"{name}.b{pt.get('batch', 0)}s{pt.get('shards', 0)}"
-            m[f"{tag}.rps"] = (pt["rps"], "higher", 1.0)
-            if pt.get("p99_ms", 0) > 0:
-                m[f"{tag}.p99_ms"] = (pt["p99_ms"], "lower", LAT)
-    return m
-
-
 def extract_generic(data):
     """Fallback: scrape rps/p99 fields wherever they sit."""
     m = {}
@@ -168,7 +153,6 @@ EXTRACTORS = {
     "serve": extract_serve,
     "overload": extract_overload,
     "train_step": extract_train_step,
-    "compose": extract_compose,
 }
 
 

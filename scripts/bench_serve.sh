@@ -2,15 +2,16 @@
 # Build and run the serving micro-benchmark, emitting BENCH_serve.json
 # in the repo root: requests/sec and p50/p99 latency of the
 # RenderService over city-scale models, swept across coalescing batch
-# sizes 1/2/4/8 (max_batch=1 is view-at-a-time serving; the fused
-# multi-view pipeline serves the larger batches and its frames are
-# verified bit-identical to sequential renders before timing).
+# sizes 1/2/4/8 (every batch, a batch of one included, renders through
+# the fused multi-view pipeline, whose frames are verified bit-identical
+# to sequential renders under the dispatched and the forced-scalar
+# kernel tables before timing).
 #
 # The JSON includes the machine/build context block (thread count,
 # compiler, SIMD backend, CLM_DISABLE_SIMD). Worker threads default to
 # CLM_THREADS=1 so recorded points are single-core-comparable across
-# runs (the batching speedup is an algorithmic-sharing win, not a
-# parallelism win); export CLM_THREADS to override.
+# runs; export CLM_THREADS to override (e.g. CLM_THREADS=4 for the
+# multi-core point).
 #
 # Uses the shared build-release/ tree so it never flips the cached
 # build type of the default build/ directory that verify.sh uses.

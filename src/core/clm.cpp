@@ -2,7 +2,6 @@
 
 #include "render/culling.hpp"
 #include "serve/snapshot.hpp"
-#include "shard/sharded_snapshot.hpp"
 #include "util/logging.hpp"
 
 namespace clm {
@@ -35,20 +34,6 @@ Clm::Clm(ClmConfig config) : config_(std::move(config))
 }
 
 Clm::~Clm() = default;
-
-ShardedSnapshotSlot &
-Clm::enableSharding(int shards)
-{
-    if (sharded_ && sharded_->shards() == shards)
-        return *sharded_;
-    CLM_ASSERT(!sharded_, "sharding already enabled with a different "
-                          "shard count");
-    sharded_ = std::make_unique<ShardedSnapshotSlot>(shards);
-    // Wiring the sink publishes immediately, so serving can start
-    // before the next training step.
-    trainer_->setShardedSink(sharded_.get());
-    return *sharded_;
-}
 
 std::vector<BatchStats>
 Clm::train(int steps)

@@ -22,7 +22,6 @@
 namespace clm {
 
 class SnapshotSlot;
-class ShardedSnapshotSlot;
 
 /** One training session over a synthetic scene. */
 class Clm
@@ -65,22 +64,10 @@ class Clm
     SnapshotSlot &snapshots() { return *snapshots_; }
     const SnapshotSlot &snapshots() const { return *snapshots_; }
 
-    /** Spatially shard every published snapshot into @p shards cells
-     *  (shard/sharded_snapshot.hpp): the trainer re-publishes sharded
-     *  snapshots at the same publish points as the plain slot, so a
-     *  sharded RenderService can serve this session concurrently with
-     *  training. Idempotent for the same count; the returned slot
-     *  lives as long as the session. */
-    ShardedSnapshotSlot &enableSharding(int shards);
-
-    /** The sharded slot; nullptr unless enableSharding() was called. */
-    ShardedSnapshotSlot *shardedSnapshots() { return sharded_.get(); }
-
   private:
     ClmConfig config_;
     std::vector<Camera> cameras_;
     std::unique_ptr<SnapshotSlot> snapshots_;
-    std::unique_ptr<ShardedSnapshotSlot> sharded_;
     std::unique_ptr<Trainer> trainer_;
     /** Render scratch for the facade's view renders (mutable: scratch
      *  only — reuse never changes results). */

@@ -2,13 +2,13 @@
  * @file
  * Span-based request tracer. A request gets a trace ID when
  * RenderService::submit mints one; every stage it passes through
- * (admission, queue wait, worker dequeue, shard routing, fused
- * pipeline stages, k-way merge, compositing — plus the training-side
- * forward/loss/backward/adam/publish) records a span into a per-thread
- * fixed-capacity ring buffer. There are NO locks on the recording
- * path: each thread owns its ring, registered once under a mutex and
- * cached in a thread_local pointer; when a ring wraps, the oldest
- * spans are overwritten and counted as dropped.
+ * (admission, queue wait, batch render, the forward pipeline's
+ * precompute / project / bin / composite stages — plus the training-
+ * side forward/loss/backward/adam/publish) records a span into a
+ * per-thread fixed-capacity ring buffer. There are NO locks on the
+ * recording path: each thread owns its ring, registered once under a
+ * mutex and cached in a thread_local pointer; when a ring wraps, the
+ * oldest spans are overwritten and counted as dropped.
  *
  * Toggling: the tracer is OFF by default. Tracer::enabled() is one
  * relaxed atomic load — the entire cost of the layer when disabled —
@@ -201,13 +201,12 @@ class ScopedSpan
 };
 
 /**
- * Sequential stage stopwatch — the consolidation point for the old
- * `Timer stage_timer; ... seconds(); reset()` pattern (rasterizer /
- * batch / shard_batch stage timers) and sim/stage_timings. lap(name)
- * returns seconds since the previous lap (or construction) and, when
- * tracing is live, also records that interval as a span — one
- * mechanism feeding both the legacy stage_times structs and the
- * tracer.
+ * Sequential stage stopwatch used by the single-view and batched
+ * forward pipelines (render/rasterizer.cpp, render/batch.cpp) and the
+ * trainer's per-step stages. lap(name) returns seconds since the
+ * previous lap (or construction) and, when tracing is live, also
+ * records that interval as a span named @p name — one mechanism
+ * feeding both the arenas' stage_times fields and the tracer.
  */
 class StageClock
 {

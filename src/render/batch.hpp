@@ -29,11 +29,12 @@
  *    subset — asserted by tests/test_serve.cpp in both the SIMD and
  *    -DCLM_DISABLE_SIMD=ON flavors.
  *
- * The fused pass is what makes batched serving (serve/render_service)
- * faster than view-at-a-time serving on one core: the shared
- * per-Gaussian work is paid once per batch instead of once per view.
- * With a thread pool it additionally exposes cross-view parallelism
- * (all views' tiles form one task list).
+ * The fused pass is the one serving render path (serve/render_service):
+ * every wakeup, a batch of one included, runs it, so the shared
+ * per-Gaussian work is paid once per batch instead of once per view
+ * and the cull stage once per published snapshot. With a thread pool
+ * it additionally exposes cross-view parallelism (all views' tiles
+ * form one task list).
  */
 
 #ifndef CLM_RENDER_BATCH_HPP

@@ -8,15 +8,6 @@ std::vector<uint32_t>
 frustumCull(const GaussianModel &model, const Camera &camera)
 {
     std::vector<uint32_t> selected;
-    frustumCull(model, camera, selected);
-    return selected;
-}
-
-void
-frustumCull(const GaussianModel &model, const Camera &camera,
-            std::vector<uint32_t> &selected)
-{
-    selected.clear();
     const Frustum &fr = camera.frustum();
     for (size_t i = 0; i < model.size(); ++i) {
         Ellipsoid e = Ellipsoid::fromGaussian(
@@ -28,6 +19,7 @@ frustumCull(const GaussianModel &model, const Camera &camera,
         if (e.intersectsFrustum(fr))
             selected.push_back(static_cast<uint32_t>(i));
     }
+    return selected;
 }
 
 double

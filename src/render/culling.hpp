@@ -23,12 +23,10 @@ namespace clm {
 /**
  * The kCullSigma bounding-sphere radius of Gaussian @p i — the largest
  * semi-axis of the cull ellipsoid, i.e. exactly
- * Ellipsoid::fromGaussian(...).boundingRadius(). ONE definition shared
- * by the batched cull stage (render/batch.cpp) and the shard
- * partitioner's AABBs (shard/partitioner.cpp), both of whose
- * conservatism arguments require "at least the radius frustumCull
- * tests" — keeping the expression in one place keeps those proofs
- * attached to the code they depend on.
+ * Ellipsoid::fromGaussian(...).boundingRadius(). The batched cull
+ * stage (render/batch.cpp) precomputes it per Gaussian for its sphere
+ * prefilter, whose selections match frustumCull only because both test
+ * this same radius — so the expression lives here, next to frustumCull.
  */
 inline float
 cullBoundingRadius(const GaussianModel &model, size_t i)
@@ -50,13 +48,6 @@ cullBoundingRadius(const GaussianModel &model, size_t i)
  */
 std::vector<uint32_t> frustumCull(const GaussianModel &model,
                                   const Camera &camera);
-
-/** Out-parameter overload for hot loops: clears @p selected and fills
- *  it with exactly the value-returning overload's result, reusing the
- *  caller's buffer capacity (the sharded serving path culls K compact
- *  models per request). */
-void frustumCull(const GaussianModel &model, const Camera &camera,
-                 std::vector<uint32_t> &selected);
 
 /**
  * Per-view sparsity rho_i = |S_i| / N (§3). Returns 0 for an empty model.

@@ -3,11 +3,16 @@
  * RenderService — the concurrent serving subsystem. Clients submit
  * ViewRequests (a posed camera) and get back a rendered frame of the
  * *live* training model. Requests land on a thread-safe queue; worker
- * threads drain it in batches of up to max_batch and render each batch
- * through the fused multi-view pipeline (render/batch.hpp): one shared
- * cull/precompute/binning pass, per-view tile ranges carved out of one
- * key-sorted buffer. Each worker owns a BatchRenderArena, so steady-
- * state serving allocates almost nothing.
+ * threads drain it in batches of up to max_batch and render every
+ * batch — a batch of one included — through the one fused multi-view
+ * pipeline (render/batch.hpp): frustumCullBatch, whose shared per-
+ * Gaussian stage is cached per snapshot version so consecutive wakeups
+ * on the same published state skip it, then renderForwardBatch's
+ * shared precompute/binning pass with per-view tile ranges carved out
+ * of one key-sorted buffer. Each worker owns a BatchRenderArena, so
+ * steady-state serving allocates almost nothing. Frames are bitwise
+ * identical to a direct frustumCull + renderForward of the same
+ * snapshot (renderForwardBatch's per-view contract).
  *
  * Serving runs concurrently with training: workers render from the
  * SnapshotSlot's current ModelSnapshot (serve/snapshot.hpp), which the
@@ -15,19 +20,6 @@
  * parameters, and every response carries the snapshot version/hash it
  * was rendered from so served frames are traceable to exactly one
  * published state.
- *
- * In *sharded* mode the service serves a ShardedSnapshotSlot instead:
- * each request's frustum is routed against the spatial shard AABBs
- * (shard/router.hpp) and only the selected shards are rendered through
- * the exact per-shard/k-way-merge pipeline (shard/shard_renderer.hpp).
- * Coalesced batches of 2+ requests render through the COMPOSED pipeline
- * (shard/shard_batch.hpp): per-view routing unioned, one fused
- * cull/precompute/sort per union shard — with the cull stage cached per
- * (snapshot version, shard id) across wakeups — then per-view k-way
- * merges. Frames stay bitwise identical to unsharded serving either
- * way; routing bounds the working set, and responses/stats report how
- * many shards the router pruned plus per-batch composition stats
- * (ServeStats::batch_occupancy / mean_batch_shards).
  *
  * Overload is a first-class input, not an error path: every submit()
  * resolves to a RenderResponse with an explicit ServeStatus — never a
@@ -38,26 +30,20 @@
  * (expired requests are swept out at dequeue time and failed fast
  * without rendering), and per-client token-bucket fairness keyed by
  * the client id passed to submit(). Shedding changes *which* requests
- * render, never *what* a render produces: admitted frames stay bitwise
- * identical to direct renderForward calls.
+ * render, never *what* a render produces.
  *
- * Throughput and latency are reported through ServeStats (request/batch
- * counters, p50/p99 latency percentiles of *admitted* requests, shed/
- * throttle counters, and a queue-depth gauge); bench/micro_serve.cpp
- * and bench/micro_overload.cpp record them in BENCH_serve.json /
- * BENCH_overload.json.
- *
- * Observability (PR 9): the bespoke counters behind ServeStats moved
- * into a MetricsRegistry (serve.* counters, queue-wait / render-time /
- * latency histograms — the queue-vs-render p99 decomposition), and the
- * request path records tracer spans (serve.admit on the submitting
- * thread; a cross-thread serve.queue_wait async span closed at worker
- * dequeue; serve.route / serve.render / serve.render_batch around
- * rendering, whose per-stage children come from the renderers'
- * StageClocks). The request id doubles as the trace id, so a Perfetto
- * view of the trace follows one request across threads. Tracing reads
- * clocks and writes ring slots only — admitted frames stay bitwise
- * identical with it enabled.
+ * Counters, gauges and the queue-wait / render-time / end-to-end
+ * latency histograms live in a MetricsRegistry (serve.*); ServeStats
+ * is the read-side view of it, and bench/micro_serve.cpp and
+ * bench/micro_overload.cpp record it in BENCH_serve.json /
+ * BENCH_overload.json. The request path records tracer spans
+ * (serve.admit on the submitting thread; a cross-thread
+ * serve.queue_wait async span closed at worker dequeue;
+ * serve.render_batch around the batch render, whose per-stage
+ * children come from the pipeline's StageClocks). The request id
+ * doubles as the trace id, so a Perfetto view of the trace follows one
+ * request across threads. Tracing reads clocks and writes ring slots
+ * only — frames stay bitwise identical with it enabled.
  */
 
 #ifndef CLM_SERVE_RENDER_SERVICE_HPP
@@ -82,8 +68,6 @@
 #include "util/timer.hpp"
 
 namespace clm {
-
-class ShardedSnapshotSlot;
 
 /** Outcome of one submitted request (RenderResponse::status). */
 enum class ServeStatus : int
@@ -135,21 +119,11 @@ struct ServeConfig
 {
     int workers = 1;             //!< Render worker threads.
     /** Coalescing cap: a worker drains up to this many queued requests
-     *  per wakeup and renders them as one fused batch. 1 reproduces
-     *  view-at-a-time serving exactly (plain frustumCull +
-     *  renderForward per request). */
+     *  per wakeup and renders them as one fused batch (1 renders every
+     *  request as a batch of one through the same pipeline). */
     int max_batch = 4;
     size_t queue_capacity = 1024;
     RenderConfig render;
-    /** Render coalesced batches through the fused pipeline. Off renders
-     *  each request of a batch view-at-a-time (the bench baseline);
-     *  frames are bitwise identical either way. */
-    bool fused_batch = true;
-    /** Seed of the deterministic latency-reservoir sampling (see
-     *  ServeStats): which observation indices end up in the p50/p99
-     *  sample is a pure function of this seed, so percentile estimates
-     *  are reproducible run-to-run for a fixed request schedule. */
-    uint64_t latency_seed = 0x5e12e;
     /** Overload policy: shed/deadline/fairness (see AdmissionConfig). */
     AdmissionConfig admission;
     /** Fault injection, tests only (util/fault.hpp): may stall workers
@@ -181,11 +155,6 @@ struct RenderResponse
     int batch_size = 0;              //!< Size of the coalesced batch.
     double queue_s = 0;              //!< Time spent waiting in the queue.
     double render_s = 0;             //!< Wall time of the batch render.
-    /** @name Sharded-mode routing provenance (0 when unsharded) */
-    /// @{
-    int shards_total = 0;            //!< Shards in the served snapshot.
-    int shards_selected = 0;         //!< Shards the router kept.
-    /// @}
 
     bool ok() const { return status == ServeStatus::Ok; }
 };
@@ -210,28 +179,19 @@ struct ServeStats
     uint64_t throttled_client = 0;   //!< ThrottledClient responses.
     size_t queue_depth = 0;          //!< Gauge: queued right now.
     /// @}
-    /** Latency percentiles/mean/max come from a bounded uniform
-     *  reservoir sample of the per-request latencies of *admitted*
-     *  (rendered) requests (the counters are exact), so a long-running
-     *  service never accumulates unbounded per-request state.
-     *  Reservoir membership is decided by a deterministic hash of
-     *  (ServeConfig::latency_seed, observation index) — not a shared
-     *  RNG whose draw order would depend on worker interleaving — so
-     *  the sampled index set is reproducible run-to-run. */
+    /** @name Latency of admitted (rendered) requests
+     * End to end from submit() to the response, and its split into time
+     * queued behind other work vs the batch render wall time (counted
+     * once per request of the batch). All three come from the
+     * serve.latency_ms / serve.queue_wait_ms / serve.render_ms registry
+     * histograms, so percentiles are log-bucket upper edges
+     * (deterministic, ~9% resolution); means and the max are exact.
+     */
+    /// @{
     double p50_ms = 0;               //!< Median request latency.
     double p99_ms = 0;               //!< Tail request latency.
     double mean_ms = 0;
     double max_ms = 0;
-    /** @name Latency decomposition (PR 9)
-     * WHERE admitted requests spent their time: queued behind other
-     * work vs being rendered. Sourced from the serve.queue_wait_ms /
-     * serve.render_ms registry histograms, so percentiles here are
-     * log-bucket upper edges (deterministic, ~9% resolution) rather
-     * than the reservoir-exact end-to-end p50_ms/p99_ms above; means
-     * are exact. queue_wait counts per request; render time counts the
-     * batch render wall time once per request of the batch.
-     */
-    /// @{
     double queue_wait_p50_ms = 0;
     double queue_wait_p99_ms = 0;
     double queue_wait_mean_ms = 0;
@@ -241,39 +201,11 @@ struct ServeStats
     /// @}
     uint64_t min_snapshot_version = 0;   //!< Oldest snapshot served.
     uint64_t max_snapshot_version = 0;   //!< Newest snapshot served.
-    /** @name Sharded-mode routing counters (zero when unsharded)
-     * Router effectiveness: what fraction of the model's shards the
-     * frustum routing pruned, averaged over served requests.
-     */
-    /// @{
-    uint64_t sharded_requests = 0;   //!< Requests served via routing.
-    double mean_shards_selected = 0; //!< Mean shards rendered/request.
-    double mean_shard_frac_pruned = 0;   //!< Mean pruned fraction.
-    /// @}
-    /** @name Batch-composition counters
-     * How well coalescing is working: batch_occupancy[k] counts the
-     * wakeups that rendered a batch of k+1 requests (sized to the
-     * largest batch seen), and mean_batch_shards is the mean number of
-     * DISTINCT shards a coalesced batch touched per wakeup (sharded
-     * mode only, 0 otherwise) — the union the composed pipeline
-     * renders, as opposed to mean_shards_selected's per-request view.
-     */
-    /// @{
+    /** batch_occupancy[k] counts the wakeups that rendered a batch of
+     *  k+1 requests (sized to the largest batch seen): how well
+     *  coalescing is working. */
     std::vector<uint64_t> batch_occupancy;
-    double mean_batch_shards = 0;
-    /// @}
 };
-
-/**
- * Deterministic Algorithm-R replacement slot for the @p index-th
- * latency observation (1-based): a pure function of (seed, index)
- * returning j uniform-ish in [0, index). Observations with
- * j < reservoir-size replace slot j; everything else is dropped. Being
- * index-keyed (not a shared-RNG draw) makes the sampled index set
- * reproducible run-to-run regardless of worker-thread interleaving —
- * the property that keeps benched p50/p99 stable across reruns.
- */
-uint64_t latencyReservoirSlot(uint64_t seed, uint64_t index);
 
 /** See file comment. */
 class RenderService
@@ -285,17 +217,6 @@ class RenderService
      * published snapshot before the first request is rendered.
      */
     RenderService(const SnapshotSlot &snapshots, ServeConfig config);
-
-    /**
-     * Sharded mode: serve from @p shards (shard/sharded_snapshot.hpp)
-     * instead of a whole-model slot. Each request's frustum is routed
-     * against the shard AABBs and only the selected shards are
-     * rendered, through the exact k-way-merge pipeline
-     * (shard/shard_renderer.hpp) — frames are bitwise identical to
-     * unsharded serving; routing only bounds the per-request working
-     * set. Same lifetime/publish contract as the unsharded ctor.
-     */
-    RenderService(const ShardedSnapshotSlot &shards, ServeConfig config);
 
     /** Stops and joins the workers (pending requests are drained). */
     ~RenderService();
@@ -360,10 +281,9 @@ class RenderService
     };
 
     void workerLoop();
-    void shardedWorkerLoop();
-    /** Admission front half shared by both worker loops: pop a batch,
-     *  failing deadline-expired requests fast. False = queue drained
-     *  and closed. */
+    /** Admission front half of the worker loop: pop a batch, failing
+     *  deadline-expired requests fast. False = queue drained and
+     *  closed. */
     bool admitBatch(std::vector<PendingRequest> &batch,
                     std::vector<PendingRequest> &expired);
     /** Fulfill @p req with a non-Ok @p status (empty image) and bump
@@ -371,18 +291,12 @@ class RenderService
     void failRequest(PendingRequest &req, ServeStatus status);
     /** Token-bucket check; true admits (and debits) the client. */
     bool admitClient(uint64_t client_id);
-    void recordBatch(size_t batch_size, const double *latencies_s,
-                     uint64_t snapshot_version,
-                     uint64_t shards_selected_sum = 0,
-                     uint64_t shards_total_sum = 0,
-                     uint64_t union_shards = 0);
+    void recordBatch(size_t batch_size, uint64_t snapshot_version);
     /** Resolve the serve.* metric handles (once, before workers). */
     void initMetrics();
-    void startWorkers();
 
     ServeConfig config_;
-    const SnapshotSlot *snapshots_ = nullptr;        //!< Unsharded mode.
-    const ShardedSnapshotSlot *sharded_ = nullptr;   //!< Sharded mode.
+    const SnapshotSlot *snapshots_ = nullptr;
     MpmcQueue<PendingRequest> queue_;
     std::vector<std::thread> workers_;
     Timer clock_;    //!< Service-lifetime clock (latency timestamps).
@@ -391,10 +305,6 @@ class RenderService
 
     std::mutex admission_mutex_;    //!< Guards buckets_.
     std::unordered_map<uint64_t, TokenBucket> buckets_;
-
-    /** Reservoir size for latency percentiles: plenty for stable
-     *  p50/p99 while bounding the service's per-request state. */
-    static constexpr size_t kLatencyReservoir = 4096;
 
     /** Private registry used when ServeConfig::metrics is null. */
     MetricsRegistry own_metrics_;
@@ -419,18 +329,10 @@ class RenderService
 
     std::atomic<uint64_t> next_id_{1};
 
-    mutable std::mutex stats_mutex_;
+    mutable std::mutex stats_mutex_;    //!< Guards the fields below.
     uint64_t min_version_ = 0;
     uint64_t max_version_ = 0;
-    uint64_t latency_count_ = 0;     //!< Latencies ever observed.
-    std::vector<double> latencies_s_;    //!< Uniform reservoir sample.
-    double max_latency_s_ = 0;
-    uint64_t shards_selected_sum_ = 0;   //!< Sharded-mode accumulators.
-    uint64_t shards_total_sum_ = 0;
-    uint64_t sharded_requests_ = 0;
     std::vector<uint64_t> batch_occupancy_;  //!< [k] = batches of k+1.
-    uint64_t batch_union_shards_sum_ = 0;    //!< Sum of per-batch unions.
-    uint64_t sharded_batches_ = 0;
 };
 
 } // namespace clm

@@ -6,7 +6,6 @@
 #include "obs/trace.hpp"
 #include "render/culling.hpp"
 #include "serve/snapshot.hpp"
-#include "shard/sharded_snapshot.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
 #include "util/logging.hpp"
@@ -60,21 +59,6 @@ Trainer::setSnapshotSink(SnapshotSlot *slot)
 }
 
 void
-Trainer::setShardedSink(ShardedSnapshotSlot *slot)
-{
-    CLM_ASSERT(slot == nullptr || snapshot_sink_ != nullptr,
-               "sharded sink requires a snapshot sink (shards are "
-               "carved from published ModelSnapshots)");
-    sharded_sink_ = slot;
-    // Seed from the already-published snapshot (setSnapshotSink
-    // guarantees one exists) instead of republishing: the model hasn't
-    // changed, so bumping the version here would only invalidate
-    // snapshot-keyed serving caches and inflate served version spans.
-    if (slot != nullptr)
-        slot->publish(snapshot_sink_->acquire());
-}
-
-void
 Trainer::publishSnapshot()
 {
     // Unconditional: a reader attaching at ANY later point must find
@@ -85,11 +69,6 @@ Trainer::publishSnapshot()
     if (snapshot_sink_ != nullptr) {
         ScopedSpan span("train.publish");
         snapshot_sink_->publish(model(), batches_done_);
-        // Sharded republish at the same point; the slot no-ops unless
-        // the version advanced, so this re-partitions exactly once per
-        // model change.
-        if (sharded_sink_ != nullptr)
-            sharded_sink_->publish(snapshot_sink_->acquire());
     }
 }
 

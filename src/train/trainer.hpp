@@ -31,7 +31,6 @@
 namespace clm {
 
 class SnapshotSlot;
-class ShardedSnapshotSlot;
 
 /** Shared trainer settings. */
 struct TrainConfig
@@ -138,14 +137,6 @@ class Trainer
     /// @{
     void setSnapshotSink(SnapshotSlot *slot);
 
-    /** Also carve every published snapshot into spatial shards
-     *  (shard/sharded_snapshot.hpp), at the same publish points as the
-     *  plain sink — the slot re-partitions only when the published
-     *  version actually changed. Requires a snapshot sink to be
-     *  installed first; @p slot must outlive the trainer (nullptr
-     *  detaches). */
-    void setShardedSink(ShardedSnapshotSlot *slot);
-
     /** Publish the current model now (no-op without a sink). */
     void publishSnapshot();
     /// @}
@@ -179,7 +170,6 @@ class Trainer
     bool densify_enabled_ = false;
     int batches_done_ = 0;
     SnapshotSlot *snapshot_sink_ = nullptr;    //!< Non-owning.
-    ShardedSnapshotSlot *sharded_sink_ = nullptr;    //!< Non-owning.
 
     /** Render scratch reused across every view/step this trainer runs
      *  (every trainer renders through renderAndBackprop/evaluatePsnr).

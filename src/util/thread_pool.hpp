@@ -76,7 +76,7 @@ class ThreadPool
  * @p body over [0, n) through the global pool when @p parallel and the
  * item count makes forking worthwhile, else inline on the caller. ONE
  * definition of the policy — callers pick their threshold constant —
- * so the batched and sharded pipelines cannot drift apart. Only valid
+ * so the render passes and the snapshot hash cannot drift apart. Only valid
  * for bodies whose items are independent (any split is bitwise
  * neutral).
  */

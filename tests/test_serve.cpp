@@ -83,10 +83,10 @@ TEST(FrustumCullBatch, MatchesPerViewCullExactly)
 
 TEST(FrustumCullBatch, SnapshotScopedCullCacheIsBitwiseNeutral)
 {
-    // Satellite of the sharding PR: passing the same non-zero cache
-    // key again must skip the shared SoA rebuild (the stage is a pure
-    // function of the model) without changing any membership; a new
-    // key over a *changed* model must invalidate and rebuild.
+    // Passing the same non-zero cache key again must skip the shared
+    // SoA rebuild (the stage is a pure function of the model) without
+    // changing any membership; a new key over a *changed* model must
+    // invalidate and rebuild.
     BatchFixture fix;
     std::vector<Camera> cams(fix.cameras.begin(), fix.cameras.begin() + 3);
     BatchCullScratch cached, fresh;
@@ -117,34 +117,6 @@ TEST(FrustumCullBatch, SnapshotScopedCullCacheIsBitwiseNeutral)
     frustumCullBatch(fix.model, cams, cached, b, true, /*cache_key=*/0);
     EXPECT_EQ(cached.cached_key, 0u);
     EXPECT_EQ(b, a);
-}
-
-TEST(ServeStats, LatencyReservoirSlotsAreDeterministic)
-{
-    // Satellite: reservoir membership is a pure function of
-    // (seed, observation index), so benched p50/p99 are reproducible
-    // run-to-run — no shared-RNG draw order involved.
-    for (uint64_t seed : {uint64_t(0x5e12e), uint64_t(1), uint64_t(42)}) {
-        size_t hits = 0;
-        for (uint64_t i = 4097; i < 8192; ++i) {
-            const uint64_t j = latencyReservoirSlot(seed, i);
-            EXPECT_EQ(j, latencyReservoirSlot(seed, i));    // pure
-            EXPECT_LT(j, i);                                // in range
-            if (j < 4096)
-                ++hits;
-        }
-        // Algorithm R keeps the sample uniform: the acceptance rate
-        // over indices (R, 2R] is ~R * (H(2R) - H(R)) ≈ R ln 2 — allow
-        // generous slack, this is a sanity band, not a statistics test.
-        EXPECT_GT(hits, 4096 * 0.55);
-        EXPECT_LT(hits, 4096 * 0.85);
-    }
-    // Different seeds sample different index sets (the seed matters).
-    size_t differs = 0;
-    for (uint64_t i = 4097; i < 4197; ++i)
-        if (latencyReservoirSlot(1, i) != latencyReservoirSlot(2, i))
-            ++differs;
-    EXPECT_GT(differs, 50u);
 }
 
 TEST(FrustumCullBatch, SerialAndParallelIdentical)
@@ -181,21 +153,30 @@ checkBatchAgainstSequential(const BatchFixture &fix,
 TEST(RenderForwardBatch, BitwiseIdenticalToSequentialSimd)
 {
     BatchFixture fix;
-    std::vector<Camera> cams(fix.cameras.begin(), fix.cameras.begin() + 3);
     RenderConfig cfg;
     cfg.sh_degree = 2;
     cfg.use_simd = true;    // scalar fallback in CLM_DISABLE_SIMD builds
-    checkBatchAgainstSequential(fix, cams, cfg);
+    // B=3, and the one-view batch every lone serving request renders as.
+    for (size_t b : {size_t(3), size_t(1)}) {
+        SCOPED_TRACE("batch " + std::to_string(b));
+        std::vector<Camera> cams(fix.cameras.begin(),
+                                 fix.cameras.begin() + b);
+        checkBatchAgainstSequential(fix, cams, cfg);
+    }
 }
 
 TEST(RenderForwardBatch, BitwiseIdenticalToSequentialScalar)
 {
     BatchFixture fix;
-    std::vector<Camera> cams(fix.cameras.begin(), fix.cameras.begin() + 3);
     RenderConfig cfg;
     cfg.sh_degree = 2;
     cfg.use_simd = false;    // the scalar reference compositor
-    checkBatchAgainstSequential(fix, cams, cfg);
+    for (size_t b : {size_t(3), size_t(1)}) {
+        SCOPED_TRACE("batch " + std::to_string(b));
+        std::vector<Camera> cams(fix.cameras.begin(),
+                                 fix.cameras.begin() + b);
+        checkBatchAgainstSequential(fix, cams, cfg);
+    }
 }
 
 TEST(RenderForwardBatch, MixedResolutionsAndEmptySubset)
@@ -427,32 +408,58 @@ TEST(RenderService, ServesFramesIdenticalToDirectRenders)
     EXPECT_EQ(stats.max_snapshot_version, 1u);
 }
 
-TEST(RenderService, ViewAtATimeModeMatchesFused)
+TEST(RenderService, EveryBatchSizeServesDirectFramesAndCountsBatches)
 {
+    // One render path for every wakeup: serving the same requests with
+    // max_batch 1 (every request a batch of one) and 4 must yield frames
+    // equal to a direct frustumCull + renderForward, and the occupancy
+    // histogram must account for every request and every batch.
     BatchFixture fix(600);
     SnapshotSlot slot;
     slot.publish(fix.model, 0);
+    constexpr int kRequests = 10;
 
-    ServeConfig fused_cfg;
-    fused_cfg.max_batch = 4;
-    fused_cfg.render.sh_degree = 1;
-    ServeConfig single_cfg = fused_cfg;
-    single_cfg.fused_batch = false;
+    std::vector<Image> direct;
+    RenderConfig render;
+    render.sh_degree = 1;
+    for (int r = 0; r < kRequests; ++r) {
+        const Camera &cam = fix.cameras[r % 6];
+        direct.push_back(
+            renderForward(fix.model, cam, frustumCull(fix.model, cam),
+                          render)
+                .image);
+    }
 
-    std::vector<Image> fused_frames, single_frames;
-    for (const ServeConfig &cfg : {fused_cfg, single_cfg}) {
+    for (int max_batch : {1, 4}) {
+        SCOPED_TRACE("max_batch " + std::to_string(max_batch));
+        ServeConfig cfg;
+        cfg.workers = 1;    // single worker => batches actually coalesce
+        cfg.max_batch = max_batch;
+        cfg.render = render;
         RenderService service(slot, cfg);
         std::vector<std::future<RenderResponse>> futs;
-        for (int r = 0; r < 8; ++r)
+        for (int r = 0; r < kRequests; ++r)
             futs.push_back(service.submit(fix.cameras[r % 6]));
-        auto &frames =
-            cfg.fused_batch ? fused_frames : single_frames;
-        for (auto &f : futs)
-            frames.push_back(f.get().image);
+        for (int r = 0; r < kRequests; ++r) {
+            RenderResponse resp = futs[r].get();
+            ASSERT_TRUE(resp.ok());
+            EXPECT_LE(resp.batch_size, max_batch);
+            EXPECT_EQ(resp.image.data(), direct[r].data())
+                << "request " << r;
+        }
+        service.stop();
+        ServeStats stats = service.stats();
+        EXPECT_EQ(stats.requests, uint64_t(kRequests));
+        ASSERT_FALSE(stats.batch_occupancy.empty());
+        EXPECT_LE(stats.batch_occupancy.size(), size_t(max_batch));
+        uint64_t hist_requests = 0, hist_batches = 0;
+        for (size_t k = 0; k < stats.batch_occupancy.size(); ++k) {
+            hist_requests += (k + 1) * stats.batch_occupancy[k];
+            hist_batches += stats.batch_occupancy[k];
+        }
+        EXPECT_EQ(hist_requests, stats.requests);
+        EXPECT_EQ(hist_batches, stats.batches);
     }
-    for (size_t r = 0; r < fused_frames.size(); ++r)
-        EXPECT_EQ(fused_frames[r].data(), single_frames[r].data())
-            << "request " << r;
 }
 
 /**

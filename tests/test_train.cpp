@@ -4,7 +4,8 @@
  * CLM's offloading (attribute split, caching, carried gradients, subset
  * Adam) is a pure systems transformation of GPU-only training — and
  * training must actually reconstruct scenes (loss down, PSNR up). Also
- * covers the Clm facade and the quality harness.
+ * covers the fused multi-view GpuOnlyTrainer step (bitwise the
+ * view-at-a-time trajectory), the Clm facade and the quality harness.
  */
 
 #include <gtest/gtest.h>
@@ -229,6 +230,56 @@ TEST(ClmFacade, ConfigValidation)
     ClmConfig cfg;
     cfg.scene.train.n_views = 0;
     EXPECT_ANY_THROW(Clm{cfg});
+}
+
+TEST(FusedTrainer, TrajectoryMatchesViewAtATime)
+{
+    // The fused multi-view training step must reproduce the
+    // view-at-a-time GpuOnlyTrainer trajectory bit for bit: same
+    // per-batch loss, same parameters after several steps — including
+    // a batch with a DUPLICATE view id (the fused chain accumulates
+    // per model row in batch-slot order, which is the sequential
+    // loop's order).
+    SceneSpec spec = SceneSpec::bicycle();
+    spec.train = {500, 6, 48, 48};
+    GaussianModel gt = generateGroundTruth(spec, 500);
+    std::vector<Camera> cameras = trainCameras(spec);
+    TrainConfig config;
+    config.batch_size = 4;
+    config.render.sh_degree = 1;
+    config.loss.ssim_window = 5;
+    std::vector<Image> gt_images =
+        renderGroundTruth(gt, cameras, config.render);
+    GaussianModel trainee = makeTrainee(gt, 300, 1234);
+
+    TrainConfig fused_cfg = config;
+    fused_cfg.fused_batch = true;
+    TrainConfig seq_cfg = config;
+    seq_cfg.fused_batch = false;
+    GpuOnlyTrainer fused(trainee, cameras, gt_images, fused_cfg);
+    GpuOnlyTrainer seq(trainee, cameras, gt_images, seq_cfg);
+
+    const std::vector<std::vector<int>> batches = {
+        {0, 1, 2, 3}, {4, 5, 0, 1}, {2, 2, 4, 5}};
+    for (const auto &ids : batches) {
+        BatchStats a = fused.trainBatch(ids);
+        BatchStats b = seq.trainBatch(ids);
+        EXPECT_EQ(a.loss, b.loss);
+        EXPECT_EQ(a.gaussians_rendered, b.gaussians_rendered);
+        EXPECT_EQ(a.adam_updated, b.adam_updated);
+    }
+    const GaussianModel &ma = fused.model();
+    const GaussianModel &mb = seq.model();
+    ASSERT_EQ(ma.size(), mb.size());
+    for (size_t i = 0; i < ma.size(); ++i) {
+        EXPECT_EQ(ma.position(i).x, mb.position(i).x) << i;
+        EXPECT_EQ(ma.position(i).y, mb.position(i).y) << i;
+        EXPECT_EQ(ma.position(i).z, mb.position(i).z) << i;
+        EXPECT_EQ(ma.logScale(i).x, mb.logScale(i).x) << i;
+        EXPECT_EQ(ma.rotation(i).w, mb.rotation(i).w) << i;
+        EXPECT_EQ(ma.rawOpacity(i), mb.rawOpacity(i)) << i;
+        EXPECT_EQ(ma.sh(i)[0], mb.sh(i)[0]) << i;
+    }
 }
 
 } // namespace
