@@ -73,6 +73,19 @@ class CpuAdam
     void updateSubset(GaussianModel &model, const GaussianGrads &grads,
                       const std::vector<uint32_t> &indices);
 
+    /**
+     * Apply one Adam step to Gaussian @p i from its packed 59-float
+     * gradient record @p grad (position, log-scale, rotation w x y z,
+     * SH, opacity: the pinned gradient record layout). Bitwise identical
+     * to updateSubset() over {i} with the same gradients; the
+     * finalization pass uses it to update straight from pinned memory.
+     */
+    void updateRecord(GaussianModel &model, uint32_t i, const float *grad);
+
+    /** Pack Gaussian @p i's first and second moments into 59-float
+     *  records @p m and @p v (the gradient record layout). */
+    void packMoments(size_t i, float *m, float *v) const;
+
     /** Per-Gaussian step counts (for tests and bias-correction checks). */
     uint32_t stepCount(size_t i) const { return step_[i]; }
 
@@ -86,13 +99,12 @@ class CpuAdam
     { return size() * kParamsPerGaussian * 2 * sizeof(float); }
 
   private:
-    /** Scalar Adam micro-kernel: updates param, m and v in place. */
-    void step(float &param, float grad, float &m, float &v, float lr,
-              uint32_t t) const;
-
-    /** Full Adam update of one Gaussian's 59 parameters. */
-    void updateRow(GaussianModel &model, const GaussianGrads &grads,
-                   uint32_t i);
+    /** Full Adam update of one Gaussian's 59 parameters. The two bias
+     *  corrections are computed once per row; the 48 SH coefficients
+     *  run in F8 lanes with the scalar path's exact IEEE op sequence. */
+    void updateRow(GaussianModel &model, uint32_t i, const Vec3 &d_position,
+                   const Vec3 &d_log_scale, const Quat &d_rotation,
+                   const float *d_sh, float d_opacity);
 
     /** Scheduled position LR at per-Gaussian step @p t. */
     float positionLr(uint32_t t) const;

@@ -29,55 +29,6 @@ GaussianGrads::zero()
 }
 
 void
-GaussianGrads::accumulate(const GaussianGrads &other)
-{
-    CLM_ASSERT(size() == other.size(), "gradient size mismatch");
-    for (size_t i = 0; i < d_position.size(); ++i) {
-        d_position[i] += other.d_position[i];
-        d_log_scale[i] += other.d_log_scale[i];
-        d_rotation[i].w += other.d_rotation[i].w;
-        d_rotation[i].x += other.d_rotation[i].x;
-        d_rotation[i].y += other.d_rotation[i].y;
-        d_rotation[i].z += other.d_rotation[i].z;
-        d_opacity[i] += other.d_opacity[i];
-    }
-    for (size_t i = 0; i < d_sh.size(); ++i)
-        d_sh[i] += other.d_sh[i];
-}
-
-void
-GaussianGrads::accumulateRows(const GaussianGrads &other,
-                              const std::vector<uint32_t> &indices)
-{
-    CLM_ASSERT(size() == other.size(), "gradient size mismatch");
-    for (uint32_t i : indices) {
-        d_position[i] += other.d_position[i];
-        d_log_scale[i] += other.d_log_scale[i];
-        d_rotation[i].w += other.d_rotation[i].w;
-        d_rotation[i].x += other.d_rotation[i].x;
-        d_rotation[i].y += other.d_rotation[i].y;
-        d_rotation[i].z += other.d_rotation[i].z;
-        d_opacity[i] += other.d_opacity[i];
-        const float *src = &other.d_sh[size_t(i) * kShDim];
-        float *dst = &d_sh[size_t(i) * kShDim];
-        for (int k = 0; k < kShDim; ++k)
-            dst[k] += src[k];
-    }
-}
-
-void
-GaussianGrads::zeroRows(const std::vector<uint32_t> &indices)
-{
-    for (uint32_t i : indices) {
-        d_position[i] = Vec3{};
-        d_log_scale[i] = Vec3{};
-        d_rotation[i] = Quat{0, 0, 0, 0};
-        d_opacity[i] = 0.0f;
-        std::memset(&d_sh[size_t(i) * kShDim], 0, kShDim * sizeof(float));
-    }
-}
-
-void
 GaussianModel::resize(size_t n)
 {
     position_.resize(n, Vec3{});

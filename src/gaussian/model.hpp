@@ -42,16 +42,6 @@ struct GaussianGrads
     /** Number of Gaussians covered. */
     size_t size() const { return d_position.size(); }
 
-    /** Accumulate @p other into this buffer (sizes must match). */
-    void accumulate(const GaussianGrads &other);
-
-    /** Accumulate only the rows listed in @p indices from @p other. */
-    void accumulateRows(const GaussianGrads &other,
-                        const std::vector<uint32_t> &indices);
-
-    /** Zero only the rows listed in @p indices. */
-    void zeroRows(const std::vector<uint32_t> &indices);
-
     /** L2 norm of the position gradient of row @p i (densification cue). */
     float positionGradNorm(size_t i) const { return d_position[i].norm(); }
 };

@@ -26,13 +26,13 @@
  * binary reproduces the pre-SIMD scalar reference bit for bit.
  *
  * Every backend performs the *same* IEEE-754 single-precision operation
- * sequence — no FMA contraction, division is the correctly-rounded IEEE
- * quotient everywhere, and min/max follow the SSE convention
- * `min(a, b) = a < b ? a : b` (returns b on unordered) on every backend —
- * so a given F8 expression produces bitwise-identical results on every
- * ISA and on the scalar fallback. Results are therefore run-to-run and
- * machine-to-machine deterministic, and independent of the dispatch
- * choice; only the speed changes.
+ * sequence — no FMA contraction, division and sqrt are the
+ * correctly-rounded IEEE results everywhere, and min/max follow the SSE
+ * convention `min(a, b) = a < b ? a : b` (returns b on unordered) on
+ * every backend — so a given F8 expression produces bitwise-identical
+ * results on every ISA and on the scalar fallback. Results are therefore
+ * run-to-run and machine-to-machine deterministic, and independent of
+ * the dispatch choice; only the speed changes.
  *
  * Masks are F8 values whose lanes are all-ones (true) or all-zeros
  * (false) bit patterns, as produced by lt()/gt(); combine them with
@@ -108,6 +108,8 @@ struct F8
 
     static F8 min(F8 a, F8 b) { return {_mm256_min_ps(a.v, b.v)}; }
     static F8 max(F8 a, F8 b) { return {_mm256_max_ps(a.v, b.v)}; }
+    /** Correctly-rounded IEEE square root, like std::sqrt per lane. */
+    static F8 sqrt(F8 a) { return {_mm256_sqrt_ps(a.v)}; }
 
     static F8 lt(F8 a, F8 b)
     { return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)}; }
@@ -179,6 +181,7 @@ struct F8
     { return {_mm_min_ps(a.lo, b.lo), _mm_min_ps(a.hi, b.hi)}; }
     static F8 max(F8 a, F8 b)
     { return {_mm_max_ps(a.lo, b.lo), _mm_max_ps(a.hi, b.hi)}; }
+    static F8 sqrt(F8 a) { return {_mm_sqrt_ps(a.lo), _mm_sqrt_ps(a.hi)}; }
 
     static F8 lt(F8 a, F8 b)
     { return {_mm_cmplt_ps(a.lo, b.lo), _mm_cmplt_ps(a.hi, b.hi)}; }
@@ -265,6 +268,8 @@ struct F8
      *  compare + select the other backends are exactly equivalent to. */
     static F8 min(F8 a, F8 b) { return select(lt(a, b), a, b); }
     static F8 max(F8 a, F8 b) { return select(gt(a, b), a, b); }
+    /** vsqrtq_f32 (AArch64) is the correctly-rounded IEEE root. */
+    static F8 sqrt(F8 a) { return {vsqrtq_f32(a.lo), vsqrtq_f32(a.hi)}; }
 
     static F8 bitAnd(F8 a, F8 b)
     {
@@ -376,6 +381,13 @@ struct F8
         F8 r;
         for (int l = 0; l < 8; ++l)
             r.v[l] = a.v[l] > b.v[l] ? a.v[l] : b.v[l];
+        return r;
+    }
+    static F8 sqrt(F8 a)
+    {
+        F8 r;
+        for (int l = 0; l < 8; ++l)
+            r.v[l] = std::sqrt(a.v[l]);
         return r;
     }
 

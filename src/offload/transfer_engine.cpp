@@ -26,49 +26,6 @@ packGradRecord(const GaussianGrads &grads, size_t i, float *out)
     out[kOpacityOffset] = grads.d_opacity[i];
 }
 
-void
-unpackGradRecord(const float *in, GaussianGrads &grads, size_t i)
-{
-    grads.d_position[i] = {in[0], in[1], in[2]};
-    grads.d_log_scale[i] = {in[3], in[4], in[5]};
-    grads.d_rotation[i] = {in[6], in[7], in[8], in[9]};
-    std::memcpy(&grads.d_sh[i * kShDim], in + kShOffset,
-                kShDim * sizeof(float));
-    grads.d_opacity[i] = in[kOpacityOffset];
-}
-
-void
-accumulateGradRows(const GaussianGrads &grads, DeviceBuffer &buf)
-{
-    const std::vector<uint32_t> &bound = buf.indices();
-    for (size_t r = 0; r < bound.size(); ++r) {
-        float rec[kParamsPerGaussian];
-        packGradRecord(grads, bound[r], rec);
-        float *row = buf.gradRow(r);
-        for (int k = 0; k < kParamsPerGaussian; ++k)
-            row[k] += rec[k];
-    }
-}
-
-void
-accumulateGradRows(const GaussianGrads &grads, DeviceBuffer &buf,
-                   const std::vector<uint32_t> &indices)
-{
-    const std::vector<uint32_t> &bound = buf.indices();
-    size_t r = 0;
-    for (uint32_t g : indices) {
-        while (r < bound.size() && bound[r] < g)
-            ++r;
-        CLM_ASSERT(r < bound.size() && bound[r] == g,
-                   "gradient target ", g, " not bound in buffer");
-        float rec[kParamsPerGaussian];
-        packGradRecord(grads, g, rec);
-        float *row = buf.gradRow(r);
-        for (int k = 0; k < kParamsPerGaussian; ++k)
-            row[k] += rec[k];
-    }
-}
-
 TransferEngine::TransferEngine(size_t n, TransferEngineConfig config)
     : config_(config), pool_(n, config.signal_slots),
       buffers_{DeviceBuffer(n), DeviceBuffer(n)}

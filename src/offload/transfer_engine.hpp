@@ -201,21 +201,6 @@ class TransferEngine
  *  layout: position, log-scale, rotation, SH, opacity. */
 void packGradRecord(const GaussianGrads &grads, size_t i, float *out);
 
-/** Unpack a 59-float gradient record into @p grads at row @p i. */
-void unpackGradRecord(const float *in, GaussianGrads &grads, size_t i);
-
-/** Accumulate the microbatch's backprop results into the staging buffer's
- *  gradient rows: for every bound row r, pack the gradient record of
- *  global index indices()[r] from @p grads and add it into gradRow(r) —
- *  the device-side gradient accumulation feeding the RMW scatter. */
-void accumulateGradRows(const GaussianGrads &grads, DeviceBuffer &buf);
-
-/** Same, restricted to the bound subset @p indices (ascending) — used
- *  when one staging binding hosts several rendered subsets (the naive
- *  trainer's per-view accumulation into the whole-model binding). */
-void accumulateGradRows(const GaussianGrads &grads, DeviceBuffer &buf,
-                        const std::vector<uint32_t> &indices);
-
 } // namespace clm
 
 #endif // CLM_OFFLOAD_TRANSFER_ENGINE_HPP

@@ -63,11 +63,8 @@ projectGaussianImpl(const GaussianModel &model, size_t i,
         return p;    // invalid: behind the near plane
 
     // Guard-band clamp for the Jacobian (reference 3DGS behaviour).
-    float tan_half_y = std::tan(0.5f * 2.0f
-                                * std::atan(0.5f * camera.height()
-                                            / camera.fy()));
     // fy = 0.5*h/tan(fov/2) => tan(fov/2) = 0.5*h/fy; same for x.
-    tan_half_y = 0.5f * camera.height() / camera.fy();
+    float tan_half_y = 0.5f * camera.height() / camera.fy();
     float tan_half_x = 0.5f * camera.width() / camera.fx();
     float lim_x = kGuardBand * tan_half_x;
     float lim_y = kGuardBand * tan_half_y;

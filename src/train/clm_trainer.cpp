@@ -26,7 +26,8 @@ ClmTrainer::ClmTrainer(GaussianModel model, std::vector<Camera> cameras,
       engine_(model_.size(), engineConfig(config_))
 {
     engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
-        return ctx_.finalize(engine_.pool(), fin, densificationEnabled());
+        return ctx_.finalize(engine_.pool(), fin, densificationEnabled(),
+                             !config_.async_adam);
     });
     engine_.uploadParams(model_);
 }
@@ -75,15 +76,15 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
         DeviceBuffer &buf = engine_.acquire(i);
         const std::vector<uint32_t> &set = buf.indices();
 
-        // Materialize render inputs, then forward + backward.
-        ctx_.materialize(buf);
-        ctx_.scratchGrads().zeroRows(set);
+        // Render from the compact microbatch; its gradients land in the
+        // device buffer rows.
         stats.gaussians_rendered += set.size();
-        stats.loss += renderAndBackprop(ctx_.scratch(), view, set,
-                                        ctx_.scratchGrads());
-
-        // Microbatch gradients into the device buffer rows.
-        accumulateGradRows(ctx_.scratchGrads(), buf);
+        stats.loss += ctx_.trainMicrobatch(
+            buf, set, [&](const GaussianModel &m,
+                          const std::vector<uint32_t> &subset,
+                          GaussianGrads &grads) {
+                return renderAndBackprop(m, view, subset, grads);
+            });
         engine_.release(i);
     }
     // The batch completes only when the finalization thread has applied

@@ -2,9 +2,10 @@
  * @file
  * The functional CLM trainer, now a thin policy over the shared offload
  * subsystem: TrainerContext holds the attribute-split state (critical
- * store, scratch render model, finalization Adam) and TransferEngine owns
- * the whole data path (pinned pool, double-buffered staging, prefetch
- * overlap, RMW gradient scatter, dedicated finalization thread). The
+ * store, compact microbatch buffer, finalization pass) and
+ * TransferEngine owns the whole data path (pinned pool, double-buffered
+ * staging, prefetch overlap, RMW gradient scatter, dedicated
+ * finalization thread). The
  * trainer itself only culls, plans (§4.2), renders, and feeds gradient
  * rows — and produces parameter trajectories equivalent to GPU-only
  * training (verified by the integration tests).
@@ -46,16 +47,17 @@ class ClmTrainer : public Trainer
 
     /** Densification with offload-state rebuild: drains the engine's
      *  threads, restructures the model, then rebuilds the critical
-     *  store, scratch model, pinned pool and double buffers. */
+     *  store, pinned pool and double buffers. */
     DensifyStats densifyNow() override;
 
     /**
      * Failure injection (tests only): overwrite every non-critical
-     * attribute of the "GPU" scratch model with NaN. Training must be
+     * attribute of the "GPU" critical store with NaN. Training must be
      * unaffected, because the attribute-wise offload guarantees every
      * rendered Gaussian's non-critical attributes are loaded from pinned
-     * memory first (§4.1) — any read of an unloaded attribute poisons
-     * the output and fails the test.
+     * memory first (§4.1): renders read them only from the microbatch's
+     * staged buffer rows — any read of an unloaded attribute poisons the
+     * output and fails the test.
      */
     void debugPoisonScratchNonCritical()
     { ctx_.debugPoisonScratchNonCritical(); }

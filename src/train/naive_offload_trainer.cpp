@@ -33,7 +33,8 @@ NaiveOffloadTrainer::NaiveOffloadTrainer(GaussianModel model,
       engine_(model_.size(), naiveEngineConfig(config_))
 {
     engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
-        return ctx_.finalize(engine_.pool(), fin, densificationEnabled());
+        return ctx_.finalize(engine_.pool(), fin, densificationEnabled(),
+                             !config_.async_adam);
     });
     engine_.uploadParams(model_);
 }
@@ -73,19 +74,21 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     CachePlan cache = planCache({all}, /*enable_cache=*/false);
     engine_.beginBatch({all}, std::move(cache), FinalizationSchedule{});
     DeviceBuffer &buf = engine_.acquire(0);
-    ctx_.materialize(buf);
 
-    // Train one view at a time with gradient accumulation into the
-    // staging rows (the "GPU" working copy).
+    // Train one view at a time, each from its compact microbatch, with
+    // gradient accumulation into the staging rows (the "GPU" working
+    // copy; buffer row = model row).
     std::vector<uint32_t> touched;
     for (size_t k = 0; k < view_ids.size(); ++k) {
         const int v = view_ids[k];
         const std::vector<uint32_t> &subset = subsets[k];
         stats.gaussians_rendered += subset.size();
-        ctx_.scratchGrads().zeroRows(subset);
-        stats.loss += renderAndBackprop(ctx_.scratch(), v, subset,
-                                        ctx_.scratchGrads());
-        accumulateGradRows(ctx_.scratchGrads(), buf, subset);
+        stats.loss += ctx_.trainMicrobatch(
+            buf, subset, [&](const GaussianModel &m,
+                             const std::vector<uint32_t> &compact,
+                             GaussianGrads &grads) {
+                return renderAndBackprop(m, v, compact, grads);
+            });
         touched.insert(touched.end(), subset.begin(), subset.end());
     }
     stats.loss /= view_ids.size();

@@ -2,10 +2,31 @@
 
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clm {
+
+namespace {
+
+/** Finalized sets larger than this spread over the thread pool when
+ *  finalization runs inline (the cut CpuAdam::updateSubset uses). */
+constexpr size_t kParallelFinalizeRows = 1024;
+
+/** Copy Gaussian @p i's critical attributes of @p src into row @p j of
+ *  @p dst. */
+void
+copyCritical(const GaussianModel &src, size_t i, GaussianModel &dst,
+             size_t j)
+{
+    dst.position(j) = src.position(i);
+    dst.logScale(j) = src.logScale(i);
+    dst.rotation(j) = src.rotation(i);
+}
+
+} // namespace
 
 TrainerContext::TrainerContext(GaussianModel &model, CpuAdam &adam,
                                Densifier &densifier)
@@ -19,17 +40,11 @@ TrainerContext::rebuild()
 {
     // Attribute-wise offload (§4.1): non-critical attributes live in the
     // engine's pinned pool; critical attributes are resident in the
-    // scratch render model, whose non-critical rows are only valid
-    // while materialized.
+    // critical store.
     size_t n = model_.size();
     scratch_.resize(n);
-    float rec[kCriticalDim];
-    for (size_t i = 0; i < n; ++i) {
-        model_.packCritical(i, rec);
-        scratch_.unpackCritical(i, rec);
-    }
-    scratch_grads_.resize(n);
-    cpu_grads_.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        copyCritical(model_, i, scratch_, i);
 }
 
 std::vector<std::vector<uint32_t>>
@@ -82,48 +97,70 @@ TrainerContext::orderedSets(const BatchWorkload &workload) const
 }
 
 void
-TrainerContext::materialize(const DeviceBuffer &buf)
+TrainerContext::gatherCompact(const DeviceBuffer &buf,
+                              const std::vector<uint32_t> &set)
 {
-    const std::vector<uint32_t> &set = buf.indices();
-    for (size_t r = 0; r < set.size(); ++r)
-        scratch_.unpackNonCritical(set[r], buf.paramRow(r));
+    const size_t k = set.size();
+    compact_.resize(k);
+    compact_grads_.resize(k);    // zeroed: the backward accumulates
+    compact_subset_.resize(k);
+    std::iota(compact_subset_.begin(), compact_subset_.end(), 0u);
+    compact_rows_.resize(k);
+    // Both lists are ascending: a merge walk finds each buffer row.
+    const std::vector<uint32_t> &bound = buf.indices();
+    size_t row = 0;
+    for (size_t r = 0; r < k; ++r) {
+        const uint32_t g = set[r];
+        while (row < bound.size() && bound[row] < g)
+            ++row;
+        CLM_ASSERT(row < bound.size() && bound[row] == g,
+                   "microbatch Gaussian ", g, " not bound in buffer");
+        compact_rows_[r] = row;
+        copyCritical(scratch_, g, compact_, r);
+        compact_.unpackNonCritical(r, buf.paramRow(row));
+    }
 }
 
 void
-TrainerContext::writeBackCritical(const std::vector<uint32_t> &indices)
+TrainerContext::addCompactGrads(DeviceBuffer &buf)
 {
-    float rec[kCriticalDim];
-    for (uint32_t g : indices) {
-        model_.packCritical(g, rec);
-        scratch_.unpackCritical(g, rec);
+    float rec[kParamsPerGaussian];
+    for (size_t r = 0; r < compact_rows_.size(); ++r) {
+        packGradRecord(compact_grads_, r, rec);
+        float *row = buf.gradRow(compact_rows_[r]);
+        for (int k = 0; k < kParamsPerGaussian; ++k)
+            row[k] += rec[k];
     }
 }
 
 size_t
 TrainerContext::finalize(PinnedPool &pool,
                          const std::vector<uint32_t> &fin,
-                         bool observe_densify)
+                         bool observe_densify, bool parallel)
 {
-    if (fin.empty())
-        return 0;
-    // Gradients for the finalized set are complete in pinned memory;
-    // stage them and run subset Adam on the master copy (§4.2.2, §5.4).
-    for (uint32_t g : fin)
-        unpackGradRecord(pool.gradRecord(g), cpu_grads_, g);
-    if (observe_densify)
-        for (uint32_t g : fin)
-            densifier_.observeNorm(g, cpu_grads_.positionGradNorm(g));
-    adam_.updateSubset(model_, cpu_grads_, fin);
-
-    // Updated non-critical parameters become visible to future loads;
-    // gradient records reset for the next batch.
-    for (uint32_t g : fin) {
-        model_.packNonCritical(g, pool.paramRecord(g));
-        std::memset(pool.gradRecord(g), 0,
-                    kParamsPerGaussian * sizeof(float));
-    }
-    // Updated critical attributes flow back to the GPU store (§4.1).
-    writeBackCritical(fin);
+    // Gradients for the finalized set are complete in pinned memory
+    // (§4.2.2): update each row straight from its record (§5.4), make
+    // the new non-critical parameters visible to future loads, reset
+    // the record for the next batch, and push the new critical
+    // attributes to the GPU store (§4.1).
+    auto finalize_rows = [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+            const uint32_t g = fin[k];
+            float *grad = pool.gradRecord(g);
+            if (observe_densify)
+                densifier_.observeNorm(
+                    g, Vec3{grad[0], grad[1], grad[2]}.norm());
+            adam_.updateRecord(model_, g, grad);
+            model_.packNonCritical(g, pool.paramRecord(g));
+            std::memset(grad, 0, kParamsPerGaussian * sizeof(float));
+            copyCritical(model_, g, scratch_, g);
+        }
+    };
+    if (parallel && adam_.config().parallel
+        && fin.size() > kParallelFinalizeRows)
+        ThreadPool::global().parallelFor(fin.size(), finalize_rows);
+    else
+        finalize_rows(0, fin.size());
     return fin.size();
 }
 

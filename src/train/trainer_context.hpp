@@ -1,13 +1,12 @@
 /**
  * @file
  * Shared per-trainer offload state that ClmTrainer and NaiveOffloadTrainer
- * previously duplicated: the scratch render model, whose critical fields
- * (position, log-scale, rotation) are the GPU-resident critical store
- * (§4.1) and whose non-critical rows are materialized from staged device
- * buffers, the gradient staging buffers, batch workload construction
- * (pre-rendering frustum culling of the whole batch in one fused sweep,
- * §5.1), planner invocation, and the finalization step (subset CPU Adam
- * from pinned gradient records plus parameter write-back, §4.2.2/§5.4).
+ * previously duplicated: the GPU-resident critical store (position,
+ * log-scale, rotation; §4.1), the compact microbatch buffer each view
+ * renders from (§5.2), batch workload construction (pre-rendering
+ * frustum culling of the whole batch in one fused sweep, §5.1), planner
+ * invocation, and the finalization pass (CPU Adam straight from the
+ * pinned gradient records plus parameter write-back, §4.2.2/§5.4).
  */
 
 #ifndef CLM_TRAIN_TRAINER_CONTEXT_HPP
@@ -36,8 +35,8 @@ class TrainerContext
     TrainerContext(GaussianModel &model, CpuAdam &adam,
                    Densifier &densifier);
 
-    /** (Re)build the critical store and scratch buffers for the master
-     *  model's current topology (construction, densification). */
+    /** (Re)build the critical store for the master model's current
+     *  topology (construction, densification). */
     void rebuild();
 
     /**
@@ -67,51 +66,76 @@ class TrainerContext
     std::vector<std::vector<uint32_t>>
     orderedSets(const BatchWorkload &workload) const;
 
-    /** Materialize the staged non-critical parameter rows of @p buf into
-     *  the scratch render model. */
-    void materialize(const DeviceBuffer &buf);
-
-    /** The render-input model: critical attributes always valid,
-     *  non-critical rows valid only after materialize(). */
-    GaussianModel &scratch() { return scratch_; }
-
-    /** Per-microbatch backprop target. */
-    GaussianGrads &scratchGrads() { return scratch_grads_; }
+    /**
+     * One compact microbatch step (§5.2). Row r of the reused compact
+     * model is the r-th Gaussian of @p set (ascending, every entry bound
+     * in @p buf): critical attributes from the critical store,
+     * non-critical ones from its bound row of @p buf. Then
+     * `render(compact, {0..k-1}, compact_grads)` runs forward + backward
+     * (compact_grads arrives zeroed) and compact gradient row r is added
+     * into @p buf's gradient row of set[r]. A render depends only on
+     * subset position, so this is bitwise identical to rendering the
+     * full model over @p set, while touching k contiguous rows instead
+     * of k rows scattered over the whole model.
+     *
+     * @return What @p render returns (the view loss).
+     */
+    template <typename RenderFn>
+    double
+    trainMicrobatch(DeviceBuffer &buf, const std::vector<uint32_t> &set,
+                    RenderFn &&render)
+    {
+        gatherCompact(buf, set);
+        const GaussianModel &compact = compact_;
+        double loss = render(compact, compact_subset_, compact_grads_);
+        addCompactGrads(buf);
+        return loss;
+    }
 
     /**
-     * Finalize @p fin (§4.2.2, §5.4): unpack the completed gradient
-     * records from @p pool, feed densification statistics when
-     * @p observe_densify, run subset CPU Adam on the master model, write
-     * updated non-critical parameters back into the pool records, zero
-     * the gradient records, and push updated critical attributes to the
-     * critical store + scratch model.
+     * Finalize @p fin (§4.2.2, §5.4) in one pass per row, straight from
+     * its pinned gradient record in @p pool: feed the densification
+     * statistics when @p observe_densify, run CPU Adam on the master
+     * model, write the updated non-critical parameters into the pool
+     * record, zero the gradient record, and push the updated critical
+     * attributes to the critical store. Rows are independent; with
+     * @p parallel large sets spread over the global thread pool (the
+     * dedicated Adam thread passes false so it never competes with the
+     * render pool).
      *
      * @return Number of Gaussians updated.
      */
     size_t finalize(PinnedPool &pool, const std::vector<uint32_t> &fin,
-                    bool observe_densify);
+                    bool observe_densify, bool parallel);
 
     /** Failure injection (tests only): overwrite every non-critical
-     *  attribute of the scratch model with NaN; see
+     *  attribute of the critical store with NaN; see
      *  ClmTrainer::debugPoisonScratchNonCritical(). */
     void debugPoisonScratchNonCritical();
 
   private:
-    /** Push master's critical attributes for @p indices to the critical
-     *  store (the scratch model's critical fields). */
-    void writeBackCritical(const std::vector<uint32_t> &indices);
+    /** Fill the compact model, subset and row map for @p set. */
+    void gatherCompact(const DeviceBuffer &buf,
+                       const std::vector<uint32_t> &set);
+
+    /** Add compact gradient row r into @p buf's row compact_rows_[r]. */
+    void addCompactGrads(DeviceBuffer &buf);
 
     GaussianModel &model_;      //!< Master copy (CPU, Adam-updated).
     CpuAdam &adam_;
     Densifier &densifier_;
-    /** Render inputs: critical fields always valid (the "GPU"
-     *  critical store), non-critical rows valid once materialized. */
+    /** The "GPU" critical store: its critical fields are always valid
+     *  (culling reads them); its non-critical arrays are never read. */
     GaussianModel scratch_;
     /** Fused cull stage, rebuilt every batch (the model changes every
      *  batch, so it is never cached across batches). */
     BatchCullScratch cull_;
-    GaussianGrads scratch_grads_;    //!< Per-microbatch backprop target.
-    GaussianGrads cpu_grads_;        //!< Staging for subset Adam.
+    /** The current microbatch, compacted: render input, its subset
+     *  {0..k-1}, its backprop target, and the buffer row of each row. */
+    GaussianModel compact_;
+    std::vector<uint32_t> compact_subset_;
+    GaussianGrads compact_grads_;
+    std::vector<size_t> compact_rows_;
     BatchPlanResult last_plan_;
 };
 

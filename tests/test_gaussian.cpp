@@ -6,13 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstring>
 
 #include "gaussian/adam.hpp"
 #include "gaussian/densify.hpp"
 #include "gaussian/model.hpp"
 #include "math/rng.hpp"
+#include "offload/transfer_engine.hpp"
 
 namespace clm {
 namespace {
@@ -139,37 +141,6 @@ TEST(GaussianModel, AppendGrows)
     EXPECT_FLOAT_EQ(m.rawOpacity(2), 0.25f);
 }
 
-TEST(GaussianGrads, AccumulateRowsMatchesFull)
-{
-    size_t n = 16;
-    GaussianGrads a = randomGrads(n, 5);
-    GaussianGrads b = randomGrads(n, 6);
-    GaussianGrads full = a;
-    full.accumulate(b);
-
-    GaussianGrads partial = a;
-    std::vector<uint32_t> all(n);
-    std::iota(all.begin(), all.end(), 0u);
-    partial.accumulateRows(b, all);
-
-    for (size_t i = 0; i < n; ++i) {
-        EXPECT_FLOAT_EQ(partial.d_position[i].x, full.d_position[i].x);
-        EXPECT_FLOAT_EQ(partial.d_sh[i * kShDim + 7],
-                        full.d_sh[i * kShDim + 7]);
-        EXPECT_FLOAT_EQ(partial.d_opacity[i], full.d_opacity[i]);
-    }
-}
-
-TEST(GaussianGrads, ZeroRowsOnlyTouchesListed)
-{
-    GaussianGrads g = randomGrads(4, 7);
-    float keep = g.d_opacity[1];
-    g.zeroRows({0, 2});
-    EXPECT_FLOAT_EQ(g.d_position[0].x, 0.0f);
-    EXPECT_FLOAT_EQ(g.d_sh[2 * kShDim + 3], 0.0f);
-    EXPECT_FLOAT_EQ(g.d_opacity[1], keep);
-}
-
 /** Reference scalar Adam for cross-checking. */
 void
 refAdam(float &p, float g, float &m, float &v, float lr, int t,
@@ -250,6 +221,168 @@ TEST(CpuAdam, StateBytesMatchPaperEstimate)
     adam.reset(1000);
     // Two moments per parameter = half of the 4-values-per-param total.
     EXPECT_EQ(adam.stateBytes(), 1000u * 59u * 2u * sizeof(float));
+}
+
+/**
+ * Per-parameter reference Adam: the update as it was written before the
+ * per-row bias corrections and the F8 SH lanes — one std::pow pair per
+ * element, state kept as 59-float records (gradient record layout).
+ */
+class PerParameterAdam
+{
+  public:
+    PerParameterAdam(const GaussianModel &model, AdamConfig config)
+        : config_(config), params_(model.size() * kParamsPerGaussian),
+          m_(params_.size(), 0.0f), v_(params_.size(), 0.0f),
+          step_(model.size(), 0)
+    {
+        for (size_t i = 0; i < model.size(); ++i) {
+            model.packCritical(i, row(params_, i));
+            model.packNonCritical(i, row(params_, i) + kShOffset);
+        }
+    }
+
+    void
+    updateRow(uint32_t i, const float *grad)
+    {
+        uint32_t t = ++step_[i];
+        for (int k = 0; k < kParamsPerGaussian; ++k) {
+            float lr = k < kScaleOffset  ? positionLr(t)
+                       : k < kRotOffset  ? config_.lr_log_scale
+                       : k < kShOffset   ? config_.lr_rotation
+                       : k < kOpacityOffset ? config_.lr_sh
+                                            : config_.lr_opacity;
+            step(row(params_, i)[k], grad[k], row(m_, i)[k], row(v_, i)[k],
+                 lr, t);
+        }
+    }
+
+    float *params(size_t i) { return row(params_, i); }
+    float *m(size_t i) { return row(m_, i); }
+    float *v(size_t i) { return row(v_, i); }
+
+  private:
+    static float *
+    row(std::vector<float> &a, size_t i)
+    {
+        return &a[i * kParamsPerGaussian];
+    }
+
+    void
+    step(float &param, float grad, float &m, float &v, float lr,
+         uint32_t t) const
+    {
+        m = config_.beta1 * m + (1.0f - config_.beta1) * grad;
+        v = config_.beta2 * v + (1.0f - config_.beta2) * grad * grad;
+        float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t));
+        float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t));
+        float m_hat = m / bc1;
+        float v_hat = v / bc2;
+        param -= lr * m_hat / (std::sqrt(v_hat) + config_.epsilon);
+    }
+
+    float
+    positionLr(uint32_t t) const
+    {
+        if (config_.lr_position_final <= 0.0f
+            || config_.lr_position_final == config_.lr_position
+            || config_.position_lr_max_steps == 0) {
+            return config_.lr_position;
+        }
+        float progress = std::min(
+            1.0f, static_cast<float>(t)
+                      / static_cast<float>(config_.position_lr_max_steps));
+        return config_.lr_position
+               * std::pow(config_.lr_position_final / config_.lr_position,
+                          progress);
+    }
+
+    AdamConfig config_;
+    std::vector<float> params_, m_, v_;
+    std::vector<uint32_t> step_;
+};
+
+/** Bit-pattern equality of two 59-float records. */
+void
+expectRecordBitwise(const float *a, const float *b, const char *what,
+                    size_t i, int round)
+{
+    for (int k = 0; k < kParamsPerGaussian; ++k) {
+        uint32_t ua, ub;
+        std::memcpy(&ua, &a[k], sizeof(ua));
+        std::memcpy(&ub, &b[k], sizeof(ub));
+        ASSERT_EQ(ua, ub) << what << " row " << i << " param " << k
+                          << " round " << round;
+    }
+}
+
+TEST(CpuAdam, BitwiseMatchesPerParameterReference)
+{
+    // Per-row bias corrections and the F8 SH lanes perform exactly the
+    // per-parameter IEEE op sequence, so every parameter and both
+    // moments must match the reference bit for bit — through the
+    // gradient-buffer path and the pinned-record path, on every F8
+    // backend. A short LR schedule puts rows past
+    // position_lr_max_steps; random subsets give rows different t.
+    constexpr size_t kRows = 24;
+    constexpr int kRounds = 20;
+    AdamConfig config;
+    config.position_lr_max_steps = 7;
+    config.parallel = false;
+    GaussianModel by_grads = randomModel(kRows, 21);
+    GaussianModel by_record = by_grads;
+    PerParameterAdam ref(by_grads, config);
+    CpuAdam grads_adam(config), record_adam(config);
+    grads_adam.reset(kRows);
+    record_adam.reset(kRows);
+
+    Rng rng(22);
+    for (int round = 0; round < kRounds; ++round) {
+        GaussianGrads g = randomGrads(kRows, 100 + round);
+        // Mix in magnitudes far from 1, and exact zeros.
+        for (size_t i = 0; i < kRows; ++i) {
+            float scale = std::pow(10.0f, rng.uniform(-6.0f, 3.0f));
+            for (int k = 0; k < kShDim; ++k)
+                g.d_sh[i * kShDim + k] *= (k % 7 == 3) ? 0.0f : scale;
+            g.d_position[i] = g.d_position[i] * scale;
+        }
+        std::vector<uint32_t> subset;
+        for (uint32_t i = 0; i < kRows; ++i)
+            if (round < 2 || rng.uniform() < 0.7f)
+                subset.push_back(i);
+
+        grads_adam.updateSubset(by_grads, g, subset);
+        for (uint32_t i : subset) {
+            float rec[kParamsPerGaussian];
+            packGradRecord(g, i, rec);
+            record_adam.updateRecord(by_record, i, rec);
+            ref.updateRow(i, rec);
+        }
+
+        for (size_t i = 0; i < kRows; ++i) {
+            float p_grads[kParamsPerGaussian], p_record[kParamsPerGaussian];
+            by_grads.packCritical(i, p_grads);
+            by_grads.packNonCritical(i, p_grads + kShOffset);
+            by_record.packCritical(i, p_record);
+            by_record.packNonCritical(i, p_record + kShOffset);
+            expectRecordBitwise(p_grads, ref.params(i), "param/grads", i,
+                                round);
+            expectRecordBitwise(p_record, ref.params(i), "param/record", i,
+                                round);
+            float m[kParamsPerGaussian], v[kParamsPerGaussian];
+            grads_adam.packMoments(i, m, v);
+            expectRecordBitwise(m, ref.m(i), "m/grads", i, round);
+            expectRecordBitwise(v, ref.v(i), "v/grads", i, round);
+            record_adam.packMoments(i, m, v);
+            expectRecordBitwise(m, ref.m(i), "m/record", i, round);
+            expectRecordBitwise(v, ref.v(i), "v/record", i, round);
+        }
+    }
+    // The schedule really ran past its end for some rows.
+    uint32_t max_t = 0;
+    for (size_t i = 0; i < kRows; ++i)
+        max_t = std::max(max_t, grads_adam.stepCount(i));
+    EXPECT_GT(max_t, config.position_lr_max_steps);
 }
 
 TEST(Densifier, PrunesTransparent)

@@ -7,16 +7,21 @@
  * gradients bitwise identical to the sequential per-view renderBackward
  * loop — batched == sequential, parallel == serial, retained ==
  * re-staged staging, under the dispatched, forced-scalar and
- * use_simd=false kernels.
+ * use_simd=false kernels. A compact copy of a view's subset rendered
+ * over {0..k-1} (the offload trainers' microbatch buffer) must match the
+ * full-model render bitwise.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "math/rng.hpp"
+#include "offload/transfer_engine.hpp"
 #include "render/arena.hpp"
 #include "render/batch.hpp"
 #include "render/camera.hpp"
@@ -584,6 +589,78 @@ TEST(FusedBackward, ArenaReuseIsBitwiseNeutral)
     GaussianGrads b =
         fusedBackward(fix.model, fix.cams, fix.d_images, cfg, true);
     expectGradsIdentical(a, b);
+}
+
+TEST(CompactRender, BitwiseEqualsFullModelOverGlobalSubset)
+{
+    // The offload trainers render each microbatch from a compact copy
+    // (row r = the r-th Gaussian of the view's subset) over the subset
+    // {0..k-1}. Every render stage depends only on subset position, so
+    // the frame and the per-row gradients, mapped back to global rows,
+    // must match a render of the full model over the global subset bit
+    // for bit — serial and parallel, dispatched and forced-scalar
+    // kernel tables.
+    const RenderKernels *scalar_kern =
+        renderKernelsFor(SimdBackend::kScalar);
+    ASSERT_NE(scalar_kern, nullptr);
+    BackwardFixture fix(3);
+    const GaussianModel &full = fix.model;
+    for (size_t v = 0; v < fix.cams.size(); ++v) {
+        const Camera &cam = fix.cams[v];
+        std::vector<uint32_t> subset = frustumCull(full, cam);
+        ASSERT_FALSE(subset.empty());
+        const size_t k = subset.size();
+        GaussianModel compact(k);
+        for (size_t r = 0; r < k; ++r) {
+            float crit[kCriticalDim], nc[kNonCriticalDim];
+            full.packCritical(subset[r], crit);
+            full.packNonCritical(subset[r], nc);
+            compact.unpackCritical(r, crit);
+            compact.unpackNonCritical(r, nc);
+        }
+        std::vector<uint32_t> local(k);
+        std::iota(local.begin(), local.end(), 0u);
+
+        for (bool parallel : {false, true}) {
+            for (const RenderKernels *kern :
+                 {static_cast<const RenderKernels *>(nullptr),
+                  scalar_kern}) {
+                RenderConfig cfg;
+                cfg.sh_degree = 2;
+                cfg.parallel = parallel;
+                cfg.kernels = kern;
+                RenderArena full_arena, compact_arena;
+                GaussianGrads full_grads, compact_grads;
+                full_grads.resize(full.size());
+                compact_grads.resize(k);
+                const RenderOutput &a =
+                    renderForward(full, cam, subset, cfg, full_arena);
+                renderBackward(full, cam, cfg, a, fix.d_images[v],
+                               full_grads, full_arena);
+                const RenderOutput &b =
+                    renderForward(compact, cam, local, cfg, compact_arena);
+                renderBackward(compact, cam, cfg, b, fix.d_images[v],
+                               compact_grads, compact_arena);
+
+                const std::vector<float> &fa = a.image.data();
+                const std::vector<float> &fb = b.image.data();
+                ASSERT_EQ(fa.size(), fb.size());
+                EXPECT_EQ(std::memcmp(fa.data(), fb.data(),
+                                      fa.size() * sizeof(float)),
+                          0)
+                    << "frame, view " << v << " parallel " << parallel;
+                for (size_t r = 0; r < k; ++r) {
+                    float ga[kParamsPerGaussian], gb[kParamsPerGaussian];
+                    packGradRecord(full_grads, subset[r], ga);
+                    packGradRecord(compact_grads, r, gb);
+                    ASSERT_EQ(std::memcmp(ga, gb, sizeof(ga)), 0)
+                        << "row " << r << " (global " << subset[r]
+                        << "), view " << v << " parallel " << parallel
+                        << " scalar table " << (kern != nullptr);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

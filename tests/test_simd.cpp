@@ -107,6 +107,36 @@ TEST(Simd, MaskAnyAll)
     EXPECT_TRUE(F8::any(F8::bitAndNot(some, all)));
 }
 
+TEST(Simd, SqrtBitwiseMatchesStdSqrt)
+{
+    // Correctly rounded on every backend, so CPU Adam's F8 lanes equal
+    // its scalar std::sqrt — special values included.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min() * 3.0f;
+    float special[8] = {0.0f, -0.0f, denorm, inf, nan, 2.0f, 1e-30f,
+                        3.4e38f};
+    float got[8];
+    F8::sqrt(F8::load(special)).store(got);
+    for (int l = 0; l < 8; ++l)
+        EXPECT_EQ(floatBits(got[l]), floatBits(std::sqrt(special[l])))
+            << "lane " << l << " x=" << special[l];
+
+    // A sweep over every exponent, with varied mantissas.
+    for (uint32_t e = 0; e < 255; ++e) {
+        float in[8];
+        for (uint32_t l = 0; l < 8; ++l) {
+            uint32_t mantissa = (l * 0x9e3779u + e * 7919u) & 0x7fffffu;
+            uint32_t bits = (e << 23) | mantissa;
+            std::memcpy(&in[l], &bits, sizeof(bits));
+        }
+        F8::sqrt(F8::load(in)).store(got);
+        for (int l = 0; l < 8; ++l)
+            ASSERT_EQ(floatBits(got[l]), floatBits(std::sqrt(in[l])))
+                << "x=" << in[l];
+    }
+}
+
 TEST(Simd, Exp8WithinDocumentedUlpBound)
 {
     // Dense sweep of the full clamped domain: exp8 must stay within
