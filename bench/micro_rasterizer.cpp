@@ -86,11 +86,10 @@ runCase(const BenchCase &cfg, double min_seconds, int max_reps)
     int reps = 0;
     while (reps == 0 || (reps < max_reps && fwd_s < min_seconds)) {
         Timer t;
-        const RenderOutput &out = renderForward(m, cam, subset, render,
-                                                arena);
+        renderForward(m, cam, subset, render, arena);
         fwd_s += t.seconds();
         t.reset();
-        renderBackward(m, cam, render, out, d_image, grads, arena);
+        renderBackward(m, cam, render, d_image, grads, arena);
         bwd_s += t.seconds();
         ++reps;
     }

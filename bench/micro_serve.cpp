@@ -13,9 +13,9 @@
  * workload serves, plus a 400k model.
  *
  * Before timing, each case verifies the fused pipeline bitwise against
- * sequential frustumCull + renderForward — a four-view batch and a
- * batch of one, under the dispatched kernel table AND the forced
- * scalar table (the images must be identical — batching is a
+ * per-view frustumCull + renderForward batches of one — a four-view
+ * batch and a batch of one, under the dispatched kernel table AND the
+ * forced scalar table (the images must be identical — batching is a
  * scheduling choice, never a quality choice).
  *
  * Load model: N closed-loop synthetic clients walk the scene's camera
@@ -128,7 +128,7 @@ struct CaseResult
     }
 };
 
-/** Fused batch vs sequential renders under one config: must be
+/** Fused batch vs per-view batches of one under one config: must be
  *  bitwise identical. */
 bool
 batchMatchesSequential(const GaussianModel &model,
@@ -138,7 +138,7 @@ batchMatchesSequential(const GaussianModel &model,
     BatchCullScratch cull;
     std::vector<std::vector<uint32_t>> subsets;
     frustumCullBatch(model, cams, cull, subsets);
-    BatchRenderArena arena;
+    RenderArena arena;
     renderForwardBatch(model, cams, subsets, render, arena);
     RenderArena seq_arena;
     for (size_t v = 0; v < cams.size(); ++v) {

@@ -4,7 +4,11 @@
  * (frustum cull -> project -> bin -> composite -> loss forward -> loss
  * backward -> rasterizer backward -> subset Adam) on the default
  * synthetic scene, with a per-stage wall-clock breakdown — so perf PRs
- * see the whole step's trajectory, not just the rasterizer's.
+ * see the whole step's trajectory, not just the rasterizer's. The
+ * forward's project / bin / composite split comes from the render
+ * pipeline's own spans, recorded into a private Tracer and summed by
+ * name (render.precompute, the subset union and view map the
+ * projection runs over, counts as projection).
  *
  * Also times the retained brute-force loss reference
  * (computeLossReference) once per case and reports the SAT-loss
@@ -28,6 +32,7 @@
 #include "common.hpp"
 #include "gaussian/adam.hpp"
 #include "math/simd_backend.hpp"
+#include "obs/trace.hpp"
 #include "render/arena.hpp"
 #include "render/batch.hpp"
 #include "render/culling.hpp"
@@ -148,10 +153,11 @@ gradHash(const GaussianGrads &g)
 
 /**
  * Fused multi-view backward vs the sequential per-view loop: the same
- * 4-view batch run (a) as four cull/forward/loss/backward passes with
- * the per-view renderBackward timed, and (b) as one batched cull + one
- * retained-staging renderForwardBatch + ONE renderBackwardBatch (the
- * trainer's fused_batch path), timed on the fused backward alone. Run
+ * 4-view batch run (a) as four cull/forward/loss/backward batches of
+ * one with the per-view renderBackward timed, and (b) as one batched
+ * cull + one retained-staging renderForwardBatch + ONE
+ * renderBackwardBatch (the GPU-only trainer's step), timed on the
+ * fused backward alone. Run
  * per kernel-table flavor (runtime dispatch, forced sse2 when the CPU
  * has it, forced scalar); each flavor also checks the two determinism
  * claims — fused gradients bitwise equal to the sequential loop's, and
@@ -180,7 +186,7 @@ runBatchBackward(const SceneSpec &spec, const GaussianModel &gt_model,
     GaussianGrads seq_grads, fused_grads, serial_grads;
     seq_grads.resize(model.size());
     fused_grads.resize(model.size());
-    BatchRenderArena ba;
+    RenderArena ba;
     std::vector<Image> d_images(B);
     Image d_image;
     std::vector<std::vector<uint32_t>> subsets;
@@ -224,8 +230,8 @@ runBatchBackward(const SceneSpec &spec, const GaussianModel &gt_model,
                 computeLoss(out.image, gts[v], &d_image, loss_cfg,
                             scratch);
                 Timer t;
-                renderBackward(model, cams[v], rc, out, d_image,
-                               seq_grads, arena);
+                renderBackward(model, cams[v], rc, d_image, seq_grads,
+                               arena);
                 seq_ms += t.millis();
             }
             const double fused_ms = runFused(rc, fused_grads);
@@ -289,10 +295,16 @@ runCase(const BenchCase &cfg, double min_seconds, int max_reps,
             renderForward(model, cam, subset, render, arena);
         computeLoss(out.image, gt, &d_image, loss_cfg, scratch);
         grads.zero();
-        renderBackward(model, cam, render, out, d_image, grads, arena);
+        renderBackward(model, cam, render, d_image, grads, arena);
         r.subset = subset.size();
     }
 
+    // The measured steps record the render pipeline's stage spans into
+    // a private tracer (StageClock laps; the rest of the step records
+    // none, or only spans that are not summed below).
+    Tracer tracer;
+    Tracer *const prev_tracer = Tracer::current();
+    Tracer::enable(&tracer);
     double step_s = 0;
     int reps = 0;
     while (reps == 0 || (reps < max_reps && step_s < min_seconds)) {
@@ -302,9 +314,6 @@ runCase(const BenchCase &cfg, double min_seconds, int max_reps,
         r.cull_ms += t.millis();
         const RenderOutput &out =
             renderForward(model, cam, subset, render, arena);
-        r.project_ms += arena.stage_times.project_s * 1e3;
-        r.bin_ms += arena.stage_times.bin_s * 1e3;
-        r.composite_ms += arena.stage_times.composite_s * 1e3;
         LossStageTimes lt;
         LossResult lr =
             computeLoss(out.image, gt, &d_image, loss_cfg, scratch, &lt);
@@ -312,7 +321,7 @@ runCase(const BenchCase &cfg, double min_seconds, int max_reps,
         r.loss_bwd_ms += lt.backward_s * 1e3;
         grads.zero();
         t.reset();
-        renderBackward(model, cam, render, out, d_image, grads, arena);
+        renderBackward(model, cam, render, d_image, grads, arena);
         r.raster_bwd_ms += t.millis();
         t.reset();
         adam.updateSubset(model, grads, subset);
@@ -322,6 +331,17 @@ runCase(const BenchCase &cfg, double min_seconds, int max_reps,
         r.loss = lr.total;
         r.subset = subset.size();
         ++reps;
+    }
+    Tracer::enable(prev_tracer);
+    for (const SpanRecord &span : tracer.snapshotSpans()) {
+        const std::string name = span.name;
+        const double ms = (span.t1_ns - span.t0_ns) * 1e-6;
+        if (name == "render.precompute" || name == "render.project")
+            r.project_ms += ms;
+        else if (name == "render.bin")
+            r.bin_ms += ms;
+        else if (name == "render.composite")
+            r.composite_ms += ms;
     }
     r.reps = reps;
     for (double *m : {&r.cull_ms, &r.project_ms, &r.bin_ms,
@@ -366,8 +386,7 @@ runCase(const BenchCase &cfg, double min_seconds, int max_reps,
                 computeLoss(out.image, gt, &d_image, loss_cfg, scratch);
                 grads.zero();
                 Timer t;
-                renderBackward(model, cam, forced, out, d_image, grads,
-                               arena);
+                renderBackward(model, cam, forced, d_image, grads, arena);
                 b.raster_bwd_ms += t.millis();
                 img = fnv1a(out.image.data().data(),
                             out.image.data().size() * sizeof(float));

@@ -201,12 +201,12 @@ class ScopedSpan
 };
 
 /**
- * Sequential stage stopwatch used by the single-view and batched
- * forward pipelines (render/rasterizer.cpp, render/batch.cpp) and the
- * trainer's per-step stages. lap(name) returns seconds since the
- * previous lap (or construction) and, when tracing is live, also
- * records that interval as a span named @p name — one mechanism
- * feeding both the arenas' stage_times fields and the tracer.
+ * Sequential stage stopwatch used by the render pipeline's stages
+ * (render/batch.cpp) and the trainer's per-step stages. lap(name)
+ * returns seconds since the previous lap (or construction) and, when
+ * tracing is live, also records that interval as a span named @p name
+ * — spans are the one stage timer; benches derive their per-stage
+ * tables from them (Tracer::snapshotSpans()).
  */
 class StageClock
 {

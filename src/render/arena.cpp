@@ -88,7 +88,7 @@ TileStage::bytes() const
                   + soa_conic_c.capacity() + soa_power_cut.capacity()
                   + soa_row_k.capacity() + soa_opacity.capacity()
                   + soa_color_r.capacity() + soa_color_g.capacity()
-                  + soa_color_b.capacity() + grad8.capacity())
+                  + soa_color_b.capacity())
                * sizeof(float);
     return hot.capacity() * sizeof(StagedGaussian)
          + color.capacity() * sizeof(Vec3)
@@ -96,9 +96,17 @@ TileStage::bytes() const
 }
 
 size_t
-RenderArena::footprintBytes() const
+BatchCullScratch::bytes() const
 {
-    size_t bytes = out.activationBytes() + binning.bytes()
+    return (cx.capacity() + cy.capacity() + cz.capacity()
+            + neg_thresh.capacity())
+         * sizeof(float);
+}
+
+size_t
+RenderArena::View::footprintBytes() const
+{
+    size_t bytes = out.activationBytes()
                  + (alpha_cut.capacity() + row_k.capacity())
                        * sizeof(float);
     for (const TileStage &stage : stages)
@@ -106,6 +114,22 @@ RenderArena::footprintBytes() const
     bytes += grads.capacity() * sizeof(ProjectionGrads);
     for (const auto &partial : grad_partials)
         bytes += partial.capacity() * sizeof(ProjectionGrads);
+    return bytes;
+}
+
+size_t
+RenderArena::footprintBytes() const
+{
+    size_t bytes = cull.bytes();
+    for (const View &v : views)
+        bytes += v.footprintBytes();
+    bytes += union_indices.capacity() * sizeof(uint32_t);
+    bytes += chain_offsets.capacity() * sizeof(size_t);
+    bytes += chain_pairs.capacity() * sizeof(uint64_t);
+    bytes += binning.bytes();
+    bytes += fused_vals.capacity() * sizeof(uint32_t);
+    for (const auto &g : grad8_scratch)
+        bytes += g.capacity() * sizeof(float);
     return bytes;
 }
 

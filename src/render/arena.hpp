@@ -1,22 +1,26 @@
 /**
  * @file
- * Reusable render scratch. One RenderArena owned by a long-lived object
- * (Trainer, Clm session, quality harness loop) lets every renderForward /
- * renderBackward call reuse its activation buffers (image, final_t,
- * n_contrib, projected footprints, flat intersection buffer) and working
- * scratch (binning keys, tile staging, backward gradient accumulators)
- * instead of reallocating them per view — the rasterizer is the system
- * hot path, called once per view per training step by every trainer.
+ * Reusable render scratch: the one arena type of the render pipeline.
+ * A RenderArena owned by a long-lived object (Trainer, Clm session,
+ * quality harness loop, serving worker) lets every forward and backward
+ * pass reuse its per-view activation buffers (image, final_t,
+ * n_contrib, projected footprints, carved intersection buffer) and the
+ * fused pass's shared scratch (cull stage, union map, key buffers, tile
+ * staging, gradient accumulators) instead of reallocating them per
+ * view — the rasterizer is the system hot path, called once per view
+ * per training step by every trainer. A single-view renderForward is a
+ * batch of one and lands in views[0].
  *
  * An arena is NOT thread-safe: one arena per concurrently rendering
  * caller. It is also purely an optimization — results are bitwise
- * identical to the arena-free overloads.
+ * identical to the arena-free renderForward overload.
  */
 
 #ifndef CLM_RENDER_ARENA_HPP
 #define CLM_RENDER_ARENA_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "render/binning.hpp"
@@ -24,12 +28,6 @@
 
 namespace clm {
 
-/**
- * Tile-local staging of the hot footprint fields (SoA): before the
- * per-pixel loop, one tile's Gaussians are packed compactly so forward
- * compositing and the backward replay stream sequentially through memory
- * instead of striding across the full ProjectedGaussian records.
- */
 /** One staged footprint's hot test fields, packed into half a cache
  *  line so the compositing loops touch a single sequential stream (and
  *  keep one base pointer live instead of seven). */
@@ -47,6 +45,12 @@ struct alignas(32) StagedGaussian
     float row_k;
 };
 
+/**
+ * Tile-local staging of the hot footprint fields (SoA): before the
+ * per-pixel loop, one tile's Gaussians are packed compactly so forward
+ * compositing and the backward replay stream sequentially through memory
+ * instead of striding across the full ProjectedGaussian records.
+ */
 struct TileStage
 {
     std::vector<StagedGaussian> hot;   //!< Per-entry test fields.
@@ -67,11 +71,6 @@ struct TileStage
     std::vector<float> soa_power_cut, soa_row_k;
     std::vector<float> soa_opacity;
     std::vector<float> soa_color_r, soa_color_g, soa_color_b;
-    /** Per-entry 8-lane gradient partials (kG8Comps components per
-     *  entry, lane-major), accumulated by the backward kernel and
-     *  reduced in fixed lane order — the deterministic lane reduction.
-     *  Zeroed per tile by renderBackward. */
-    std::vector<float> grad8;
     /// @}
 
     /** Size for @p n Gaussians; @p for_backward also zero-inits grads. */
@@ -93,48 +92,110 @@ struct TileStage
     size_t bytes() const;
 };
 
-/** Wall-clock stage breakdown of the last renderForward() into an
- *  arena (bench/micro_train_step reads it; see ISSUE's BENCH JSON). */
-struct RenderStageTimes
+/** Reusable scratch of frustumCullBatch: the shared SoA cull stage
+ *  (padded to a multiple of 8 for the packed sweep). The stage is a
+ *  pure function of the model parameters, so it can be cached across
+ *  batches keyed by the snapshot version being served (the first rung
+ *  of the ROADMAP's snapshot-scoped serving caches). */
+struct BatchCullScratch
 {
-    double project_s = 0;      //!< Subset projection.
-    double bin_s = 0;          //!< Flat binning + sort + alpha cuts.
-    double composite_s = 0;    //!< Per-tile compositing.
+    std::vector<float> cx, cy, cz;    //!< Bounding-sphere centers.
+    /** Packed reject threshold: -radius - eps * 3|p|_inf (padding lanes
+     *  hold +inf, so they always read as "clearly outside"). */
+    std::vector<float> neg_thresh;
+
+    /** @name Snapshot-scoped cache tag
+     * Non-zero cached_key means the SoA stage above was built from a
+     * model tagged with that key (a ModelSnapshot version) of
+     * cached_size Gaussians; frustumCullBatch skips the rebuild when a
+     * caller passes the same key again. 0 = untagged (always rebuild).
+     */
+    /// @{
+    uint64_t cached_key = 0;
+    size_t cached_size = 0;
+    /// @}
+
+    /** Bytes currently held (for memory accounting). */
+    size_t bytes() const;
 };
 
 /** See file comment. */
 class RenderArena
 {
   public:
-    /** Forward activation state, valid after renderForward(..., arena)
-     *  until the next render into this arena. */
-    RenderOutput out;
+    /** One view's slot of the batch: its forward activation plus the
+     *  per-view replay state the backward pass reads. */
+    struct View
+    {
+        /** Forward activation state, valid after a forward into the
+         *  arena until the next one. */
+        RenderOutput out;
+        /** Per-subset-entry alpha-cut power thresholds (exp skipping). */
+        std::vector<float> alpha_cut;
+        /** Per-subset-entry vertical conic curvature (row skipping). */
+        std::vector<float> row_k;
+        /** alpha_min the cut arrays were computed with; the backward
+         *  pass asserts it matches its config (same-arena, same-config
+         *  replay contract). Negative = no forward yet. */
+        float cuts_alpha_min = -1.0f;
+        /** Tile staging: one slot per worker chunk, or per tile in
+         *  retained-staging mode. */
+        std::vector<TileStage> stages;
+        /** Backward: per-subset-entry footprint gradients (reduced). */
+        std::vector<ProjectionGrads> grads;
+        /** Backward: per-chunk partial accumulators, reduced in chunk
+         *  order so results never depend on thread scheduling. */
+        std::vector<std::vector<ProjectionGrads>> grad_partials;
 
-    /** @name Working scratch (contents are garbage between calls) */
+        /** Approximate bytes held by activation state + scratch. */
+        size_t footprintBytes() const;
+    };
+
+    /** Per-view slots; view v of the last forward lands in views[v]
+     *  (resized on demand, never shrunk). */
+    std::vector<View> views;
+
+    /**
+     * Retained-staging mode (set BEFORE the forward; the GPU-only
+     * trainer's batches enable it, serving and single-view callers
+     * leave it off): the forward composite uses one stage slot per TILE
+     * instead of per worker chunk and also fills the SoA mirrors SIMD
+     * backward replay reads, so the backward can replay every tile
+     * from the forward's staging instead of re-staging it — each tile
+     * is staged ONCE per training step instead of twice. Pure data
+     * movement either way: forward pixels and backward gradients are
+     * bitwise unchanged. Costs memory proportional to the batch's
+     * total intersections.
+     */
+    bool retain_staging = false;
+
+    /** @name Fused-pass state (valid after a forward until the next) */
     /// @{
-    BinningScratch binning;
-    /** Per-subset-entry alpha-cut power thresholds (exp skipping). */
-    std::vector<float> alpha_cut;
-    /** Per-subset-entry vertical conic curvature (row skipping). */
-    std::vector<float> row_k;
-    /** alpha_min the cut arrays were computed with (against this
-     *  arena's `out.projected`); negative = not computed. Lets the
-     *  backward pass skip recomputing the cuts when it replays the
-     *  forward activation still held by this arena. */
-    float cuts_alpha_min = -1.0f;
-    /** Per-worker-chunk tile staging (forward and backward). */
-    std::vector<TileStage> stages;
-    /** Backward: per-subset-entry footprint gradients (reduced). */
-    std::vector<ProjectionGrads> grads;
-    /** Backward: per-chunk partial accumulators, reduced in chunk order
-     *  so results never depend on thread scheduling. */
-    std::vector<std::vector<ProjectionGrads>> grad_partials;
+    /** Number of views the last forward rendered. */
+    size_t batch_views = 0;
+    std::vector<uint32_t> union_indices;    //!< Ascending union of subsets.
+    /** Union-entry view map: chain_offsets[u] .. chain_offsets[u+1]
+     *  index chain_pairs, each (view << 32 | subset position), views
+     *  ascending — the forward's union-major projection order and the
+     *  backward's per-model-row accumulation order (that of B batches
+     *  of one replayed in view order). */
+    std::vector<size_t> chain_offsets;
+    std::vector<uint64_t> chain_pairs;
     /// @}
 
-    /** Stage breakdown of the last renderForward() into this arena. */
-    RenderStageTimes stage_times;
+    /** @name Fused-pass scratch (contents are garbage between calls) */
+    /// @{
+    BatchCullScratch cull;
+    BinningScratch binning;           //!< Fused key/offset scratch.
+    std::vector<uint32_t> fused_vals; //!< One sorted buffer, all views.
+    /** Backward: per (view, chunk) replay task, its private 8-lane
+     *  gradient partial buffer, kept all-zero between tiles (the flush
+     *  re-zeroes the block it reads while it is cache-hot), so no
+     *  per-tile cold memset is needed. */
+    std::vector<std::vector<float>> grad8_scratch;
+    /// @}
 
-    /** Approximate bytes held by activation state + scratch. */
+    /** Approximate bytes held (all per-view slots + fused scratch). */
     size_t footprintBytes() const;
 };
 

@@ -92,14 +92,6 @@ cullViewPacked(const GaussianModel &model, const BatchCullScratch &st,
 
 } // namespace
 
-size_t
-BatchCullScratch::bytes() const
-{
-    return (cx.capacity() + cy.capacity() + cz.capacity()
-            + neg_thresh.capacity())
-         * sizeof(float);
-}
-
 void
 frustumCullBatch(const GaussianModel &model,
                  const std::vector<Camera> &cameras,
@@ -172,54 +164,42 @@ frustumCullBatch(const GaussianModel &model,
     }
 }
 
-size_t
-BatchRenderArena::footprintBytes() const
-{
-    size_t bytes = cull.bytes();
-    for (const RenderArena &a : views)
-        bytes += a.footprintBytes();
-    bytes += union_indices.capacity() * sizeof(uint32_t);
-    for (const auto &s : slots)
-        bytes += s.capacity() * sizeof(uint32_t);
-    bytes += sigma.capacity() * sizeof(Mat3);
-    bytes += (opacity.capacity() + power_cut.capacity()) * sizeof(float);
-    bytes += binning.bytes();
-    bytes += fused_vals.capacity() * sizeof(uint32_t);
-    for (const auto &g : grad8_scratch)
-        bytes += g.capacity() * sizeof(float);
-    bytes += (chain_offsets.capacity() + chain_fill.capacity())
-           * sizeof(size_t);
-    bytes += chain_pairs.capacity() * sizeof(uint64_t);
-    return bytes;
-}
-
 void
 renderForwardBatch(const GaussianModel &model,
                    const std::vector<Camera> &cameras,
                    const std::vector<std::vector<uint32_t>> &subsets,
-                   const RenderConfig &cfg, BatchRenderArena &ba)
+                   const RenderConfig &cfg, RenderArena &arena)
 {
-    const size_t B = cameras.size();
+    CLM_ASSERT(subsets.size() == cameras.size(),
+               "one subset per camera required");
+    detail::renderForwardViews(model, cameras.data(), subsets.data(),
+                               cameras.size(), cfg, arena);
+}
+
+void
+detail::renderForwardViews(const GaussianModel &model,
+                           const Camera *cameras,
+                           const std::vector<uint32_t> *subsets, size_t B,
+                           const RenderConfig &cfg, RenderArena &ba)
+{
     CLM_ASSERT(B >= 1, "empty render batch");
-    CLM_ASSERT(subsets.size() == B, "one subset per camera required");
     CLM_ASSERT(cfg.tile_size > 0, "bad tile size");
     if (ba.views.size() < B)
         ba.views.resize(B);
 
     StageClock stage_clock;
 
-    // --- 1. Union of the batch's subsets (ascending k-way merge) plus
-    // each entry's union slot, so the view-independent per-Gaussian
-    // work below is computed once per distinct Gaussian, not once per
-    // (view, Gaussian) pair.
+    // --- 1. Union of the batch's subsets (ascending k-way merge) and
+    // its view map: the (view << 32 | subset position) pairs of union
+    // entry u are chain_pairs[chain_offsets[u] .. chain_offsets[u+1]),
+    // views ascending. The view-independent per-Gaussian work below is
+    // computed once per distinct Gaussian, not once per (view,
+    // Gaussian) pair, and the backward's projection chain accumulates
+    // over the same map.
     ba.union_indices.clear();
-    ba.slots.resize(B);
+    ba.chain_pairs.clear();
+    ba.chain_offsets.assign(1, 0);
     std::vector<size_t> cur(B, 0);
-    size_t total = 0;
-    for (size_t v = 0; v < B; ++v) {
-        ba.slots[v].resize(subsets[v].size());
-        total += subsets[v].size();
-    }
     for (;;) {
         uint32_t next = std::numeric_limits<uint32_t>::max();
         bool any = false;
@@ -231,43 +211,31 @@ renderForwardBatch(const GaussianModel &model,
         }
         if (!any)
             break;
-        const uint32_t slot =
-            static_cast<uint32_t>(ba.union_indices.size());
         ba.union_indices.push_back(next);
         for (size_t v = 0; v < B; ++v) {
             if (cur[v] < subsets[v].size()
                 && subsets[v][cur[v]] == next) {
-                ba.slots[v][cur[v]] = slot;
+                ba.chain_pairs.push_back((static_cast<uint64_t>(v) << 32)
+                                         | cur[v]);
                 ++cur[v];
                 CLM_ASSERT(cur[v] >= subsets[v].size()
                                || subsets[v][cur[v]] > next,
                            "batch subsets must be ascending and unique");
             }
         }
+        ba.chain_offsets.push_back(ba.chain_pairs.size());
     }
+    ba.batch_views = B;
+    stage_clock.lap("render.precompute");
 
-    // --- 2. Per-union-entry precompute: the view-independent share of
-    // projection and of the compositing cuts. covariance() and
-    // worldOpacity() are pure functions of the model row, so reusing
-    // them across views is bitwise neutral.
-    const size_t n_union = ba.union_indices.size();
-    ba.sigma.resize(n_union);
-    ba.opacity.resize(n_union);
-    ba.power_cut.resize(n_union);
-    forRange(n_union, cfg.parallel, [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-            const size_t i = ba.union_indices[u];
-            ba.sigma[u] = model.covariance(i);
-            const float op = model.worldOpacity(i);
-            ba.opacity[u] = op;
-            ba.power_cut[u] =
-                op > 0.0f ? alphaCutPower(op, cfg.alpha_min) : 0.0f;
-        }
-    });
-    ba.stage_times.precompute_s = stage_clock.lap("render.precompute");
-
-    // --- 3. Projection: one flat pass over every (view, entry) pair,
-    // reading the precomputed covariance/opacity through the slot map.
+    // --- 2. Projection, union-major: each distinct Gaussian's
+    // view-independent share (3D covariance, world opacity, alpha-cut
+    // threshold) is computed once and projected into every view that
+    // holds it, which also fills the views' compositing cuts.
+    // covariance() and worldOpacity() are pure functions of the model
+    // row, so sharing them across views is bitwise neutral, and
+    // distinct union entries write distinct (view, entry) slots, so any
+    // parallel split gives the same result.
     std::vector<TileGrid> grids(B);
     std::vector<size_t> prefix(B + 1, 0);
     for (size_t v = 0; v < B; ++v) {
@@ -275,60 +243,64 @@ renderForwardBatch(const GaussianModel &model,
         grids[v] =
             TileGrid::forImage(cam.width(), cam.height(), cfg.tile_size);
         prefix[v + 1] = prefix[v] + subsets[v].size();
-        RenderOutput &out = ba.views[v].out;
+        RenderArena::View &av = ba.views[v];
+        RenderOutput &out = av.out;
+        // No prefill: the composite pass writes every pixel of every
+        // tile (empty tiles included).
         out.image.resetUnfilled(cam.width(), cam.height());
         out.final_t.resize(cam.pixels());
         out.n_contrib.resize(cam.pixels());
         out.tiles_x = grids[v].tiles_x;
         out.tiles_y = grids[v].tiles_y;
         out.projected.resize(subsets[v].size());
+        av.alpha_cut.resize(subsets[v].size());
+        av.row_k.resize(subsets[v].size());
+        av.cuts_alpha_min = cfg.alpha_min;
     }
-    // View of flat pair index f; clamps to the last view so an empty
+    const size_t n_union = ba.union_indices.size();
+    forRange(n_union, cfg.parallel, [&](size_t begin, size_t end) {
+        for (size_t u = begin; u < end; ++u) {
+            const size_t i = ba.union_indices[u];
+            const Mat3 sigma = model.covariance(i);
+            const float opacity = model.worldOpacity(i);
+            const float power_cut =
+                opacity > 0.0f ? alphaCutPower(opacity, cfg.alpha_min)
+                               : 0.0f;
+            for (size_t e = ba.chain_offsets[u];
+                 e < ba.chain_offsets[u + 1]; ++e) {
+                const uint64_t pair = ba.chain_pairs[e];
+                const size_t v = static_cast<size_t>(pair >> 32);
+                const size_t s = static_cast<size_t>(pair & 0xffffffffu);
+                RenderArena::View &av = ba.views[v];
+                ProjectedGaussian &p = av.out.projected[s];
+                p = projectGaussianPre(model, i, cameras[v], cfg.sh_degree,
+                                       sigma, opacity);
+                av.alpha_cut[s] = p.opacity > 0.0f ? power_cut : 0.0f;
+                av.row_k[s] = rowCurvature(p);
+            }
+        }
+    });
+    stage_clock.lap("render.project");
+
+    // View of flat pair index f (view v's entries occupy
+    // [prefix[v], prefix[v+1])); clamps to the last view so an empty
     // range probe (begin == total, e.g. every subset empty) stays in
     // bounds — the probing loop body then never runs.
+    const size_t total = prefix[B];
     auto viewOf = [&](size_t f) {
         size_t v = 0;
         while (v + 1 < B && prefix[v + 1] <= f)
             ++v;
         return v;
     };
-    forRange(total, cfg.parallel, [&](size_t begin, size_t end) {
-        size_t v = viewOf(begin);
-        for (size_t f = begin; f < end; ++f) {
-            while (v + 1 < B && prefix[v + 1] <= f)
-                ++v;
-            const size_t s = f - prefix[v];
-            ba.views[v].out.projected[s] = projectGaussianPre(
-                model, subsets[v][s], cameras[v], cfg.sh_degree,
-                ba.sigma[ba.slots[v][s]],
-                ba.opacity[ba.slots[v][s]]);
-        }
-    });
-    // Compositing cuts: gather the shared alpha-cut threshold, compute
-    // the view-dependent row curvature — both through the same
-    // expressions as computeAlphaCutPowers(), bit for bit.
-    for (size_t v = 0; v < B; ++v) {
-        RenderArena &av = ba.views[v];
-        const size_t n_v = subsets[v].size();
-        av.alpha_cut.resize(n_v);
-        av.row_k.resize(n_v);
-        for (size_t s = 0; s < n_v; ++s) {
-            const ProjectedGaussian &p = av.out.projected[s];
-            av.alpha_cut[s] =
-                p.opacity > 0.0f ? ba.power_cut[ba.slots[v][s]] : 0.0f;
-            av.row_k[s] = rowCurvature(p);
-        }
-        av.cuts_alpha_min = cfg.alpha_min;
-    }
-    ba.stage_times.project_s = stage_clock.lap("render.project");
 
-    // --- 4. Fused binning: every view's intersections go into ONE flat
+    // --- 3. Fused binning: every view's intersections go into ONE flat
     // key buffer — keys are (view-offset tile id << 32 | depth bits),
     // values are view-LOCAL subset positions — sorted by one stable
     // radix sort. View ids occupy the most significant key bits, so
     // view v's slice of the sorted buffer is exactly the stable sort of
-    // its own keys: identical to what buildTileIntersections would have
-    // produced for that view alone.
+    // its own keys: identical to what the view would get binned alone
+    // as a batch of one.
     std::vector<size_t> tile_base(B + 1, 0);
     for (size_t v = 0; v < B; ++v)
         tile_base[v + 1] = tile_base[v] + grids[v].tileCount();
@@ -401,8 +373,8 @@ renderForwardBatch(const GaussianModel &model,
                    key_bits, cfg.parallel, &bs.hist);
 
     // Carve per-view tile ranges out of the one sorted buffer; each
-    // view's slice is copied into its own RenderOutput so the per-view
-    // activation state matches sequential renderForward exactly.
+    // view's slice is copied into its own RenderOutput so every view's
+    // activation state is self-contained.
     size_t e = 0;
     for (size_t v = 0; v < B; ++v) {
         RenderOutput &out = ba.views[v].out;
@@ -423,13 +395,12 @@ renderForwardBatch(const GaussianModel &model,
     }
     CLM_ASSERT(e == total_isect,
                "unclaimed intersections past the batch tile grid");
-    ba.stage_times.bin_s = stage_clock.lap("render.bin");
+    stage_clock.lap("render.bin");
 
-    // --- 5. Composite. All views' tiles form one task list, so a
+    // --- 4. Composite. All views' tiles form one task list, so a
     // thread pool parallelizes across views as well as tiles
-    // (cross-view parallelism); tiles touch disjoint pixels and the
-    // kernels are the same as renderForward's, so results do not
-    // depend on the split.
+    // (cross-view parallelism); tiles touch disjoint pixels, so results
+    // do not depend on the split.
     struct ChunkTask
     {
         uint32_t view;
@@ -444,10 +415,10 @@ renderForwardBatch(const GaussianModel &model,
             std::max<size_t>(1, (total_tiles + want - 1) / want);
     }
     // Retained-staging mode (training): one stage slot per TILE, with
-    // the SoA mirrors the SIMD backward replay reads, so
-    // renderBackwardBatch replays from the forward's staging instead of
-    // re-staging every tile. Staging is pure data movement — the
-    // composited pixels cannot change.
+    // the SoA mirrors the SIMD backward replay reads, so the backward
+    // replays from the forward's staging instead of re-staging every
+    // tile. Staging is pure data movement — the composited pixels
+    // cannot change.
     if (ba.retain_staging)
         chunk_target = 1;
     std::vector<ChunkTask> tasks;
@@ -468,7 +439,7 @@ renderForwardBatch(const GaussianModel &model,
         }
     }
     auto run_task = [&](const ChunkTask &task) {
-        RenderArena &av = ba.views[task.view];
+        RenderArena::View &av = ba.views[task.view];
         detail::compositeTileRange(cfg, grids[task.view], av.alpha_cut,
                                    av.row_k, av.stages[task.stage],
                                    task.t0, task.t1, av.out,
@@ -484,7 +455,7 @@ renderForwardBatch(const GaussianModel &model,
         for (const ChunkTask &task : tasks)
             run_task(task);
     }
-    ba.stage_times.composite_s = stage_clock.lap("render.composite");
+    stage_clock.lap("render.composite");
 }
 
 } // namespace clm

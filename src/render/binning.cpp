@@ -12,9 +12,6 @@ namespace clm {
 
 namespace {
 
-/** Below this many items a parallel pass costs more than it saves. */
-constexpr size_t kMinParallel = 512;
-
 /** Minimum items per radix chunk (keeps histogram overhead amortized). */
 constexpr size_t kMinRadixChunk = 4096;
 
@@ -114,32 +111,6 @@ footprintCutRadius2(const ProjectedGaussian &p, float alpha_min)
     return 2.0f * std::log(ratio) / lambda_min_safe;
 }
 
-void
-computeAlphaCutPowers(const std::vector<ProjectedGaussian> &projected,
-                      float alpha_min, bool parallel,
-                      std::vector<float> &alpha_cut,
-                      std::vector<float> &row_k)
-{
-    const size_t n = projected.size();
-    alpha_cut.resize(n);
-    row_k.resize(n);
-    auto body = [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-            const ProjectedGaussian &p = projected[s];
-            // opacity is a sigmoid output (> 0) for valid footprints;
-            // invalid ones carry 0 and never reach the compositor.
-            alpha_cut[s] = p.opacity > 0.0f
-                               ? alphaCutPower(p.opacity, alpha_min)
-                               : 0.0f;
-            row_k[s] = rowCurvature(p);
-        }
-    };
-    if (parallel && n >= kMinParallel)
-        ThreadPool::global().parallelFor(n, body);
-    else
-        body(0, n);
-}
-
 TileSpan
 computeTileSpan(const ProjectedGaussian &p, const TileGrid &grid,
                 float alpha_min, bool exact_bounds)
@@ -160,21 +131,6 @@ computeTileSpan(const ProjectedGaussian &p, const TileGrid &grid,
                     ? footprintCutRadius2(p, alpha_min)
                     : std::numeric_limits<float>::infinity();
     return span;
-}
-
-bool
-tileOverlaps(const ProjectedGaussian &p, const TileSpan &span, int tx,
-             int ty, const TileGrid &grid)
-{
-    // Distance from the footprint center to the tile's pixel-center
-    // rectangle (compositing samples pixel centers at +0.5).
-    float rx0 = tx * grid.tile_size + 0.5f;
-    float rx1 = std::min((tx + 1) * grid.tile_size, grid.width) - 0.5f;
-    float ry0 = ty * grid.tile_size + 0.5f;
-    float ry1 = std::min((ty + 1) * grid.tile_size, grid.height) - 0.5f;
-    float dx = p.mean2d.x - std::clamp(p.mean2d.x, rx0, rx1);
-    float dy = p.mean2d.y - std::clamp(p.mean2d.y, ry0, ry1);
-    return dx * dx + dy * dy <= span.cut2;
 }
 
 void
@@ -265,97 +221,6 @@ radixSortPairs(std::vector<uint64_t> &keys, std::vector<uint32_t> &vals,
         keys.swap(keys_scratch);
         vals.swap(vals_scratch);
     }
-}
-
-size_t
-buildTileIntersections(const std::vector<ProjectedGaussian> &projected,
-                       const TileGrid &grid, float alpha_min,
-                       bool exact_bounds, bool parallel,
-                       BinningScratch &scratch,
-                       std::vector<uint32_t> &sorted_vals,
-                       std::vector<TileRange> &tile_ranges)
-{
-    const size_t n = projected.size();
-    const size_t n_tiles = grid.tileCount();
-    scratch.spans.resize(n);
-    scratch.offsets.assign(n + 1, 0);
-
-    // 1. Count: candidate span + exact-overlap test per footprint.
-    auto count_range = [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-            TileSpan span = computeTileSpan(projected[s], grid, alpha_min,
-                                            exact_bounds);
-            scratch.spans[s] = span;
-            uint32_t touched = 0;
-            for (int ty = span.y0; ty <= span.y1; ++ty)
-                for (int tx = span.x0; tx <= span.x1; ++tx)
-                    if (tileOverlaps(projected[s], span, tx, ty, grid))
-                        ++touched;
-            scratch.offsets[s + 1] = touched;
-        }
-    };
-    if (parallel && n >= kMinParallel)
-        ThreadPool::global().parallelFor(n, count_range);
-    else
-        count_range(0, n);
-
-    // 2. Exclusive scan -> per-footprint write offsets.
-    for (size_t s = 0; s < n; ++s)
-        scratch.offsets[s + 1] += scratch.offsets[s];
-    const size_t total = scratch.offsets[n];
-    CLM_ASSERT(total <= std::numeric_limits<uint32_t>::max(),
-               "intersection count overflows 32-bit ranges");
-
-    // 3. Fill keys/values; each footprint writes its own disjoint slice,
-    //    so the flat buffer is deterministic under any parallel split.
-    scratch.keys.resize(total);
-    sorted_vals.resize(total);
-    auto fill_range = [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-            const TileSpan &span = scratch.spans[s];
-            if (span.empty())
-                continue;
-            size_t o = scratch.offsets[s];
-            const uint64_t depth = depthBits(projected[s].depth);
-            for (int ty = span.y0; ty <= span.y1; ++ty)
-                for (int tx = span.x0; tx <= span.x1; ++tx) {
-                    if (!tileOverlaps(projected[s], span, tx, ty, grid))
-                        continue;
-                    uint64_t tile = static_cast<uint64_t>(ty) * grid.tiles_x
-                                  + tx;
-                    scratch.keys[o] = (tile << 32) | depth;
-                    sorted_vals[o] = static_cast<uint32_t>(s);
-                    ++o;
-                }
-        }
-    };
-    if (parallel && n >= kMinParallel)
-        ThreadPool::global().parallelFor(n, fill_range);
-    else
-        fill_range(0, n);
-
-    // 4. One stable radix sort instead of a std::sort per tile. The fill
-    //    pass emits a given tile's entries in subset order, so stability
-    //    breaks depth ties by subset position.
-    const int key_bits =
-        32 + bitWidth(n_tiles > 0 ? static_cast<uint32_t>(n_tiles - 1)
-                                  : 0u);
-    radixSortPairs(scratch.keys, sorted_vals, scratch.keys_tmp,
-                   scratch.vals_tmp, key_bits, parallel, &scratch.hist);
-
-    // 5. Contiguous per-tile ranges from the sorted keys.
-    tile_ranges.resize(n_tiles);
-    size_t e = 0;
-    for (size_t t = 0; t < n_tiles; ++t) {
-        TileRange r;
-        r.begin = static_cast<uint32_t>(e);
-        while (e < total && (scratch.keys[e] >> 32) == t)
-            ++e;
-        r.end = static_cast<uint32_t>(e);
-        tile_ranges[t] = r;
-    }
-    CLM_ASSERT(e == total, "unclaimed intersections past the tile grid");
-    return total;
 }
 
 } // namespace clm

@@ -7,7 +7,9 @@
  * fill pass, sorted once with a stable parallel radix sort, and exposed as
  * contiguous per-tile ranges. The output is the unique stable sort of the
  * intersections, so it is bitwise-identical whether built serially or in
- * parallel, with depth ties broken by subset position.
+ * parallel, with depth ties broken by subset position. The pass itself
+ * runs inside the fused render pipeline (render/batch.cpp) over every
+ * view of a batch at once; this header holds its building blocks.
  *
  * Also hosts the exact circle-vs-tile-rect overlap test: the classic
  * square bound bins corner tiles the footprint never reaches. A tile can
@@ -33,8 +35,7 @@ namespace clm {
 
 /** Width in bits of @p v (index of the highest set bit, plus one; 0
  *  for 0) — sizes the tile field of the radixSortPairs key so sort
- *  passes over known-zero bits are skipped. Shared by the single-view
- *  and batched binning paths, which must stay in sync on key layout. */
+ *  passes over known-zero bits are skipped. */
 inline int
 bitWidth(uint32_t v)
 {
@@ -110,7 +111,8 @@ struct TileSpan
     bool empty() const { return x0 > x1 || y0 > y1; }
 };
 
-/** Reusable scratch for buildTileIntersections (lives in RenderArena). */
+/** Reusable scratch of the fused binning pass (render/batch.cpp; lives
+ *  in RenderArena): per-entry spans and offsets, keys, radix buffers. */
 struct BinningScratch
 {
     std::vector<TileSpan> spans;        //!< Per-subset-entry candidate span.
@@ -162,9 +164,11 @@ constexpr float kPowerCutMargin = 1e-4f;
 
 /**
  * Per-Gaussian alpha-cut power threshold: `power < alphaCutPower(...)`
- * guarantees `opacity * exp(power) < alpha_min`. One expression shared
- * by computeAlphaCutPowers() and the batched pipeline's per-union-entry
- * precompute, so both produce the same bits from the same opacity.
+ * guarantees `opacity * exp(power) < alpha_min`, so the compositor can
+ * skip the (expensive) exp for the vast majority of missing
+ * pixel/Gaussian pairs; the exact alpha test still runs near the
+ * boundary, so results stay bitwise identical. Computed once per
+ * distinct Gaussian of a batch by the render pipeline's projection.
  * @p opacity must be > 0 (a sigmoid output).
  */
 inline float
@@ -197,31 +201,10 @@ rowCurvature(const ProjectedGaussian &p)
     return std::max(k, 0.0f);
 }
 
-/** Below this many subset entries, parallelizing a per-entry render
- *  pass (projection, gradient chaining) costs more than it saves.
- *  Shared by the forward and backward rasterizer passes. */
+/** Below this many subset entries, parallelizing a per-entry backward
+ *  pass (gradient reduction, projection chaining) costs more than it
+ *  saves. */
 constexpr size_t kMinParallelSubset = 256;
-
-/**
- * Per-subset-entry conservative compositing cuts.
- *
- * @param alpha_cut Out: power thresholds — `power < alpha_cut[s]`
- *        guarantees `opacity * exp(power) < alpha_min`, so the
- *        rasterizer can skip the (expensive) exp for the vast majority
- *        of missing pixel/Gaussian pairs; the exact alpha test still
- *        runs near the boundary, so results stay bitwise identical.
- * @param row_k Out: vertical conic curvature `c - b^2/a` — the best
- *        power any pixel with vertical offset dy can reach is
- *        `-0.5 * row_k[s] * dy^2`, so a whole pixel row is provably
- *        missed when that bound (plus kRowCutMargin) is below
- *        alpha_cut[s].
- *
- * Deterministic under any parallel split (entries are independent).
- */
-void computeAlphaCutPowers(const std::vector<ProjectedGaussian> &projected,
-                           float alpha_min, bool parallel,
-                           std::vector<float> &alpha_cut,
-                           std::vector<float> &row_k);
 
 /**
  * Candidate tile rectangle of @p p on @p grid — the 3-sigma square bound,
@@ -235,10 +218,23 @@ TileSpan computeTileSpan(const ProjectedGaussian &p, const TileGrid &grid,
 /**
  * Does @p p's footprint reach tile (@p tx, @p ty)? True when the tile's
  * pixel-center rectangle comes within sqrt(span.cut2) pixels of the
- * footprint center. Callers iterate tiles inside @p span only.
+ * footprint center. Callers iterate tiles inside @p span only. Inline:
+ * it runs once per candidate tile in the binning count and fill passes.
  */
-bool tileOverlaps(const ProjectedGaussian &p, const TileSpan &span, int tx,
-                  int ty, const TileGrid &grid);
+inline bool
+tileOverlaps(const ProjectedGaussian &p, const TileSpan &span, int tx,
+             int ty, const TileGrid &grid)
+{
+    // Distance from the footprint center to the tile's pixel-center
+    // rectangle (compositing samples pixel centers at +0.5).
+    float rx0 = tx * grid.tile_size + 0.5f;
+    float rx1 = std::min((tx + 1) * grid.tile_size, grid.width) - 0.5f;
+    float ry0 = ty * grid.tile_size + 0.5f;
+    float ry1 = std::min((ty + 1) * grid.tile_size, grid.height) - 0.5f;
+    float dx = p.mean2d.x - std::clamp(p.mean2d.x, rx0, rx1);
+    float dy = p.mean2d.y - std::clamp(p.mean2d.y, ry0, ry1);
+    return dx * dx + dy * dy <= span.cut2;
+}
 
 /**
  * Stable LSD radix sort of @p keys with @p vals carried along, least
@@ -259,23 +255,6 @@ void radixSortPairs(std::vector<uint64_t> &keys,
                     std::vector<uint32_t> &vals_scratch, int key_bits = 64,
                     bool parallel = true,
                     std::vector<uint32_t> *hist_scratch = nullptr);
-
-/**
- * Expand @p projected into the flat sorted intersection buffer:
- * count touched tiles per footprint, exclusive-scan into offsets, fill
- * `(tile << 32 | depth_bits)` keys + subset-position values, radix-sort,
- * and derive contiguous per-tile ranges.
- *
- * @param sorted_vals Out: subset positions sorted by (tile, depth, subset
- *        position) — the per-tile front-to-back compositing order.
- * @param tile_ranges Out: per-tile [begin, end) into @p sorted_vals.
- * @return Total number of tile intersections.
- */
-size_t buildTileIntersections(
-    const std::vector<ProjectedGaussian> &projected, const TileGrid &grid,
-    float alpha_min, bool exact_bounds, bool parallel,
-    BinningScratch &scratch, std::vector<uint32_t> &sorted_vals,
-    std::vector<TileRange> &tile_ranges);
 
 } // namespace clm
 

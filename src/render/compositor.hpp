@@ -1,10 +1,10 @@
 /**
  * @file
- * Per-tile forward compositing kernels, shared by the single-view
- * rasterizer (render/rasterizer.cpp) and the fused multi-view batch
- * pipeline (render/batch.cpp). Both entry points run the exact same
- * kernels over the exact same staged inputs, which is what makes the
- * batched forward bitwise identical to sequential renderForward calls.
+ * Per-tile forward compositing kernels of the render pipeline
+ * (render/batch.cpp). Every view of a batch — a batch of one included —
+ * runs the exact same kernels over the exact same staged inputs, which
+ * is what makes a view's pixels independent of the batch it is
+ * rendered in.
  */
 
 #ifndef CLM_RENDER_COMPOSITOR_HPP
@@ -33,9 +33,9 @@ namespace detail {
  *
  * @p stage_soa additionally fills the stage's SoA mirrors for tiles the
  * backward replay would SIMD-batch (cfg.use_simd and the staged-entry
- * bound) — the retained-staging mode of renderForwardBatch, which lets
- * renderBackwardBatch replay each tile without re-staging it. Staging
- * is pure data movement, so the composited pixels are unchanged.
+ * bound) — the arena's retained-staging mode, which lets the backward
+ * replay each tile without re-staging it. Staging is pure data
+ * movement, so the composited pixels are unchanged.
  */
 void compositeTileRange(const RenderConfig &cfg, const TileGrid &grid,
                         const std::vector<float> &alpha_cut,

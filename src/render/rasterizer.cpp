@@ -1,13 +1,9 @@
 #include "render/rasterizer.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "render/arena.hpp"
-#include "render/compositor.hpp"
-#include "obs/trace.hpp"
-#include "util/logging.hpp"
-#include "util/thread_pool.hpp"
+#include "render/batch.hpp"
 
 namespace clm {
 
@@ -29,7 +25,7 @@ renderForward(const GaussianModel &model, const Camera &camera,
 {
     RenderArena arena;
     renderForward(model, camera, subset, cfg, arena);
-    return std::move(arena.out);
+    return std::move(arena.views[0].out);
 }
 
 const RenderOutput &
@@ -37,84 +33,17 @@ renderForward(const GaussianModel &model, const Camera &camera,
               const std::vector<uint32_t> &subset, const RenderConfig &cfg,
               RenderArena &arena)
 {
-    CLM_ASSERT(cfg.tile_size > 0, "bad tile size");
-    const int w = camera.width();
-    const int h = camera.height();
-    const TileGrid grid = TileGrid::forImage(w, h, cfg.tile_size);
+    detail::renderForwardViews(model, &camera, &subset, 1, cfg, arena);
+    return arena.views[0].out;
+}
 
-    RenderOutput &out = arena.out;
-    // No prefill: the composite pass writes every pixel of every tile
-    // (empty tiles included), so filling here would be a wasted
-    // full-frame sweep.
-    out.image.resetUnfilled(w, h);
-    out.final_t.resize(static_cast<size_t>(w) * h);
-    out.n_contrib.resize(static_cast<size_t>(w) * h);
-    out.tiles_x = grid.tiles_x;
-    out.tiles_y = grid.tiles_y;
-
-    // StageClock both fills the legacy stage_times fields and, when
-    // tracing is live, records one span per stage (PR 9 consolidation
-    // of the ad-hoc Timer pattern).
-    StageClock stage_clock;
-
-    // 1. Project the subset (entries are independent, so the parallel
-    //    split cannot change results).
-    const size_t n = subset.size();
-    out.projected.resize(n);
-    auto project_range = [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s)
-            out.projected[s] =
-                projectGaussian(model, subset[s], camera, cfg.sh_degree);
-    };
-    if (cfg.parallel && n >= kMinParallelSubset)
-        ThreadPool::global().parallelFor(n, project_range);
-    else
-        project_range(0, n);
-    arena.stage_times.project_s = stage_clock.lap("render.project");
-
-    // 2. Flat binning: count -> scan -> fill -> one stable radix sort,
-    //    yielding contiguous per-tile front-to-back ranges. The
-    //    conservative compositing cuts are computed here too (they are
-    //    per-subset-entry preprocessing, not per-pixel work).
-    buildTileIntersections(out.projected, grid, cfg.alpha_min,
-                           cfg.exact_tile_bounds, cfg.parallel,
-                           arena.binning, out.isect_vals, out.tile_ranges);
-    computeAlphaCutPowers(out.projected, cfg.alpha_min, cfg.parallel,
-                          arena.alpha_cut, arena.row_k);
-    arena.cuts_alpha_min = cfg.alpha_min;
-    arena.stage_times.bin_s = stage_clock.lap("render.bin");
-
-    // 3. Composite each pixel front-to-back through the shared per-tile
-    //    kernels (render/compositor.hpp). Tiles touch disjoint pixels,
-    //    so any parallel split produces identical results; each worker
-    //    chunk uses its own staging scratch.
-    const size_t n_tiles = grid.tileCount();
-    size_t n_chunks = 1;
-    if (cfg.parallel && n_tiles > 1)
-        n_chunks = std::min<size_t>(
-            n_tiles, static_cast<size_t>(ThreadPool::global().threads()) * 2);
-    const size_t tiles_per_chunk = (n_tiles + n_chunks - 1) / n_chunks;
-    if (arena.stages.size() < n_chunks)
-        arena.stages.resize(n_chunks);
-
-    auto composite_chunk = [&](size_t c) {
-        const size_t t0 = c * tiles_per_chunk;
-        const size_t t1 = std::min(t0 + tiles_per_chunk, n_tiles);
-        detail::compositeTileRange(cfg, grid, arena.alpha_cut,
-                                   arena.row_k, arena.stages[c], t0, t1,
-                                   out);
-    };
-    if (n_chunks > 1) {
-        ThreadPool::global().parallelFor(
-            n_chunks, [&](size_t begin, size_t end) {
-                for (size_t c = begin; c < end; ++c)
-                    composite_chunk(c);
-            });
-    } else {
-        composite_chunk(0);
-    }
-    arena.stage_times.composite_s = stage_clock.lap("render.composite");
-    return out;
+void
+renderBackward(const GaussianModel &model, const Camera &camera,
+               const RenderConfig &cfg, const Image &d_image,
+               GaussianGrads &out, RenderArena &arena)
+{
+    detail::renderBackwardViews(model, &camera, &d_image, 1, cfg, out,
+                                arena);
 }
 
 } // namespace clm

@@ -6,14 +6,16 @@
  * the backward pass replays each pixel back-to-front and produces analytic
  * gradients for every learnable parameter.
  *
- * The binning/sorting core follows the flat key-sort design of real 3DGS
- * pipelines (see render/binning.hpp): projection runs in parallel over the
- * subset, intersections are expanded into one flat buffer of
- * `(tile_id << 32 | depth_bits)` keys by a count → scan → fill pass, a
- * single stable radix sort replaces the per-tile std::sort, and tiles
- * composite from contiguous ranges through tile-local SoA staging. All
- * stages are deterministic: the parallel path is bitwise-identical to the
- * serial path, with depth ties broken by subset position.
+ * There is one pipeline (render/batch.hpp): renderForward and
+ * renderBackward are batches of one through the fused multi-view pass
+ * renderForwardBatch / renderBackwardBatch. Projection runs in parallel
+ * over the subset, intersections are expanded into one flat buffer of
+ * `(tile_id << 32 | depth_bits)` keys by a count → scan → fill pass
+ * (render/binning.hpp), a single stable radix sort orders them, and
+ * tiles composite from contiguous ranges through tile-local SoA staging
+ * (render/compositor.hpp). All stages are deterministic: the parallel
+ * path is bitwise-identical to the serial path, with depth ties broken
+ * by subset position.
  *
  * Per the pre-rendering-frustum-culling design (§5.1), the rasterizer takes
  * an explicit in-frustum index set: it never touches Gaussians outside it.
@@ -137,22 +139,24 @@ struct RenderOutput
 };
 
 /**
- * Render @p camera's view from the Gaussians listed in @p subset.
+ * Render @p camera's view from the Gaussians listed in @p subset — a
+ * batch of one through renderForwardBatch (render/batch.hpp).
  *
- * @param subset In-frustum Gaussian indices (e.g. from frustumCull()).
- *        Indices outside the camera frustum are harmless (they project to
- *        invalid/zero-contribution footprints) but waste work.
+ * @param subset In-frustum Gaussian indices (e.g. from frustumCull()),
+ *        ascending and duplicate-free (the frustumCull contract).
+ *        Indices outside the camera frustum are harmless (they project
+ *        to invalid/zero-contribution footprints) but waste work.
  */
 RenderOutput renderForward(const GaussianModel &model, const Camera &camera,
                            const std::vector<uint32_t> &subset,
                            const RenderConfig &config = {});
 
 /**
- * Arena overload for hot loops: renders into @p arena.out, reusing its
- * buffers across calls instead of reallocating per view. The returned
- * reference aliases @p arena.out and stays valid until the next render
- * into the same arena. Results are bitwise-identical to the value-
- * returning overload.
+ * Arena overload for hot loops: renders into @p arena.views[0].out,
+ * reusing the arena's buffers across calls instead of reallocating per
+ * view. The returned reference aliases that slot and stays valid until
+ * the next render into the same arena. Results are bitwise-identical
+ * to the value-returning overload.
  */
 const RenderOutput &renderForward(const GaussianModel &model,
                                   const Camera &camera,
@@ -161,23 +165,16 @@ const RenderOutput &renderForward(const GaussianModel &model,
                                   RenderArena &arena);
 
 /**
- * Backward pass: given dL/d(image), accumulate parameter gradients into
- * @p out (sized for the full model; only rows in the rendered subset are
- * touched — the sparsity property the offload design relies on).
+ * Backward pass of the single view last rendered into @p arena by
+ * renderForward (a one-view renderBackwardBatch replay — call it with
+ * the SAME model, camera and config, before the next forward into the
+ * arena): given dL/d(image), accumulate parameter gradients into
+ * @p out (sized for the full model; only rows in the rendered subset
+ * are touched — the sparsity property the offload design relies on).
  */
 void renderBackward(const GaussianModel &model, const Camera &camera,
-                    const RenderConfig &config, const RenderOutput &fwd,
-                    const Image &d_image, GaussianGrads &out);
-
-/**
- * Arena overload: uses @p arena's gradient accumulators and tile staging
- * as scratch (reused across calls). @p fwd may be @p arena.out. Results
- * are bitwise-identical to the arena-free overload.
- */
-void renderBackward(const GaussianModel &model, const Camera &camera,
-                    const RenderConfig &config, const RenderOutput &fwd,
-                    const Image &d_image, GaussianGrads &out,
-                    RenderArena &arena);
+                    const RenderConfig &config, const Image &d_image,
+                    GaussianGrads &out, RenderArena &arena);
 
 } // namespace clm
 

@@ -202,7 +202,7 @@ RenderService::workerLoop()
 {
     std::vector<PendingRequest> batch;
     std::vector<PendingRequest> expired;
-    BatchRenderArena arena;
+    RenderArena arena;
     std::vector<Camera> cams;
     std::vector<std::vector<uint32_t>> subsets;
 

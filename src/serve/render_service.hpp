@@ -8,8 +8,8 @@
  * pipeline (render/batch.hpp): frustumCullBatch, whose shared per-
  * Gaussian stage is cached per snapshot version so consecutive wakeups
  * on the same published state skip it, then renderForwardBatch's
- * shared precompute/binning pass with per-view tile ranges carved out
- * of one key-sorted buffer. Each worker owns a BatchRenderArena, so
+ * shared projection/binning pass with per-view tile ranges carved out
+ * of one key-sorted buffer. Each worker owns a RenderArena, so
  * steady-state serving allocates almost nothing. Frames are bitwise
  * identical to a direct frustumCull + renderForward of the same
  * snapshot (renderForwardBatch's per-view contract).

@@ -4,6 +4,7 @@
 
 #include "math/simd_backend.hpp"
 #include "obs/trace.hpp"
+#include "render/batch.hpp"
 #include "render/culling.hpp"
 #include "serve/snapshot.hpp"
 #include "train/clm_trainer.hpp"
@@ -147,7 +148,7 @@ Trainer::renderAndBackprop(const GaussianModel &m, int v,
     LossResult loss = computeLoss(out.image, ground_truth_[v], &d_image,
                                   config_.loss, loss_scratch_);
     stage_clock.lap("train.loss");
-    renderBackward(m, cam, render, out, d_image, grads, arena_);
+    renderBackward(m, cam, render, d_image, grads, arena_);
     stage_clock.lap("train.backward");
     return loss.total;
 }
@@ -169,51 +170,34 @@ GpuOnlyTrainer::trainBatch(const std::vector<int> &view_ids)
     BatchStats stats;
     grads_.zero();
 
-    std::vector<uint32_t> touched;
-    if (config_.fused_batch && view_ids.size() > 1) {
-        // Fused multi-view step: one batched cull, one fused forward
-        // with retained staging, one fused backward. Bitwise identical
-        // to the sequential loop below — per-view frames, gradients and
-        // the Adam subset (the union IS sort+unique of the concatenated
-        // subsets) all match, so the trajectory is unchanged.
-        const size_t B = view_ids.size();
-        RenderConfig render = activeRenderConfig();
-        std::vector<Camera> cams;
-        cams.reserve(B);
-        for (int v : view_ids)
-            cams.push_back(cameras_[v]);
-        std::vector<std::vector<uint32_t>> subsets;
-        StageClock stage_clock;
-        frustumCullBatch(model_, cams, batch_arena_.cull, subsets,
-                         render.parallel);
-        batch_arena_.retain_staging = true;
-        renderForwardBatch(model_, cams, subsets, render, batch_arena_);
-        stage_clock.lap("train.forward");
-        d_images_.resize(B);
-        for (size_t i = 0; i < B; ++i) {
-            stats.gaussians_rendered += subsets[i].size();
-            LossResult loss = computeLoss(
-                batch_arena_.views[i].out.image,
-                ground_truth_[view_ids[i]], &d_images_[i], config_.loss,
-                loss_scratch_);
-            stats.loss += loss.total;
-        }
-        stage_clock.lap("train.loss");
-        renderBackwardBatch(model_, cams, render, d_images_, grads_,
-                            batch_arena_);
-        stage_clock.lap("train.backward");
-        touched = batch_arena_.union_indices;
-    } else {
-        for (int v : view_ids) {
-            auto subset = frustumCull(model_, cameras_[v]);
-            stats.gaussians_rendered += subset.size();
-            stats.loss += renderAndBackprop(model_, v, subset, grads_);
-            touched.insert(touched.end(), subset.begin(), subset.end());
-        }
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
+    // One batched cull, one fused forward with retained staging, one
+    // fused backward; the union of the views' subsets (sort+unique of
+    // their concatenation) is the Adam subset.
+    const size_t B = view_ids.size();
+    RenderConfig render = activeRenderConfig();
+    std::vector<Camera> cams;
+    cams.reserve(B);
+    for (int v : view_ids)
+        cams.push_back(cameras_[v]);
+    std::vector<std::vector<uint32_t>> subsets;
+    StageClock stage_clock;
+    frustumCullBatch(model_, cams, arena_.cull, subsets, render.parallel);
+    arena_.retain_staging = true;
+    renderForwardBatch(model_, cams, subsets, render, arena_);
+    stage_clock.lap("train.forward");
+    d_images_.resize(B);
+    for (size_t i = 0; i < B; ++i) {
+        stats.gaussians_rendered += subsets[i].size();
+        LossResult loss = computeLoss(arena_.views[i].out.image,
+                                      ground_truth_[view_ids[i]],
+                                      &d_images_[i], config_.loss,
+                                      loss_scratch_);
+        stats.loss += loss.total;
     }
+    stage_clock.lap("train.loss");
+    renderBackwardBatch(model_, cams, render, d_images_, grads_, arena_);
+    stage_clock.lap("train.backward");
+    const std::vector<uint32_t> &touched = arena_.union_indices;
     stats.loss /= view_ids.size();
 
     {

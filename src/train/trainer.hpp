@@ -23,7 +23,6 @@
 #include "math/rng.hpp"
 #include "offload/planner.hpp"
 #include "render/arena.hpp"
-#include "render/batch.hpp"
 #include "render/camera.hpp"
 #include "render/loss.hpp"
 #include "render/rasterizer.hpp"
@@ -55,15 +54,6 @@ struct TrainConfig
      *  to serialize transfers onto the critical path (the naive trainer
      *  always runs without prefetch). */
     bool prefetch = true;
-    /** GPU-only trainer: run multi-view batches through the fused
-     *  forward/backward pair (renderForwardBatch + renderBackwardBatch,
-     *  render/batch.hpp) instead of view-at-a-time. The fused pair is
-     *  bitwise identical to the sequential loop — same per-view frames,
-     *  same gradients, same Adam subset — so the parameter trajectory
-     *  is unchanged; disable to force the view-at-a-time reference
-     *  path. Offloaded trainers ignore this (their microbatch
-     *  scheduling is inherently view-at-a-time). */
-    bool fused_batch = true;
     uint64_t seed = 42;
 };
 
@@ -148,8 +138,9 @@ class Trainer
     /** Render settings with the ramped SH degree applied. */
     RenderConfig activeRenderConfig() const;
 
-    /** Render view @p v from @p m (restricted to @p subset), compute the
-     *  loss gradient and backpropagate into @p grads. @return the loss. */
+    /** Render view @p v from @p m (restricted to @p subset) as a batch
+     *  of one, compute the loss gradient and backpropagate into
+     *  @p grads. @return the loss. */
     double renderAndBackprop(const GaussianModel &m, int v,
                              const std::vector<uint32_t> &subset,
                              GaussianGrads &grads);
@@ -171,9 +162,10 @@ class Trainer
     int batches_done_ = 0;
     SnapshotSlot *snapshot_sink_ = nullptr;    //!< Non-owning.
 
-    /** Render scratch reused across every view/step this trainer runs
-     *  (every trainer renders through renderAndBackprop/evaluatePsnr).
-     *  mutable: purely scratch — reuse never changes results. */
+    /** Render scratch reused across every view/step this trainer runs:
+     *  the GPU-only trainer's fused batches, the offload trainers'
+     *  batches of one (renderAndBackprop) and evaluatePsnr all render
+     *  into it. mutable: purely scratch — reuse never changes results. */
     mutable RenderArena arena_;
 
     /** SAT-loss scratch reused across renderAndBackprop calls (same
@@ -185,6 +177,9 @@ class Trainer
  * GPU-only training (the paper's "baseline" and "enhanced baseline" —
  * functionally identical; the enhanced flag only changes the modeled
  * kernel input size, which the performance simulator accounts for).
+ * Every batch, a batch of one included, runs one frustumCullBatch and
+ * the fused forward/backward pair (render/batch.hpp) with retained
+ * staging; the Adam subset is the union of the views' subsets.
  */
 class GpuOnlyTrainer : public Trainer
 {
@@ -199,9 +194,7 @@ class GpuOnlyTrainer : public Trainer
 
     GaussianGrads grads_;
 
-    /** Fused-batch scratch (TrainConfig::fused_batch): batch arenas +
-     *  per-view loss gradients, reused across steps. */
-    BatchRenderArena batch_arena_;
+    /** Per-view loss gradients, reused across steps. */
     std::vector<Image> d_images_;
 };
 

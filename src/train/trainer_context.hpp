@@ -26,9 +26,9 @@ namespace clm {
 
 /** See file comment. Holds references to the owning trainer's master
  *  model and optimizer; owns every derived offload-side structure.
- *  (Render scratch is NOT here: every render of the offload trainers
- *  goes through Trainer::renderAndBackprop, so the reusable RenderArena
- *  lives once in the Trainer base.) */
+ *  (Render scratch is NOT here: every offload-trainer render is a
+ *  batch of one through Trainer::renderAndBackprop, into the one
+ *  RenderArena the Trainer base owns.) */
 class TrainerContext
 {
   public:

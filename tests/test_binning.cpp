@@ -2,8 +2,9 @@
  * @file
  * Flat key-sorted binning tests: the reusable stable radix sort against
  * std::stable_sort, depth-key monotonicity, the clamped float->int cast
- * helpers, and buildTileIntersections against a brute-force per-tile
- * reference built with independent code.
+ * helpers, and the render pipeline's fused binning (single views and
+ * multi-view batches) against a brute-force per-tile reference built
+ * with independent code.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "math/rng.hpp"
+#include "render/batch.hpp"
 #include "render/binning.hpp"
 #include "render/camera.hpp"
 #include "render/culling.hpp"
@@ -152,62 +155,87 @@ TEST(TileGrid, CoversImage)
 /** Randomized cross-check: flat binning == brute-force per-tile lists.
  *  The reference bins with the plain square bound and sorts each tile
  *  with std::stable_sort by (depth, subset position) — independent code
- *  exercising the count/scan/fill/radix machinery end to end. */
+ *  exercising the count/scan/fill/radix/carve machinery end to end. */
+void
+expectMatchesBruteForce(const RenderOutput &out, const Camera &cam,
+                        const RenderConfig &cfg)
+{
+    TileGrid grid =
+        TileGrid::forImage(cam.width(), cam.height(), cfg.tile_size);
+    std::vector<std::vector<uint32_t>> ref(grid.tileCount());
+    for (size_t s = 0; s < out.projected.size(); ++s) {
+        const ProjectedGaussian &p = out.projected[s];
+        if (!p.valid || p.radius <= 0.0f)
+            continue;
+        int x0 = std::max(
+            0, static_cast<int>(std::floor((p.mean2d.x - p.radius)
+                                           / cfg.tile_size)));
+        int x1 = std::min(
+            grid.tiles_x - 1,
+            static_cast<int>(std::floor((p.mean2d.x + p.radius)
+                                        / cfg.tile_size)));
+        int y0 = std::max(
+            0, static_cast<int>(std::floor((p.mean2d.y - p.radius)
+                                           / cfg.tile_size)));
+        int y1 = std::min(
+            grid.tiles_y - 1,
+            static_cast<int>(std::floor((p.mean2d.y + p.radius)
+                                        / cfg.tile_size)));
+        for (int ty = y0; ty <= y1; ++ty)
+            for (int tx = x0; tx <= x1; ++tx)
+                ref[static_cast<size_t>(ty) * grid.tiles_x + tx].push_back(
+                    static_cast<uint32_t>(s));
+    }
+    for (auto &list : ref)
+        std::stable_sort(list.begin(), list.end(),
+                         [&](uint32_t a, uint32_t b) {
+                             return out.projected[a].depth
+                                  < out.projected[b].depth;
+                         });
+
+    ASSERT_EQ(out.tile_ranges.size(), ref.size());
+    size_t total = 0;
+    for (size_t t = 0; t < ref.size(); ++t) {
+        const TileRange r = out.tile_ranges[t];
+        ASSERT_EQ(r.size(), ref[t].size()) << "tile " << t;
+        for (size_t j = 0; j < ref[t].size(); ++j)
+            EXPECT_EQ(out.isect_vals[r.begin + j], ref[t][j])
+                << "tile " << t << " pos " << j;
+        total += ref[t].size();
+    }
+    EXPECT_EQ(out.totalTileIntersections(), total);
+}
+
 TEST(FlatBinning, MatchesBruteForcePerTileReference)
 {
     SceneSpec spec = SceneSpec::bicycle();
     GaussianModel m = generateGroundTruth(spec, 900);
     auto cams = generateCameraPath(spec, 3, 120, 72);
+    RenderConfig cfg;
+    cfg.exact_tile_bounds = false;    // reference uses square bound
     for (const Camera &cam : cams) {
+        SCOPED_TRACE("batch of one");
         auto subset = frustumCull(m, cam);
-        RenderConfig cfg;
-        cfg.exact_tile_bounds = false;    // reference uses square bound
-        RenderOutput out = renderForward(m, cam, subset, cfg);
+        expectMatchesBruteForce(renderForward(m, cam, subset, cfg), cam,
+                                cfg);
+    }
 
-        TileGrid grid = TileGrid::forImage(cam.width(), cam.height(),
-                                           cfg.tile_size);
-        std::vector<std::vector<uint32_t>> ref(grid.tileCount());
-        for (size_t s = 0; s < out.projected.size(); ++s) {
-            const ProjectedGaussian &p = out.projected[s];
-            if (!p.valid || p.radius <= 0.0f)
-                continue;
-            int x0 = std::max(
-                0, static_cast<int>(std::floor(
-                       (p.mean2d.x - p.radius) / cfg.tile_size)));
-            int x1 = std::min(
-                grid.tiles_x - 1,
-                static_cast<int>(std::floor((p.mean2d.x + p.radius)
-                                            / cfg.tile_size)));
-            int y0 = std::max(
-                0, static_cast<int>(std::floor(
-                       (p.mean2d.y - p.radius) / cfg.tile_size)));
-            int y1 = std::min(
-                grid.tiles_y - 1,
-                static_cast<int>(std::floor((p.mean2d.y + p.radius)
-                                            / cfg.tile_size)));
-            for (int ty = y0; ty <= y1; ++ty)
-                for (int tx = x0; tx <= x1; ++tx)
-                    ref[static_cast<size_t>(ty) * grid.tiles_x + tx]
-                        .push_back(static_cast<uint32_t>(s));
+    // 3-view batches — one uniform, one with a second resolution (a
+    // different tile grid) — whose per-view ranges are carved out of
+    // one fused key buffer: each view must still match its reference.
+    std::vector<Camera> mixed = {cams[0],
+                                 generateCameraPath(spec, 3, 88, 40)[1],
+                                 cams[2]};
+    for (const std::vector<Camera> &batch : {cams, mixed}) {
+        std::vector<std::vector<uint32_t>> subsets;
+        for (const Camera &cam : batch)
+            subsets.push_back(frustumCull(m, cam));
+        RenderArena arena;
+        renderForwardBatch(m, batch, subsets, cfg, arena);
+        for (size_t v = 0; v < batch.size(); ++v) {
+            SCOPED_TRACE("batch view " + std::to_string(v));
+            expectMatchesBruteForce(arena.views[v].out, batch[v], cfg);
         }
-        for (auto &list : ref)
-            std::stable_sort(list.begin(), list.end(),
-                             [&](uint32_t a, uint32_t b) {
-                                 return out.projected[a].depth
-                                      < out.projected[b].depth;
-                             });
-
-        ASSERT_EQ(out.tile_ranges.size(), ref.size());
-        size_t total = 0;
-        for (size_t t = 0; t < ref.size(); ++t) {
-            const TileRange r = out.tile_ranges[t];
-            ASSERT_EQ(r.size(), ref[t].size()) << "tile " << t;
-            for (size_t j = 0; j < ref[t].size(); ++j)
-                EXPECT_EQ(out.isect_vals[r.begin + j], ref[t][j])
-                    << "tile " << t << " pos " << j;
-            total += ref[t].size();
-        }
-        EXPECT_EQ(out.totalTileIntersections(), total);
     }
 }
 

@@ -155,10 +155,11 @@ TEST(ParallelRender, BackwardIdenticalToSerial)
     auto run = [&](bool parallel) {
         RenderConfig cfg;
         cfg.parallel = parallel;
-        RenderOutput out = renderForward(m, cams[0], subset, cfg);
+        RenderArena arena;
+        renderForward(m, cams[0], subset, cfg, arena);
         GaussianGrads g;
         g.resize(m.size());
-        renderBackward(m, cams[0], cfg, out, d_image, g);
+        renderBackward(m, cams[0], cfg, d_image, g, arena);
         return g;
     };
     GaussianGrads a = run(false);

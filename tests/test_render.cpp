@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "math/ellipsoid.hpp"
 #include "math/rng.hpp"
@@ -16,6 +17,7 @@
 #include "render/culling.hpp"
 #include "render/image.hpp"
 #include "render/loss.hpp"
+#include "render/projection.hpp"
 #include "render/rasterizer.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/scene_spec.hpp"
@@ -265,6 +267,50 @@ TEST(Rasterizer, ParallelBitwiseIdenticalToSerial)
         for (size_t t = 0; t < a.tile_ranges.size(); ++t) {
             EXPECT_EQ(a.tile_ranges[t].begin, b.tile_ranges[t].begin);
             EXPECT_EQ(a.tile_ranges[t].end, b.tile_ranges[t].end);
+        }
+    }
+}
+
+/** Bit-for-bit footprint equality (EXPECT_EQ on floats would equate
+ *  0.0 with -0.0 and fail NaN == NaN). */
+bool
+bitEqual(const ProjectedGaussian &a, const ProjectedGaussian &b)
+{
+    auto same = [](float x, float y) {
+        return std::memcmp(&x, &y, sizeof(float)) == 0;
+    };
+    return a.index == b.index && a.valid == b.valid
+        && same(a.mean2d.x, b.mean2d.x) && same(a.mean2d.y, b.mean2d.y)
+        && same(a.depth, b.depth) && same(a.conic_a, b.conic_a)
+        && same(a.conic_b, b.conic_b) && same(a.conic_c, b.conic_c)
+        && same(a.radius, b.radius) && same(a.opacity, b.opacity)
+        && same(a.color.x, b.color.x) && same(a.color.y, b.color.y)
+        && same(a.color.z, b.color.z) && a.color_valid == b.color_valid
+        && same(a.t.x, b.t.x) && same(a.t.y, b.t.y)
+        && same(a.t.z, b.t.z) && a.clamped_u == b.clamped_u
+        && a.clamped_v == b.clamped_v && same(a.cov2d_a, b.cov2d_a)
+        && same(a.cov2d_b, b.cov2d_b) && same(a.cov2d_c, b.cov2d_c);
+}
+
+TEST(Rasterizer, ProjectedFootprintsMatchProjectGaussian)
+{
+    // The pipeline projects through a shared per-Gaussian precompute
+    // (covariance, world opacity); every footprint must still be
+    // bit-equal to a standalone projectGaussian of the same row.
+    SceneSpec spec = SceneSpec::bicycle();
+    GaussianModel m = generateGroundTruth(spec, 600);
+    for (int deg : {0, 3}) {
+        for (const Camera &cam : generateCameraPath(spec, 2, 97, 61)) {
+            auto subset = frustumCull(m, cam);
+            RenderConfig cfg;
+            cfg.sh_degree = deg;
+            RenderOutput out = renderForward(m, cam, subset, cfg);
+            ASSERT_EQ(out.projected.size(), subset.size());
+            for (size_t s = 0; s < subset.size(); ++s)
+                EXPECT_TRUE(bitEqual(out.projected[s],
+                                     projectGaussian(m, subset[s], cam,
+                                                     deg)))
+                    << "entry " << s << " sh degree " << deg;
         }
     }
 }

@@ -4,8 +4,8 @@
  * pipeline (rasterizer -> projection -> SH/covariance/opacity) and of the
  * L1 + D-SSIM loss are validated against central finite differences.
  * The fused multi-view backward (renderBackwardBatch) must accumulate
- * gradients bitwise identical to the sequential per-view renderBackward
- * loop — batched == sequential, parallel == serial, retained ==
+ * gradients bitwise identical to per-view batches of one replayed in
+ * view order — batched == per-view, parallel == serial, retained ==
  * re-staged staging, under the dispatched, forced-scalar and
  * use_simd=false kernels. A compact copy of a view's subset rendered
  * over {0..k-1} (the offload trainers' microbatch buffer) must match the
@@ -129,10 +129,11 @@ struct Pipeline
     GaussianGrads
     backward(const GaussianModel &m) const
     {
-        RenderOutput out = renderForward(m, cam, subset, render);
+        RenderArena arena;
+        renderForward(m, cam, subset, render, arena);
         GaussianGrads g;
         g.resize(m.size());
-        renderBackward(m, cam, render, out, weights, g);
+        renderBackward(m, cam, render, weights, g, arena);
         return g;
     }
 };
@@ -303,28 +304,23 @@ TEST(RenderBackward, ParallelBitwiseIdenticalToSerial)
     SceneSpec spec = SceneSpec::bicycle();
     GaussianModel m = generateGroundTruth(spec, 600);
     auto cams = generateCameraPath(spec, 2, 97, 61);
+    RenderArena reused;    // carries the previous camera's state
     for (const Camera &cam : cams) {
         auto subset = frustumCull(m, cam);
         Image d_image(97, 61, {0.3f, -0.2f, 0.1f});
-        auto run = [&](bool parallel, bool with_arena) {
+        auto run = [&](bool parallel, RenderArena &arena) {
             RenderConfig cfg;
             cfg.parallel = parallel;
             GaussianGrads g;
             g.resize(m.size());
-            if (with_arena) {
-                RenderArena arena;
-                const RenderOutput &out =
-                    renderForward(m, cam, subset, cfg, arena);
-                renderBackward(m, cam, cfg, out, d_image, g, arena);
-            } else {
-                RenderOutput out = renderForward(m, cam, subset, cfg);
-                renderBackward(m, cam, cfg, out, d_image, g);
-            }
+            renderForward(m, cam, subset, cfg, arena);
+            renderBackward(m, cam, cfg, d_image, g, arena);
             return g;
         };
-        GaussianGrads a = run(false, false);
-        GaussianGrads b = run(true, false);
-        GaussianGrads c = run(true, true);
+        RenderArena fresh_a, fresh_b;
+        GaussianGrads a = run(false, fresh_a);
+        GaussianGrads b = run(true, fresh_b);
+        GaussianGrads c = run(true, reused);
         for (size_t i = 0; i < m.size(); ++i) {
             EXPECT_EQ(a.d_position[i].x, b.d_position[i].x) << i;
             EXPECT_EQ(a.d_position[i].y, b.d_position[i].y) << i;
@@ -333,7 +329,7 @@ TEST(RenderBackward, ParallelBitwiseIdenticalToSerial)
             EXPECT_EQ(a.d_log_scale[i].x, b.d_log_scale[i].x) << i;
             EXPECT_EQ(a.d_rotation[i].w, b.d_rotation[i].w) << i;
             EXPECT_EQ(a.d_sh[i * kShDim], b.d_sh[i * kShDim]) << i;
-            // The arena overloads are pure scratch reuse.
+            // Arena reuse is pure scratch reuse.
             EXPECT_EQ(a.d_position[i].x, c.d_position[i].x) << i;
             EXPECT_EQ(a.d_opacity[i], c.d_opacity[i]) << i;
         }
@@ -360,10 +356,11 @@ TEST(RenderBackward, MaskedTailWidthsBitwiseAcrossKernelTables)
         auto run = [&](const RenderKernels *kern) {
             RenderConfig cfg;
             cfg.kernels = kern;
-            RenderOutput out = renderForward(m, cam, subset, cfg);
+            RenderArena arena;
+            renderForward(m, cam, subset, cfg, arena);
             GaussianGrads g;
             g.resize(m.size());
-            renderBackward(m, cam, cfg, out, d_image, g);
+            renderBackward(m, cam, cfg, d_image, g, arena);
             return g;
         };
         GaussianGrads a = run(nullptr);    // dispatched table
@@ -399,13 +396,15 @@ TEST(RenderBackward, GradientDescentReducesRealLoss)
     for (size_t i = 0; i < m.size(); ++i)
         subset.push_back(static_cast<uint32_t>(i));
 
+    RenderArena arena;
     auto eval = [&](GaussianGrads *g) {
-        RenderOutput out = renderForward(m, cam, subset, render);
+        const RenderOutput &out = renderForward(m, cam, subset, render,
+                                                arena);
         Image d_image;
         LossResult r =
             computeLoss(out.image, gt, g ? &d_image : nullptr, loss);
         if (g)
-            renderBackward(m, cam, render, out, d_image, *g);
+            renderBackward(m, cam, render, d_image, *g, arena);
         return r.total;
     };
 
@@ -447,9 +446,8 @@ expectGradsIdentical(const GaussianGrads &a, const GaussianGrads &b)
     }
 }
 
-/** Sequential reference: per-view forward + backward accumulating into
- *  one gradient buffer, exactly as GpuOnlyTrainer's view-at-a-time
- *  loop does. */
+/** Sequential reference: per-view batches of one (forward + backward)
+ *  accumulating into one gradient buffer in view order. */
 GaussianGrads
 sequentialBackward(const GaussianModel &model,
                    const std::vector<Camera> &cams,
@@ -461,10 +459,8 @@ sequentialBackward(const GaussianModel &model,
     RenderArena arena;
     for (size_t v = 0; v < cams.size(); ++v) {
         auto subset = frustumCull(model, cams[v]);
-        const RenderOutput &out =
-            renderForward(model, cams[v], subset, cfg, arena);
-        renderBackward(model, cams[v], cfg, out, d_images[v], grads,
-                       arena);
+        renderForward(model, cams[v], subset, cfg, arena);
+        renderBackward(model, cams[v], cfg, d_images[v], grads, arena);
     }
     return grads;
 }
@@ -473,12 +469,12 @@ GaussianGrads
 fusedBackward(const GaussianModel &model,
               const std::vector<Camera> &cams,
               const std::vector<Image> &d_images, const RenderConfig &cfg,
-              bool retain_staging, BatchRenderArena *reuse = nullptr)
+              bool retain_staging, RenderArena *reuse = nullptr)
 {
     GaussianGrads grads;
     grads.resize(model.size());
-    BatchRenderArena local;
-    BatchRenderArena &arena = reuse != nullptr ? *reuse : local;
+    RenderArena local;
+    RenderArena &arena = reuse != nullptr ? *reuse : local;
     arena.retain_staging = retain_staging;
     std::vector<std::vector<uint32_t>> subsets;
     frustumCullBatch(model, cams, arena.cull, subsets, cfg.parallel);
@@ -580,7 +576,7 @@ TEST(FusedBackward, ArenaReuseIsBitwiseNeutral)
     RenderConfig cfg;
     cfg.sh_degree = 1;
     BackwardFixture small(2);
-    BatchRenderArena reused;
+    RenderArena reused;
     // Dirty the arena with a different batch shape first.
     fusedBackward(small.model, small.cams, small.d_images, cfg, true,
                   &reused);
@@ -635,11 +631,11 @@ TEST(CompactRender, BitwiseEqualsFullModelOverGlobalSubset)
                 compact_grads.resize(k);
                 const RenderOutput &a =
                     renderForward(full, cam, subset, cfg, full_arena);
-                renderBackward(full, cam, cfg, a, fix.d_images[v],
+                renderBackward(full, cam, cfg, fix.d_images[v],
                                full_grads, full_arena);
                 const RenderOutput &b =
                     renderForward(compact, cam, local, cfg, compact_arena);
-                renderBackward(compact, cam, cfg, b, fix.d_images[v],
+                renderBackward(compact, cam, cfg, fix.d_images[v],
                                compact_grads, compact_arena);
 
                 const std::vector<float> &fa = a.image.data();

@@ -2,8 +2,9 @@
  * @file
  * Serving-subsystem tests: the fused batch cull against per-view
  * frustumCull (exact membership in every build flavor), the fused
- * multi-view forward against sequential renderForward (bitwise, SIMD
- * and scalar configs, mixed resolutions, arena reuse), model snapshots
+ * multi-view forward against per-view renderForward batches of one
+ * (bitwise, SIMD and scalar configs, mixed resolutions, arena reuse),
+ * model snapshots
  * (versioning, hashing, buffer reuse), and the RenderService end to end
  * — including snapshot-swap-under-load: every served frame must be
  * reproducible from exactly the published snapshot it claims, which a
@@ -139,7 +140,7 @@ checkBatchAgainstSequential(const BatchFixture &fix,
     for (size_t v = 0; v < cams.size(); ++v)
         subsets[v] = frustumCull(fix.model, cams[v]);
 
-    BatchRenderArena batch_arena;
+    RenderArena batch_arena;
     renderForwardBatch(fix.model, cams, subsets, cfg, batch_arena);
 
     for (size_t v = 0; v < cams.size(); ++v) {
@@ -199,7 +200,7 @@ TEST(RenderForwardBatch, MixedResolutionsAndEmptySubset)
         subsets[v] = frustumCull(fix.model, cams[v]);
     EXPECT_TRUE(subsets[2].empty());
 
-    BatchRenderArena arena;
+    RenderArena arena;
     renderForwardBatch(fix.model, cams, subsets, cfg, arena);
     for (size_t v = 0; v < cams.size(); ++v) {
         RenderOutput seq =
@@ -227,7 +228,7 @@ TEST(RenderForwardBatch, AllSubsetsEmptyRendersBackgrounds)
         subsets[v] = frustumCull(fix.model, cams[v]);
         ASSERT_TRUE(subsets[v].empty());
     }
-    BatchRenderArena arena;
+    RenderArena arena;
     renderForwardBatch(fix.model, cams, subsets, cfg, arena);
     for (size_t v = 0; v < cams.size(); ++v) {
         RenderOutput seq =
@@ -246,7 +247,7 @@ TEST(RenderForwardBatch, ArenaReuseIsBitwiseNeutral)
     BatchFixture fix;
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    BatchRenderArena reused;
+    RenderArena reused;
     // Render a larger batch first so every scratch buffer is dirty and
     // over-sized for the second call.
     {
@@ -264,7 +265,7 @@ TEST(RenderForwardBatch, ArenaReuseIsBitwiseNeutral)
         subsets[v] = frustumCull(fix.model, cams[v]);
     renderForwardBatch(fix.model, cams, subsets, cfg, reused);
 
-    BatchRenderArena fresh;
+    RenderArena fresh;
     renderForwardBatch(fix.model, cams, subsets, cfg, fresh);
     for (size_t v = 0; v < 2; ++v) {
         SCOPED_TRACE("view " + std::to_string(v));

@@ -240,10 +240,11 @@ TEST(SimdCompositor, BackwardGradientsCloseToScalar)
     auto run = [&](bool use_simd) {
         RenderConfig cfg;
         cfg.use_simd = use_simd;
-        RenderOutput out = renderForward(m, cam, subset, cfg);
+        RenderArena arena;
+        renderForward(m, cam, subset, cfg, arena);
         GaussianGrads g;
         g.resize(m.size());
-        renderBackward(m, cam, cfg, out, d_image, g);
+        renderBackward(m, cam, cfg, d_image, g, arena);
         return g;
     };
     GaussianGrads a = run(true);
@@ -318,10 +319,11 @@ TEST(SimdDispatch, KernelTablesBitwiseIdenticalAcrossBackends)
                 continue;
             RenderConfig cfg;
             cfg.kernels = kern;
-            RenderOutput out = renderForward(m, cam, subset, cfg);
+            RenderArena arena;
+            RenderOutput out = renderForward(m, cam, subset, cfg, arena);
             GaussianGrads g;
             g.resize(m.size());
-            renderBackward(m, cam, cfg, out, d_image, g);
+            renderBackward(m, cam, cfg, d_image, g, arena);
             if (!have_ref) {
                 ref_out = std::move(out);
                 ref_g = std::move(g);

@@ -4,15 +4,17 @@
  * CLM's offloading (attribute split, caching, carried gradients, subset
  * Adam) is a pure systems transformation of GPU-only training — and
  * training must actually reconstruct scenes (loss down, PSNR up). Also
- * covers the fused multi-view GpuOnlyTrainer step (bitwise the
+ * covers the fused multi-view GpuOnlyTrainer step (bitwise a test-local
  * view-at-a-time trajectory), the Clm facade and the quality harness.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/clm.hpp"
+#include "render/culling.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
 #include "train/quality_harness.hpp"
@@ -232,14 +234,69 @@ TEST(ClmFacade, ConfigValidation)
     EXPECT_ANY_THROW(Clm{cfg});
 }
 
+/**
+ * Test-local view-at-a-time reference of GpuOnlyTrainer's step: every
+ * view is culled and rendered alone as a batch of one, gradients
+ * accumulate view by view, and the Adam subset is the sort+unique of
+ * the concatenated subsets.
+ */
+struct ViewAtATimeReference
+{
+    GaussianModel model;
+    const std::vector<Camera> &cameras;
+    const std::vector<Image> &gt_images;
+    TrainConfig config;
+    CpuAdam adam;
+    GaussianGrads grads;
+    RenderArena arena;
+    LossScratch loss_scratch;
+
+    ViewAtATimeReference(GaussianModel m, const std::vector<Camera> &cams,
+                         const std::vector<Image> &gts, TrainConfig cfg)
+        : model(std::move(m)), cameras(cams), gt_images(gts), config(cfg),
+          adam(cfg.adam)
+    {
+        adam.reset(model.size());
+        grads.resize(model.size());
+    }
+
+    BatchStats
+    trainBatch(const std::vector<int> &view_ids)
+    {
+        BatchStats stats;
+        grads.zero();
+        std::vector<uint32_t> touched;
+        for (int v : view_ids) {
+            std::vector<uint32_t> subset = frustumCull(model, cameras[v]);
+            const RenderOutput &out = renderForward(
+                model, cameras[v], subset, config.render, arena);
+            Image d_image;
+            stats.loss += computeLoss(out.image, gt_images[v], &d_image,
+                                      config.loss, loss_scratch)
+                              .total;
+            renderBackward(model, cameras[v], config.render, d_image,
+                           grads, arena);
+            stats.gaussians_rendered += subset.size();
+            touched.insert(touched.end(), subset.begin(), subset.end());
+        }
+        stats.loss /= view_ids.size();
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()),
+                      touched.end());
+        adam.updateSubset(model, grads, touched);
+        stats.adam_updated = touched.size();
+        return stats;
+    }
+};
+
 TEST(FusedTrainer, TrajectoryMatchesViewAtATime)
 {
     // The fused multi-view training step must reproduce the
-    // view-at-a-time GpuOnlyTrainer trajectory bit for bit: same
-    // per-batch loss, same parameters after several steps — including
-    // a batch with a DUPLICATE view id (the fused chain accumulates
-    // per model row in batch-slot order, which is the sequential
-    // loop's order).
+    // view-at-a-time trajectory bit for bit: same per-batch loss, same
+    // parameters after several steps — including a batch with a
+    // DUPLICATE view id (the fused chain accumulates per model row in
+    // batch-slot order, which is the view-at-a-time order) and a batch
+    // of one.
     SceneSpec spec = SceneSpec::bicycle();
     spec.train = {500, 6, 48, 48};
     GaussianModel gt = generateGroundTruth(spec, 500);
@@ -252,15 +309,11 @@ TEST(FusedTrainer, TrajectoryMatchesViewAtATime)
         renderGroundTruth(gt, cameras, config.render);
     GaussianModel trainee = makeTrainee(gt, 300, 1234);
 
-    TrainConfig fused_cfg = config;
-    fused_cfg.fused_batch = true;
-    TrainConfig seq_cfg = config;
-    seq_cfg.fused_batch = false;
-    GpuOnlyTrainer fused(trainee, cameras, gt_images, fused_cfg);
-    GpuOnlyTrainer seq(trainee, cameras, gt_images, seq_cfg);
+    GpuOnlyTrainer fused(trainee, cameras, gt_images, config);
+    ViewAtATimeReference seq(trainee, cameras, gt_images, config);
 
     const std::vector<std::vector<int>> batches = {
-        {0, 1, 2, 3}, {4, 5, 0, 1}, {2, 2, 4, 5}};
+        {0, 1, 2, 3}, {4, 5, 0, 1}, {2, 2, 4, 5}, {3}};
     for (const auto &ids : batches) {
         BatchStats a = fused.trainBatch(ids);
         BatchStats b = seq.trainBatch(ids);
@@ -269,7 +322,7 @@ TEST(FusedTrainer, TrajectoryMatchesViewAtATime)
         EXPECT_EQ(a.adam_updated, b.adam_updated);
     }
     const GaussianModel &ma = fused.model();
-    const GaussianModel &mb = seq.model();
+    const GaussianModel &mb = seq.model;
     ASSERT_EQ(ma.size(), mb.size());
     for (size_t i = 0; i < ma.size(); ++i) {
         EXPECT_EQ(ma.position(i).x, mb.position(i).x) << i;
