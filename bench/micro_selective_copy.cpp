@@ -39,7 +39,7 @@ BM_GatherBatched(benchmark::State &state)
 {
     PinnedPool pool(kPoolSize);
     auto idx = sparseIndices(0.05, 1);
-    DeviceBuffer buf(idx.size());
+    DeviceBuffer buf;
     buf.bind(idx);
     for (auto _ : state) {
         gatherParams(pool, buf, idx);
@@ -57,7 +57,7 @@ BM_GatherPerRecordCalls(benchmark::State &state)
     // individually dispatched copy through a volatile call boundary.
     PinnedPool pool(kPoolSize);
     auto idx = sparseIndices(0.05, 1);
-    DeviceBuffer buf(idx.size());
+    DeviceBuffer buf;
     buf.bind(idx);
     // One dispatched copy per Gaussian with a per-call row lookup —
     // the cudaMemcpyAsync-per-record pattern §5.2 rejects.
@@ -82,7 +82,7 @@ BM_ScatterAccumulateGrads(benchmark::State &state)
 {
     PinnedPool pool(kPoolSize);
     auto idx = sparseIndices(0.05, 2);
-    DeviceBuffer buf(idx.size());
+    DeviceBuffer buf;
     buf.bind(idx);
     buf.zeroGrads();
     for (auto _ : state) {
@@ -99,7 +99,7 @@ BM_CachedCopy(benchmark::State &state)
 {
     PinnedPool pool(kPoolSize);
     auto idx = sparseIndices(0.05, 3);
-    DeviceBuffer a(idx.size()), b(idx.size());
+    DeviceBuffer a, b;
     a.bind(idx);
     b.bind(idx);
     gatherParams(pool, a, idx);

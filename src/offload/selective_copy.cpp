@@ -7,20 +7,16 @@
 
 namespace clm {
 
-DeviceBuffer::DeviceBuffer(size_t capacity) : capacity_(capacity)
-{
-    params_.resize(capacity * kNonCriticalDim);
-    grads_.resize(capacity * kParamsPerGaussian);
-}
-
 void
 DeviceBuffer::bind(std::vector<uint32_t> indices)
 {
-    CLM_ASSERT(indices.size() <= capacity_,
-               "device buffer overflow: ", indices.size(), " > ",
-               capacity_);
     CLM_ASSERT(std::is_sorted(indices.begin(), indices.end()),
                "bound indices must be ascending");
+    const size_t rows = indices.size();
+    if (params_.size() < rows * kNonCriticalDim) {
+        params_.resize(rows * kNonCriticalDim);
+        grads_.resize(rows * kParamsPerGaussian);
+    }
     indices_ = std::move(indices);
 }
 

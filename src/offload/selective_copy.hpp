@@ -24,17 +24,16 @@ namespace clm {
 /**
  * Dense device-side staging buffer for one microbatch: row r holds the
  * non-critical parameters (and gradient slot) of the r-th in-frustum
- * Gaussian. Two of these form CLM's double buffer.
+ * Gaussian. The TransferEngine keeps a ring of these, one per
+ * microbatch in flight plus one (§5.3's double buffer generalized).
+ * Storage is sized by the sets bound to it, never by the model.
  */
 class DeviceBuffer
 {
   public:
-    /** Allocate capacity for @p capacity Gaussians. */
-    explicit DeviceBuffer(size_t capacity);
-
-    size_t capacity() const { return capacity_; }
-
-    /** Bind the buffer to an index set (rows follow @p indices order). */
+    /** Bind the buffer to an index set (rows follow @p indices order).
+     *  Storage grows to the largest set ever bound and never shrinks;
+     *  row contents after a rebind are unspecified until staged. */
     void bind(std::vector<uint32_t> indices);
 
     /** Currently bound global indices (ascending). */
@@ -80,7 +79,6 @@ class DeviceBuffer
     void zeroGrads();
 
   private:
-    size_t capacity_;
     std::vector<uint32_t> indices_;
     std::vector<float> params_;
     std::vector<float> grads_;

@@ -27,11 +27,8 @@ packGradRecord(const GaussianGrads &grads, size_t i, float *out)
 }
 
 TransferEngine::TransferEngine(size_t n, TransferEngineConfig config)
-    : config_(config), pool_(n, config.signal_slots),
-      buffers_{DeviceBuffer(n), DeviceBuffer(n)}
+    : config_(config), pool_(n, config.signal_slots)
 {
-    if (config_.prefetch)
-        staging_pool_ = std::make_unique<ThreadPool>(1);
     if (config_.async_finalize)
         adam_thread_ = std::thread([this] { adamThreadLoop(); });
 }
@@ -59,7 +56,7 @@ TransferEngine::reset(size_t n)
 {
     drain();
     pool_ = PinnedPool(n, config_.signal_slots);
-    buffers_ = {DeviceBuffer(n), DeviceBuffer(n)};
+    ring_.clear();
 }
 
 void
@@ -87,10 +84,11 @@ TransferEngine::resetTimings()
 }
 
 void
-TransferEngine::beginBatch(std::vector<std::vector<uint32_t>> ordered_sets,
-                           CachePlan cache, FinalizationSchedule fin)
+TransferEngine::runBatch(std::vector<std::vector<uint32_t>> ordered_sets,
+                         CachePlan cache, FinalizationSchedule fin,
+                         size_t depth, const LaunchFn &launch,
+                         const CollectFn &collect)
 {
-    CLM_ASSERT(!in_batch_, "beginBatch inside an open batch");
     CLM_ASSERT(cache.mb.size() == ordered_sets.size(),
                "cache plan does not cover the batch");
     CLM_ASSERT(fin.finalized_after.empty() || finalize_fn_,
@@ -101,86 +99,96 @@ TransferEngine::beginBatch(std::vector<std::vector<uint32_t>> ordered_sets,
     counters_ = {};
     last_scatter_t_ = 0;
     last_finalize_t_ = 0;
-    in_batch_ = true;
     batch_timer_.reset();
-    // The first microbatch has nothing to overlap with; prefetch it now
-    // so acquire(0) measures only the unavoidable stall.
-    if (config_.prefetch && !sets_.empty())
-        staging_pool_->submit([this] { stage(0); });
+    const size_t b = sets_.size();
+    const size_t w = std::min(std::max<size_t>(depth, 1), b);
+    ring_size_ = w + 1;
+    if (ring_.size() < ring_size_)
+        ring_.resize(ring_size_);
+    stalls_.assign(b, 0.0);
+
+    // Fill the pipeline; only the first staging has nothing to overlap.
+    for (size_t i = 0; i < w; ++i)
+        stageAndLaunch(i, i == 0, launch);
+    for (size_t j = 0; j < b; ++j) {
+        commit(j, collect);
+        // Buffer j-1 is free: its gradients were carried into j and its
+        // parameter rows were last read when j was staged. At W = 1
+        // nothing is in flight now, so the staging is exposed.
+        if (j + w < b)
+            stageAndLaunch(j + w, w == 1, launch);
+    }
+
+    // The batch completes only when the Adam thread has applied every
+    // queued update (the next batch's culling must see them).
+    drainAdamThread();
+    counters_.finalized += async_finalized_.exchange(0);
+    std::lock_guard<std::mutex> lock(timings_mutex_);
+    timings_.trailing_adam_seconds +=
+        std::max(0.0, last_finalize_t_ - last_scatter_t_);
+    timings_.batch_seconds += batch_timer_.seconds();
 }
 
 void
-TransferEngine::stage(size_t i)
+TransferEngine::stageAndLaunch(size_t i, bool exposed,
+                               const LaunchFn &launch)
 {
-    DeviceBuffer &buf = buffers_[i % 2];
+    DeviceBuffer &buf = buffer(i);
     const MicrobatchTransfers &t = cache_.mb[i];
     Timer timer;
+    // Selective load (PCIe) from the pinned pool (§4.2.1, §5.2) into
+    // the rebound buffer, whose gradient rows start at zero.
     buf.bind(sets_[i]);
-    // Selective load (PCIe) from the pinned pool (§4.2.1, §5.2).
     gatherParams(pool_, buf, t.load_new);
-    addStageTime(TrainStage::Gather, timer.seconds());
+    buf.zeroGrads();
+    double staged = timer.seconds();
+    addStageTime(TrainStage::Gather, staged);
     counters_.records_loaded += t.load_new.size();
     // Cache copy (GPU-GPU) from the previous microbatch's buffer. Its
-    // parameter rows are immutable once staged, so this is safe while
-    // microbatch i-1 is still computing (it only writes gradient rows).
+    // parameter rows are immutable until it is rebound, W+1 microbatches
+    // later, so this is safe while microbatch i-1 still computes.
     if (i > 0 && !t.copy_cached.empty()) {
         timer.reset();
-        copyCachedParams(buffers_[(i - 1) % 2], buf, t.copy_cached);
-        addStageTime(TrainStage::CacheCopy, timer.seconds());
+        copyCachedParams(buffer(i - 1), buf, t.copy_cached);
+        const double copied = timer.seconds();
+        addStageTime(TrainStage::CacheCopy, copied);
+        staged += copied;
     }
     counters_.cache_hits += t.copy_cached.size();
-    buf.zeroGrads();
+    if (exposed)
+        stalls_[i] = staged;
+    peak_buffer_rows_ = std::max(peak_buffer_rows_, buf.rows());
+    // Handing the microbatch to its compute (waking a pool thread) is
+    // compute time on the committing thread, like waiting for it.
+    timer.reset();
+    launch(i, buf);
+    addStageTime(TrainStage::Compute, timer.seconds());
 }
 
-DeviceBuffer &
-TransferEngine::acquire(size_t i)
+void
+TransferEngine::commit(size_t i, const CollectFn &collect)
 {
-    CLM_ASSERT(in_batch_, "acquire outside a batch");
-    CLM_ASSERT(i < sets_.size(), "microbatch ", i, " of ", sets_.size());
-    // Wait for staging (prefetch: the stall is the exposed transfer
-    // time; synchronous: staging runs right here on the critical path).
-    Timer wait_timer;
-    if (config_.prefetch)
-        staging_pool_->wait();
-    else
-        stage(i);
-    pending_wait_ = wait_timer.seconds();
-
-    DeviceBuffer &buf = buffers_[i % 2];
+    DeviceBuffer &buf = buffer(i);
     // Take over carried gradient accumulations from the previous
-    // microbatch (§5.3). Must happen before the previous buffer is
-    // rebound by the next prefetch below.
+    // microbatch (§5.3) first, so every row sums as (0 + carry) + own
+    // at any depth. Touches only gradient rows, which compute never
+    // reads.
     if (i > 0 && !cache_.mb[i - 1].carry_grads.empty()) {
         Timer timer;
-        accumulateCarriedGrads(buffers_[(i - 1) % 2], buf,
+        accumulateCarriedGrads(buffer(i - 1), buf,
                                cache_.mb[i - 1].carry_grads);
         addStageTime(TrainStage::Carry, timer.seconds());
     }
-    // Stage microbatch i+1 on the worker while i computes (§5.3). Reads
-    // only buf's parameter rows and the pinned parameter records — both
-    // immutable until the next batch — so it overlaps compute, scatter
-    // and finalization safely (finalized Gaussians never reappear in a
-    // later set by the §4.2.2 finalization property).
-    if (config_.prefetch && i + 1 < sets_.size())
-        staging_pool_->submit([this, next = i + 1] { stage(next); });
-
-    peak_buffer_rows_ = std::max(peak_buffer_rows_, buf.rows());
-    compute_timer_.reset();
-    return buf;
-}
-
-void
-TransferEngine::release(size_t i)
-{
-    CLM_ASSERT(in_batch_, "release outside a batch");
-    double compute = compute_timer_.seconds();
+    // The committing thread's exposed wait for microbatch i's compute.
+    Timer compute_timer;
+    collect(i, buf);
+    const double compute = compute_timer.seconds();
     addStageTime(TrainStage::Compute, compute);
     {
         std::lock_guard<std::mutex> lock(timings_mutex_);
-        timings_.noteMicrobatch(pending_wait_, compute);
+        timings_.noteMicrobatch(stalls_[i], compute);
     }
 
-    DeviceBuffer &buf = buffers_[i % 2];
     const MicrobatchTransfers &t = cache_.mb[i];
     // Selective RMW gradient offload for rows not needed next (§5.3).
     Timer timer;
@@ -194,38 +202,6 @@ TransferEngine::release(size_t i)
     if (i + 1 < fin_.finalized_after.size())
         dispatchFinalize(std::move(fin_.finalized_after[i + 1]),
                          i % config_.signal_slots);
-}
-
-void
-TransferEngine::finalizeNow(std::vector<uint32_t> fin)
-{
-    CLM_ASSERT(in_batch_, "finalizeNow outside a batch");
-    dispatchFinalize(std::move(fin), 0);
-}
-
-void
-TransferEngine::endBatch()
-{
-    CLM_ASSERT(in_batch_, "endBatch without beginBatch");
-    if (staging_pool_)
-        staging_pool_->wait();
-    drainAdamThread();
-    counters_.finalized += async_finalized_.exchange(0);
-    {
-        std::lock_guard<std::mutex> lock(timings_mutex_);
-        timings_.trailing_adam_seconds +=
-            std::max(0.0, last_finalize_t_ - last_scatter_t_);
-        timings_.batch_seconds += batch_timer_.seconds();
-    }
-    in_batch_ = false;
-}
-
-void
-TransferEngine::drain()
-{
-    if (staging_pool_)
-        staging_pool_->wait();
-    drainAdamThread();
 }
 
 size_t

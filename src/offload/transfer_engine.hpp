@@ -1,25 +1,26 @@
 /**
  * @file
- * The unified offload data path (§4-§5): one asynchronous engine that owns
- * the pinned host pool, the double-buffered device staging rows, the
- * selective gather/cached-copy/RMW-scatter kernels, an optional prefetch
- * stage that stages microbatch k+1 on a worker thread while microbatch k
- * computes, and the §5.4 dedicated finalization (CPU Adam) thread with its
- * pinned signal slots. Every trainer is a thin policy over this engine:
- * CLM enables prefetch + caching, naive offloading disables both and
- * stages the whole model as a single microbatch. All stage wall times are
- * stamped into a StageTimings record that sim/metrics converts into the
- * Figure 13/15 measured shapes.
+ * The unified offload data path (§4-§5): one engine that owns the pinned
+ * host pool, a ring of device staging buffers, the selective
+ * gather/cached-copy/RMW-scatter kernels, and the §5.4 dedicated
+ * finalization (CPU Adam) thread with its pinned signal slots. A batch
+ * is a pipeline of up to W microbatches computing at once over a ring of
+ * W+1 buffers (§5.3's double buffer, generalized): staging, carried
+ * gradients, RMW scatter and finalization dispatch all run on the
+ * calling thread, strictly in plan order, while the trainer's compute
+ * may run on other threads. Every trainer is a thin policy over this
+ * engine: CLM computes one microbatch per pool thread with caching on,
+ * naive offloading stages the whole model as a single microbatch. All
+ * stage wall times are stamped into a StageTimings record that
+ * sim/metrics converts into the Figure 13/15 measured shapes.
  */
 
 #ifndef CLM_OFFLOAD_TRANSFER_ENGINE_HPP
 #define CLM_OFFLOAD_TRANSFER_ENGINE_HPP
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -30,7 +31,6 @@
 #include "offload/pinned_pool.hpp"
 #include "offload/selective_copy.hpp"
 #include "sim/stage_timings.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace clm {
@@ -41,10 +41,6 @@ struct GaussianGrads;
 /** Policy knobs distinguishing the trainers that share the engine. */
 struct TransferEngineConfig
 {
-    /** Stage microbatch k+1 on a worker thread while k computes — the
-     *  copy/compute overlap of §5.3. Staging order and arithmetic are
-     *  identical to synchronous staging, so results are bit-equal. */
-    bool prefetch = true;
     /** Run finalization on the dedicated CPU Adam thread (§5.4),
      *  handshaking through the pinned signal slots. */
     bool async_finalize = false;
@@ -53,18 +49,23 @@ struct TransferEngineConfig
 };
 
 /**
- * See the file comment. Batch protocol:
+ * See the file comment. One runBatch() call runs a batch of B
+ * microbatches with up to W = @p depth of them computing at once;
+ * microbatch i lives in ring buffer i mod (W+1):
  *
- *   engine.beginBatch(ordered_sets, cache_plan, fin_schedule);
- *   for i in 0..B-1:
- *       DeviceBuffer &buf = engine.acquire(i);   // staged params, zeroed
- *                                                // grads, carried grads
- *       ... render from buf, accumulate into buf.gradRow(r) ...
- *       engine.release(i);       // RMW scatter + dispatch finalization
- *   engine.endBatch();           // drain prefetch + finalize threads
+ *   stage 0..W-1, launching each as soon as it is staged
+ *   for j in 0..B-1:                       // commit j, in plan order
+ *       carry gradients of buffer j-1 into buffer j
+ *       collect(j)       // wait for j's compute, add its gradients
+ *       RMW-scatter j's stored rows, dispatch F_{j+1} to CPU Adam
+ *       stage j+W into buffer j-1's slot (now free), launch it
+ *   drain the Adam thread
  *
- * Trainers without a finalization schedule (naive offloading) pass an
- * empty schedule and call finalizeNow() with the touched set instead.
+ * Staging reads buffer j+W-1's parameter rows (cached copies) and the
+ * pinned records; finalization writes only rows no later set holds
+ * (the §4.2.2 last-touch property), so neither races with in-flight
+ * compute. Every float sum keeps the same association at any W, so
+ * W changes timing, never results. W = 1 is the synchronous schedule.
  */
 class TransferEngine
 {
@@ -72,6 +73,16 @@ class TransferEngine
     /** Runs subset CPU Adam for a finalized set; returns rows updated.
      *  Supplied by the trainer (it owns the master model + optimizer). */
     using FinalizeFn = std::function<size_t(const std::vector<uint32_t> &)>;
+
+    /** Starts microbatch i's compute from its staged buffer and may
+     *  return at once (the compute can run on another thread). The
+     *  compute may read only the buffer's bound indices and parameter
+     *  rows, until collect(i) returns. */
+    using LaunchFn = std::function<void(size_t i, const DeviceBuffer &)>;
+
+    /** Blocks until microbatch i's compute is done, then adds its
+     *  gradients into the buffer's gradient rows. */
+    using CollectFn = std::function<void(size_t i, DeviceBuffer &)>;
 
     explicit TransferEngine(size_t n, TransferEngineConfig config = {});
 
@@ -84,30 +95,31 @@ class TransferEngine
      *  dispatches finalization). */
     void setFinalizeFn(FinalizeFn fn) { finalize_fn_ = std::move(fn); }
 
-    /** Quiesce all engine threads and rebuild pool + buffers for a model
+    /** Quiesce the Adam thread and rebuild pool + buffers for a model
      *  of @p n Gaussians (densification / topology changes). */
     void reset(size_t n);
 
     /** Populate every pinned parameter record from @p model. */
     void uploadParams(const GaussianModel &model);
 
-    /** @name Batch protocol (see class comment) */
-    /// @{
-    void beginBatch(std::vector<std::vector<uint32_t>> ordered_sets,
-                    CachePlan cache, FinalizationSchedule fin);
-    DeviceBuffer &acquire(size_t i);
-    void release(size_t i);
-    /** Dispatch finalization for an explicit set (inline or on the Adam
-     *  thread per config) — the naive trainer's batch-end path. */
-    void finalizeNow(std::vector<uint32_t> fin);
-    void endBatch();
-    /// @}
+    /**
+     * Run one batch (see class comment): microbatch i binds
+     * @p ordered_sets[i] (ascending) and moves data as @p cache plans;
+     * F_{i+1} of @p fin is finalized after microbatch i commits. At most
+     * @p depth microbatches are launched and not yet collected. Returns
+     * once every finalization has been applied. If @p collect throws,
+     * the exception propagates; the caller must still wait for any
+     * compute it launched before touching the buffers again.
+     */
+    void runBatch(std::vector<std::vector<uint32_t>> ordered_sets,
+                  CachePlan cache, FinalizationSchedule fin, size_t depth,
+                  const LaunchFn &launch, const CollectFn &collect);
 
-    /** Block until prefetch staging and the Adam thread are idle. Safe to
-     *  call between batches (densification, checkpointing). */
-    void drain();
+    /** Block until the Adam thread is idle. Safe to call between
+     *  batches (densification, checkpointing). */
+    void drain() { drainAdamThread(); }
 
-    /** Per-batch record counters, valid after endBatch(). */
+    /** Per-batch record counters, valid after runBatch(). */
     struct Counters
     {
         size_t records_loaded = 0;    //!< Pinned->device gathers (PCIe).
@@ -123,7 +135,7 @@ class TransferEngine
     /** Total pinned bytes held (the Table 6 quantity). */
     size_t pinnedBytes() const { return pool_.bytes(); }
 
-    /** Peak rows ever bound in one staging buffer (memory accounting). */
+    /** Peak rows ever bound in one ring buffer (memory accounting). */
     size_t peakBufferRows() const { return peak_buffer_rows_; }
 
     /** Measured stage timers (accumulated; call between batches). */
@@ -136,11 +148,18 @@ class TransferEngine
     void resetTimings();
 
   private:
-    /** Stage microbatch @p i: bind, gather new records, copy cached rows
-     *  from the previous buffer, zero gradient rows. Runs inline or on
-     *  the staging worker. Never touches gradient rows of other buffers,
-     *  so it is safe concurrently with compute on microbatch i-1. */
-    void stage(size_t i);
+    /** Ring buffer of microbatch @p i (W+1 buffers for depth W). */
+    DeviceBuffer &buffer(size_t i) { return ring_[i % ring_size_]; }
+
+    /** Stage microbatch @p i: bind, gather new records, zero gradient
+     *  rows, copy cached rows from buffer i-1; then launch it. When
+     *  @p exposed (no compute in flight) the staging time is recorded
+     *  as the microbatch's stall. */
+    void stageAndLaunch(size_t i, bool exposed, const LaunchFn &launch);
+
+    /** Commit microbatch @p i in plan order: carry, collect, RMW
+     *  scatter, finalization dispatch. */
+    void commit(size_t i, const CollectFn &collect);
 
     /** Dispatch finalization of @p fin (inline, or signal + enqueue for
      *  the Adam thread as in §5.4). */
@@ -161,24 +180,22 @@ class TransferEngine
     TransferEngineConfig config_;
     FinalizeFn finalize_fn_;
     PinnedPool pool_;
-    std::array<DeviceBuffer, 2> buffers_;
-    std::unique_ptr<ThreadPool> staging_pool_;    //!< 1 worker (prefetch).
+    std::vector<DeviceBuffer> ring_;    //!< Grows to the largest W+1.
+    size_t ring_size_ = 1;              //!< W+1 of the current batch.
 
     // Batch-scoped state.
-    bool in_batch_ = false;
     std::vector<std::vector<uint32_t>> sets_;
     CachePlan cache_;
     FinalizationSchedule fin_;
+    std::vector<double> stalls_;    //!< Exposed staging per microbatch.
     Counters counters_;
     Timer batch_timer_;
-    Timer compute_timer_;        //!< Runs from acquire() to release().
-    double pending_wait_ = 0;    //!< Staging stall of the acquired mb.
     double last_scatter_t_ = 0;     //!< Batch-clock time of last scatter.
     double last_finalize_t_ = 0;    //!< Batch-clock time of last Adam end.
 
     size_t peak_buffer_rows_ = 0;
 
-    // Stage timers, written from the main, staging and Adam threads.
+    // Stage timers, written from the calling and Adam threads.
     StageTimings timings_;
     mutable std::mutex timings_mutex_;
 

@@ -143,9 +143,9 @@ gpuIdleSamples(const StageTimings &t, int n_samples)
 {
     // Reconstruct a sequential busy/idle timeline from the measured
     // durations: scheduling (idle), then per microbatch the staging stall
-    // (idle) followed by compute (busy), then trailing Adam (idle). With
-    // prefetch enabled the stalls are the *exposed* staging time, exactly
-    // what SMs-active sampling would see.
+    // (idle) followed by compute (busy), then trailing Adam (idle). The
+    // stalls are the *exposed* staging time (staged with no compute in
+    // flight), exactly what SMs-active sampling would see.
     struct Segment
     {
         double duration;

@@ -1,6 +1,12 @@
 #include "train/clm_trainer.hpp"
 
+#include <algorithm>
+#include <future>
+#include <memory>
+
+#include "obs/trace.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace clm {
@@ -11,7 +17,6 @@ TransferEngineConfig
 engineConfig(const TrainConfig &config)
 {
     TransferEngineConfig ec;
-    ec.prefetch = config.prefetch;
     ec.async_finalize = config.async_adam;
     return ec;
 }
@@ -69,27 +74,51 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
     const BatchPlanResult &plan = ctx_.planViews(pc, wl);
     engine_.addStageTime(TrainStage::Schedule, sched.seconds());
 
-    // 2. Execute microbatches in planned order through the engine.
-    engine_.beginBatch(ctx_.orderedSets(wl), plan.cache, plan.fin);
-    for (size_t i = 0; i < b; ++i) {
-        int view = view_ids[plan.order[i]];
-        DeviceBuffer &buf = engine_.acquire(i);
-        const std::vector<uint32_t> &set = buf.indices();
+    // 2. Train the microbatches through the engine: up to W render at
+    // once, each serially on a pool thread from its own slot, and the
+    // engine commits them here in plan order (§5.3). W = 1 without
+    // prefetch: the synchronous reference, through the same code.
+    ThreadPool &pool = ThreadPool::global();
+    const size_t w =
+        config_.prefetch ? std::min<size_t>(pool.threads(), b) : 1;
+    while (slots_.size() < w)
+        slots_.push_back(std::make_unique<MicrobatchSlot>());
+    RenderConfig render = activeRenderConfig();
+    render.parallel = false;
+    LossConfig loss = config_.loss;
+    loss.parallel = false;
+    const uint64_t trace_id = currentTraceId();
+    std::vector<std::future<double>> losses(b);
+    // Never unwind past a render still reading this frame and the ring.
+    struct WaitAll
+    {
+        std::vector<std::future<double>> &f;
+        ~WaitAll()
+        {
+            for (std::future<double> &x : f)
+                if (x.valid())
+                    x.wait();
+        }
+    } wait_all{losses};
 
-        // Render from the compact microbatch; its gradients land in the
-        // device buffer rows.
-        stats.gaussians_rendered += set.size();
-        stats.loss += ctx_.trainMicrobatch(
-            buf, set, [&](const GaussianModel &m,
-                          const std::vector<uint32_t> &subset,
-                          GaussianGrads &grads) {
-                return renderAndBackprop(m, view, subset, grads);
+    auto launch = [&](size_t i, const DeviceBuffer &buf) {
+        auto task = std::make_shared<std::packaged_task<double()>>(
+            [&, i, view = view_ids[plan.order[i]]] {
+                TraceContext trace(trace_id);
+                MicrobatchSlot &slot = *slots_[i % w];
+                ctx_.gatherCompact(slot, buf, buf.indices());
+                return renderAndBackprop(slot, view, render, loss);
             });
-        engine_.release(i);
-    }
-    // The batch completes only when the finalization thread has applied
-    // every queued update (the next batch's culling must see them).
-    engine_.endBatch();
+        losses[i] = task->get_future();
+        pool.submit([task] { (*task)(); });
+    };
+    auto collect = [&](size_t i, DeviceBuffer &buf) {
+        stats.loss += losses[i].get();
+        TrainerContext::addCompactGrads(*slots_[i % w], buf);
+        stats.gaussians_rendered += buf.rows();
+    };
+    engine_.runBatch(ctx_.orderedSets(wl), plan.cache, plan.fin, w,
+                     launch, collect);
 
     const TransferEngine::Counters &c = engine_.counters();
     stats.h2d_bytes = static_cast<double>(c.records_loaded)

@@ -2,17 +2,28 @@
  * @file
  * The functional CLM trainer, now a thin policy over the shared offload
  * subsystem: TrainerContext holds the attribute-split state (critical
- * store, compact microbatch buffer, finalization pass) and
- * TransferEngine owns the whole data path (pinned pool, double-buffered
- * staging, prefetch overlap, RMW gradient scatter, dedicated
- * finalization thread). The
- * trainer itself only culls, plans (§4.2), renders, and feeds gradient
- * rows — and produces parameter trajectories equivalent to GPU-only
- * training (verified by the integration tests).
+ * store, compact microbatch gather, finalization pass) and
+ * TransferEngine owns the whole data path (pinned pool, a ring of W+1
+ * staging buffers, RMW gradient scatter, dedicated finalization
+ * thread). The trainer itself culls and plans (§4.2), then renders up
+ * to W microbatches at once: each is a global-pool task that gathers
+ * its compact model and renders it serially (forward, loss, backward)
+ * in its own MicrobatchSlot, while the calling thread stages later
+ * microbatches and commits finished ones strictly in plan order. With
+ * prefetch on, W = min(pool threads, batch size); off, W = 1. Where the
+ * paper overlaps transfers with ONE compute stream, this CPU port also
+ * runs W streams (one view each), because a single ~1k-Gaussian view
+ * cannot keep the whole pool busy; the in-order commit keeps every
+ * float sum in its sequential association, so trajectories are
+ * bitwise equal to W = 1 and equivalent to GPU-only training (verified
+ * by the integration tests).
  */
 
 #ifndef CLM_TRAIN_CLM_TRAINER_HPP
 #define CLM_TRAIN_CLM_TRAINER_HPP
+
+#include <memory>
+#include <vector>
 
 #include "offload/transfer_engine.hpp"
 #include "train/trainer.hpp"
@@ -45,9 +56,9 @@ class ClmTrainer : public Trainer
      *  Figure 13/15 benches through sim/metrics). */
     const StageTimings &stageTimings() const { return engine_.timings(); }
 
-    /** Densification with offload-state rebuild: drains the engine's
-     *  threads, restructures the model, then rebuilds the critical
-     *  store, pinned pool and double buffers. */
+    /** Densification with offload-state rebuild: drains the Adam
+     *  thread, restructures the model, then rebuilds the critical
+     *  store, pinned pool and buffer ring. */
     DensifyStats densifyNow() override;
 
     /**
@@ -68,6 +79,8 @@ class ClmTrainer : public Trainer
   private:
     TrainerContext ctx_;
     TransferEngine engine_;
+    /** One per microbatch in flight (grown to the largest W). */
+    std::vector<std::unique_ptr<MicrobatchSlot>> slots_;
 };
 
 } // namespace clm

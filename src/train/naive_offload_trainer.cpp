@@ -12,11 +12,11 @@ namespace {
 TransferEngineConfig
 naiveEngineConfig(const TrainConfig &config)
 {
-    // Figure 3's pipeline has no overlap: transfers sit on the critical
-    // path (prefetch off) and every record reloads each batch (caching
-    // is disabled per batch in the cache plan below).
+    // Figure 3's pipeline has no overlap: the whole model is one
+    // microbatch, so its transfers sit on the critical path, and every
+    // record reloads each batch (caching is disabled per batch in the
+    // cache plan below).
     TransferEngineConfig ec;
-    ec.prefetch = false;
     ec.async_finalize = config.async_adam;
     return ec;
 }
@@ -67,41 +67,41 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     std::vector<std::vector<uint32_t>> subsets =
         ctx_.cullViews(cameras_, view_ids, config_.render.parallel);
 
-    // "Load ALL parameters" — the full CPU->GPU copy of Figure 3, as one
-    // whole-model microbatch with caching disabled.
-    std::vector<uint32_t> all(n);
-    std::iota(all.begin(), all.end(), 0u);
-    CachePlan cache = planCache({all}, /*enable_cache=*/false);
-    engine_.beginBatch({all}, std::move(cache), FinalizationSchedule{});
-    DeviceBuffer &buf = engine_.acquire(0);
-
-    // Train one view at a time, each from its compact microbatch, with
-    // gradient accumulation into the staging rows (the "GPU" working
-    // copy; buffer row = model row).
+    // CPU Adam on the master copy runs sparse over the touched
+    // Gaussians, the same rule every trainer uses so trajectories are
+    // comparable.
     std::vector<uint32_t> touched;
-    for (size_t k = 0; k < view_ids.size(); ++k) {
-        const int v = view_ids[k];
-        const std::vector<uint32_t> &subset = subsets[k];
-        stats.gaussians_rendered += subset.size();
-        stats.loss += ctx_.trainMicrobatch(
-            buf, subset, [&](const GaussianModel &m,
-                             const std::vector<uint32_t> &compact,
-                             GaussianGrads &grads) {
-                return renderAndBackprop(m, v, compact, grads);
-            });
+    for (const std::vector<uint32_t> &subset : subsets)
         touched.insert(touched.end(), subset.begin(), subset.end());
-    }
-    stats.loss /= view_ids.size();
-
-    // "Store ALL gradients" — the full GPU->CPU scatter — then CPU Adam
-    // on the master copy (sparse over touched Gaussians, the same rule
-    // every trainer uses so trajectories are comparable).
-    engine_.release(0);
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()),
                   touched.end());
-    engine_.finalizeNow(std::move(touched));
-    engine_.endBatch();
+    FinalizationSchedule fin;
+    fin.finalized_after = {{}, std::move(touched)};
+
+    // "Load ALL parameters" — the full CPU->GPU copy of Figure 3, as one
+    // whole-model microbatch with caching disabled — then train one
+    // view at a time, each from its compact microbatch, with gradient
+    // accumulation into the staging rows (the "GPU" working copy;
+    // buffer row = model row). Its commit is "store ALL gradients" —
+    // the full GPU->CPU scatter — followed by the Adam pass.
+    std::vector<uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    CachePlan cache = planCache({all}, /*enable_cache=*/false);
+    const RenderConfig render = activeRenderConfig();
+    auto train_views = [&](size_t, DeviceBuffer &buf) {
+        for (size_t k = 0; k < view_ids.size(); ++k) {
+            const std::vector<uint32_t> &subset = subsets[k];
+            stats.gaussians_rendered += subset.size();
+            ctx_.gatherCompact(slot_, buf, subset);
+            stats.loss +=
+                renderAndBackprop(slot_, view_ids[k], render, config_.loss);
+            TrainerContext::addCompactGrads(slot_, buf);
+        }
+    };
+    engine_.runBatch({std::move(all)}, std::move(cache), std::move(fin), 1,
+                     [](size_t, const DeviceBuffer &) {}, train_views);
+    stats.loss /= view_ids.size();
 
     // Figure 3 moves every Gaussian's full 59-parameter record in both
     // directions; the engine's record counters scale accordingly.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Functional naive offloading (§2.2, Figure 3), expressed as the
- * degenerate policy over the shared TransferEngine: prefetch and caching
- * disabled, the whole model staged as a single microbatch ("load ALL
+ * degenerate policy over the shared TransferEngine: caching disabled,
+ * the whole model staged as a single microbatch ("load ALL
  * parameters"), per-view rendering with gradient accumulation into the
  * staging rows, one bulk RMW scatter ("store ALL gradients"), then CPU
  * Adam over the touched set. The math is identical to GPU-only training;
@@ -44,6 +44,7 @@ class NaiveOffloadTrainer : public Trainer
   private:
     TrainerContext ctx_;
     TransferEngine engine_;
+    MicrobatchSlot slot_;    //!< The view being trained.
 };
 
 } // namespace clm

@@ -9,6 +9,7 @@
 #include "serve/snapshot.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
+#include "train/trainer_context.hpp"
 #include "util/logging.hpp"
 
 namespace clm {
@@ -132,25 +133,24 @@ Trainer::activeRenderConfig() const
 }
 
 double
-Trainer::renderAndBackprop(const GaussianModel &m, int v,
-                           const std::vector<uint32_t> &subset,
-                           GaussianGrads &grads)
+Trainer::renderAndBackprop(MicrobatchSlot &slot, int v,
+                           const RenderConfig &render,
+                           const LossConfig &loss) const
 {
     const Camera &cam = cameras_[v];
-    RenderConfig render = activeRenderConfig();
     // StageClock: per-step spans (train.forward / train.loss /
     // train.backward) with zero cost when tracing is off.
     StageClock stage_clock;
-    const RenderOutput &out =
-        renderForward(m, cam, subset, render, arena_);
+    const RenderOutput &out = renderForward(slot.compact, cam, slot.subset,
+                                            render, slot.arena);
     stage_clock.lap("train.forward");
-    Image d_image;
-    LossResult loss = computeLoss(out.image, ground_truth_[v], &d_image,
-                                  config_.loss, loss_scratch_);
+    LossResult result = computeLoss(out.image, ground_truth_[v],
+                                    &slot.d_image, loss, slot.loss_scratch);
     stage_clock.lap("train.loss");
-    renderBackward(m, cam, render, d_image, grads, arena_);
+    renderBackward(slot.compact, cam, render, slot.d_image, slot.grads,
+                   slot.arena);
     stage_clock.lap("train.backward");
-    return loss.total;
+    return result.total;
 }
 
 GpuOnlyTrainer::GpuOnlyTrainer(GaussianModel model,

@@ -7,8 +7,9 @@
  * techniques change *where* state lives and *when* updates run, never the
  * math. Both offloaded trainers are thin policies over the shared
  * offload subsystem (TrainerContext + TransferEngine): CLM enables
- * caching, prefetch overlap and finalization-driven subset Adam; naive
- * offloading stages the whole model synchronously each batch.
+ * caching, overlapped microbatches and finalization-driven subset
+ * Adam; naive offloading stages the whole model synchronously each
+ * batch.
  */
 
 #ifndef CLM_TRAIN_TRAINER_HPP
@@ -30,6 +31,7 @@
 namespace clm {
 
 class SnapshotSlot;
+struct MicrobatchSlot;
 
 /** Shared trainer settings. */
 struct TrainConfig
@@ -49,10 +51,13 @@ struct TrainConfig
      *  a finalized Gaussian is never touched again within the batch, so
      *  the Adam thread and the render path access disjoint rows. */
     bool async_adam = false;
-    /** Stage microbatch k+1 on the TransferEngine's worker thread while
-     *  k computes (§5.3). Bit-identical to synchronous staging; disable
-     *  to serialize transfers onto the critical path (the naive trainer
-     *  always runs without prefetch). */
+    /** CLM's copy/compute overlap switch (§5.3). On, up to one
+     *  microbatch per global pool thread (at most the batch size)
+     *  renders at once, each serially on its own thread, while the
+     *  calling thread stages later microbatches and commits finished
+     *  ones in plan order. Off, one microbatch at a time with staging
+     *  on the critical path: the synchronous reference. Results are
+     *  bit-identical either way; the naive trainer has no overlap. */
     bool prefetch = true;
     uint64_t seed = 42;
 };
@@ -138,12 +143,14 @@ class Trainer
     /** Render settings with the ramped SH degree applied. */
     RenderConfig activeRenderConfig() const;
 
-    /** Render view @p v from @p m (restricted to @p subset) as a batch
-     *  of one, compute the loss gradient and backpropagate into
-     *  @p grads. @return the loss. */
-    double renderAndBackprop(const GaussianModel &m, int v,
-                             const std::vector<uint32_t> &subset,
-                             GaussianGrads &grads);
+    /** Render view @p v from @p slot's compact model (over its subset)
+     *  as a batch of one, compute the loss gradient and backpropagate
+     *  into its gradients, all in the slot's own scratch. Reads no
+     *  mutable trainer state, so slots may run concurrently.
+     *  @return the loss. */
+    double renderAndBackprop(MicrobatchSlot &slot, int v,
+                             const RenderConfig &render,
+                             const LossConfig &loss) const;
 
     /** Called by trainers after a batch to feed densify statistics. */
     void observeDensify(const GaussianGrads &grads);
@@ -162,15 +169,11 @@ class Trainer
     int batches_done_ = 0;
     SnapshotSlot *snapshot_sink_ = nullptr;    //!< Non-owning.
 
-    /** Render scratch reused across every view/step this trainer runs:
-     *  the GPU-only trainer's fused batches, the offload trainers'
-     *  batches of one (renderAndBackprop) and evaluatePsnr all render
-     *  into it. mutable: purely scratch — reuse never changes results. */
+    /** Render scratch of the GPU-only trainer's fused batches and of
+     *  evaluatePsnr (offload trainers render microbatches in their
+     *  MicrobatchSlots). mutable: purely scratch — reuse never changes
+     *  results. */
     mutable RenderArena arena_;
-
-    /** SAT-loss scratch reused across renderAndBackprop calls (same
-     *  scratch-only contract as arena_). */
-    LossScratch loss_scratch_;
 };
 
 /**
@@ -196,6 +199,9 @@ class GpuOnlyTrainer : public Trainer
 
     /** Per-view loss gradients, reused across steps. */
     std::vector<Image> d_images_;
+
+    /** SAT-loss scratch reused across views and steps. */
+    LossScratch loss_scratch_;
 };
 
 /** Factory helpers for the quality harness and examples. */

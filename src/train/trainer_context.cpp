@@ -97,15 +97,15 @@ TrainerContext::orderedSets(const BatchWorkload &workload) const
 }
 
 void
-TrainerContext::gatherCompact(const DeviceBuffer &buf,
-                              const std::vector<uint32_t> &set)
+TrainerContext::gatherCompact(MicrobatchSlot &slot, const DeviceBuffer &buf,
+                              const std::vector<uint32_t> &set) const
 {
     const size_t k = set.size();
-    compact_.resize(k);
-    compact_grads_.resize(k);    // zeroed: the backward accumulates
-    compact_subset_.resize(k);
-    std::iota(compact_subset_.begin(), compact_subset_.end(), 0u);
-    compact_rows_.resize(k);
+    slot.compact.resize(k);
+    slot.grads.resize(k);    // zeroed: the backward accumulates
+    slot.subset.resize(k);
+    std::iota(slot.subset.begin(), slot.subset.end(), 0u);
+    slot.rows.resize(k);
     // Both lists are ascending: a merge walk finds each buffer row.
     const std::vector<uint32_t> &bound = buf.indices();
     size_t row = 0;
@@ -115,19 +115,20 @@ TrainerContext::gatherCompact(const DeviceBuffer &buf,
             ++row;
         CLM_ASSERT(row < bound.size() && bound[row] == g,
                    "microbatch Gaussian ", g, " not bound in buffer");
-        compact_rows_[r] = row;
-        copyCritical(scratch_, g, compact_, r);
-        compact_.unpackNonCritical(r, buf.paramRow(row));
+        slot.rows[r] = row;
+        copyCritical(scratch_, g, slot.compact, r);
+        slot.compact.unpackNonCritical(r, buf.paramRow(row));
     }
 }
 
 void
-TrainerContext::addCompactGrads(DeviceBuffer &buf)
+TrainerContext::addCompactGrads(const MicrobatchSlot &slot,
+                                DeviceBuffer &buf)
 {
     float rec[kParamsPerGaussian];
-    for (size_t r = 0; r < compact_rows_.size(); ++r) {
-        packGradRecord(compact_grads_, r, rec);
-        float *row = buf.gradRow(compact_rows_[r]);
+    for (size_t r = 0; r < slot.rows.size(); ++r) {
+        packGradRecord(slot.grads, r, rec);
+        float *row = buf.gradRow(slot.rows[r]);
         for (int k = 0; k < kParamsPerGaussian; ++k)
             row[k] += rec[k];
     }

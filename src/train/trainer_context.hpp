@@ -2,11 +2,12 @@
  * @file
  * Shared per-trainer offload state that ClmTrainer and NaiveOffloadTrainer
  * previously duplicated: the GPU-resident critical store (position,
- * log-scale, rotation; §4.1), the compact microbatch buffer each view
- * renders from (§5.2), batch workload construction (pre-rendering
- * frustum culling of the whole batch in one fused sweep, §5.1), planner
- * invocation, and the finalization pass (CPU Adam straight from the
- * pinned gradient records plus parameter write-back, §4.2.2/§5.4).
+ * log-scale, rotation; §4.1), the compact microbatch gather each view
+ * renders from (§5.2) into a caller-owned MicrobatchSlot, batch workload
+ * construction (pre-rendering frustum culling of the whole batch in one
+ * fused sweep, §5.1), planner invocation, and the finalization pass (CPU
+ * Adam straight from the pinned gradient records plus parameter
+ * write-back, §4.2.2/§5.4).
  */
 
 #ifndef CLM_TRAIN_TRAINER_CONTEXT_HPP
@@ -19,16 +20,34 @@
 #include "gaussian/model.hpp"
 #include "offload/planner.hpp"
 #include "offload/transfer_engine.hpp"
+#include "render/arena.hpp"
 #include "render/batch.hpp"
 #include "render/camera.hpp"
+#include "render/loss.hpp"
 
 namespace clm {
 
+/**
+ * Everything one in-flight microbatch writes (§5.2): the compact model
+ * it renders (row r = the r-th Gaussian of its set), the subset
+ * {0..k-1}, the gradients its backward accumulates into, the buffer row
+ * of each compact row, and its own render, loss and loss-gradient
+ * scratch. Slots share nothing writable, so W of them can train at once
+ * on different threads; every buffer is reused across microbatches.
+ */
+struct MicrobatchSlot
+{
+    GaussianModel compact;
+    std::vector<uint32_t> subset;
+    GaussianGrads grads;
+    std::vector<size_t> rows;
+    RenderArena arena;
+    LossScratch loss_scratch;
+    Image d_image;
+};
+
 /** See file comment. Holds references to the owning trainer's master
- *  model and optimizer; owns every derived offload-side structure.
- *  (Render scratch is NOT here: every offload-trainer render is a
- *  batch of one through Trainer::renderAndBackprop, into the one
- *  RenderArena the Trainer base owns.) */
+ *  model and optimizer; owns every derived offload-side structure. */
 class TrainerContext
 {
   public:
@@ -67,30 +86,25 @@ class TrainerContext
     orderedSets(const BatchWorkload &workload) const;
 
     /**
-     * One compact microbatch step (§5.2). Row r of the reused compact
-     * model is the r-th Gaussian of @p set (ascending, every entry bound
-     * in @p buf): critical attributes from the critical store,
-     * non-critical ones from its bound row of @p buf. Then
-     * `render(compact, {0..k-1}, compact_grads)` runs forward + backward
-     * (compact_grads arrives zeroed) and compact gradient row r is added
-     * into @p buf's gradient row of set[r]. A render depends only on
-     * subset position, so this is bitwise identical to rendering the
-     * full model over @p set, while touching k contiguous rows instead
-     * of k rows scattered over the whole model.
-     *
-     * @return What @p render returns (the view loss).
+     * Fill @p slot with the compact microbatch of @p set (§5.2, every
+     * entry bound in @p buf, ascending): compact row r takes the
+     * critical attributes of set[r] from the critical store and the
+     * non-critical ones from its bound row of @p buf; the gradients are
+     * zeroed. Rendering the compact model over slot.subset is bitwise
+     * identical to rendering the full model over @p set (a render
+     * depends only on subset position), while touching k contiguous
+     * rows instead of k rows scattered over the whole model. Reads only
+     * the critical store rows of @p set, so concurrent calls for
+     * different slots are safe beside finalization of rows in no
+     * in-flight set.
      */
-    template <typename RenderFn>
-    double
-    trainMicrobatch(DeviceBuffer &buf, const std::vector<uint32_t> &set,
-                    RenderFn &&render)
-    {
-        gatherCompact(buf, set);
-        const GaussianModel &compact = compact_;
-        double loss = render(compact, compact_subset_, compact_grads_);
-        addCompactGrads(buf);
-        return loss;
-    }
+    void gatherCompact(MicrobatchSlot &slot, const DeviceBuffer &buf,
+                       const std::vector<uint32_t> &set) const;
+
+    /** Add compact gradient row r of @p slot into @p buf's gradient row
+     *  slot.rows[r] (after any carried gradients: (0 + carry) + own). */
+    static void addCompactGrads(const MicrobatchSlot &slot,
+                                DeviceBuffer &buf);
 
     /**
      * Finalize @p fin (§4.2.2, §5.4) in one pass per row, straight from
@@ -114,13 +128,6 @@ class TrainerContext
     void debugPoisonScratchNonCritical();
 
   private:
-    /** Fill the compact model, subset and row map for @p set. */
-    void gatherCompact(const DeviceBuffer &buf,
-                       const std::vector<uint32_t> &set);
-
-    /** Add compact gradient row r into @p buf's row compact_rows_[r]. */
-    void addCompactGrads(DeviceBuffer &buf);
-
     GaussianModel &model_;      //!< Master copy (CPU, Adam-updated).
     CpuAdam &adam_;
     Densifier &densifier_;
@@ -130,12 +137,6 @@ class TrainerContext
     /** Fused cull stage, rebuilt every batch (the model changes every
      *  batch, so it is never cached across batches). */
     BatchCullScratch cull_;
-    /** The current microbatch, compacted: render input, its subset
-     *  {0..k-1}, its backprop target, and the buffer row of each row. */
-    GaussianModel compact_;
-    std::vector<uint32_t> compact_subset_;
-    GaussianGrads compact_grads_;
-    std::vector<size_t> compact_rows_;
     BatchPlanResult last_plan_;
 };
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "gaussian/io.hpp"
 #include "render/culling.hpp"
@@ -170,35 +172,58 @@ TEST(Lifecycle, AsyncAdamWithDensification)
               PinnedLayout::totalBytes(t.model().size()));
 }
 
+/** Rows of @p a and @p b whose parameters differ in any bit. */
+size_t
+bitwiseDifferentRows(const GaussianModel &a, const GaussianModel &b)
+{
+    EXPECT_EQ(a.size(), b.size());
+    size_t differ = 0;
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        float ra[kParamsPerGaussian], rb[kParamsPerGaussian];
+        a.packCritical(i, ra);
+        a.packNonCritical(i, ra + kCriticalDim);
+        b.packCritical(i, rb);
+        b.packNonCritical(i, rb + kCriticalDim);
+        differ += std::memcmp(ra, rb, sizeof(ra)) != 0 ? 1 : 0;
+    }
+    return differ;
+}
+
 TEST(TransferEnginePolicy, PrefetchMatchesSynchronousTrajectory)
 {
-    // Prefetch staging is a pure overlap optimization: the TransferEngine
-    // performs the same gathers/copies/scatters in the same order, so the
-    // learned parameters must be bit-identical with it on or off.
+    // Overlap is pure scheduling: with prefetch on, up to one microbatch
+    // per pool thread renders at once and the engine commits them in
+    // plan order, so every parameter and every batch loss must be
+    // byte-identical to the synchronous one-at-a-time schedule. Covered:
+    // both finalization modes, a 7-view batch (the W+1 buffer ring
+    // wraps) and a batch repeating a view.
     SceneFixture f(0);
-    TrainConfig sync_cfg = f.config;
-    sync_cfg.prefetch = false;
-    TrainConfig pre_cfg = f.config;
-    pre_cfg.prefetch = true;
-    ClmTrainer sync_t(makeTrainee(f.gt, 350, 28), f.cameras, f.gt_images,
-                      sync_cfg);
-    ClmTrainer pre_t(makeTrainee(f.gt, 350, 28), f.cameras, f.gt_images,
-                     pre_cfg);
-    for (int step = 0; step < 3; ++step) {
-        std::vector<int> ids{step % 8, (step + 3) % 8, (step + 5) % 8,
-                             (step + 6) % 8};
-        BatchStats ss = sync_t.trainBatch(ids);
-        BatchStats sp = pre_t.trainBatch(ids);
-        EXPECT_EQ(ss.cache_hits, sp.cache_hits);
-        EXPECT_EQ(ss.h2d_bytes, sp.h2d_bytes);
-        EXPECT_EQ(ss.adam_updated, sp.adam_updated);
-    }
-    for (size_t i = 0; i < sync_t.model().size(); ++i) {
-        EXPECT_FLOAT_EQ(sync_t.model().position(i).x,
-                        pre_t.model().position(i).x);
-        EXPECT_FLOAT_EQ(sync_t.model().sh(i)[3], pre_t.model().sh(i)[3]);
-        EXPECT_FLOAT_EQ(sync_t.model().rawOpacity(i),
-                        pre_t.model().rawOpacity(i));
+    const std::vector<std::vector<int>> batches{
+        {0, 3, 5, 6}, {1, 2, 4, 5, 6, 7, 0}, {2, 6, 2, 4}, {7, 1, 3}};
+    for (bool async : {false, true}) {
+        TrainConfig sync_cfg = f.config;
+        sync_cfg.async_adam = async;
+        sync_cfg.prefetch = false;
+        TrainConfig pre_cfg = sync_cfg;
+        pre_cfg.prefetch = true;
+        ClmTrainer sync_t(makeTrainee(f.gt, 350, 28), f.cameras,
+                          f.gt_images, sync_cfg);
+        ClmTrainer pre_t(makeTrainee(f.gt, 350, 28), f.cameras,
+                         f.gt_images, pre_cfg);
+        for (const std::vector<int> &ids : batches) {
+            BatchStats ss = sync_t.trainBatch(ids);
+            BatchStats sp = pre_t.trainBatch(ids);
+            EXPECT_EQ(std::memcmp(&ss.loss, &sp.loss, sizeof(double)), 0)
+                << "async=" << async << " batch of " << ids.size();
+            EXPECT_EQ(ss.cache_hits, sp.cache_hits);
+            EXPECT_EQ(ss.h2d_bytes, sp.h2d_bytes);
+            EXPECT_EQ(ss.d2h_bytes, sp.d2h_bytes);
+            EXPECT_EQ(ss.adam_updated, sp.adam_updated);
+            EXPECT_EQ(ss.gaussians_rendered, sp.gaussians_rendered);
+            EXPECT_EQ(bitwiseDifferentRows(sync_t.model(), pre_t.model()),
+                      0u)
+                << "async=" << async << " batch of " << ids.size();
+        }
     }
 }
 

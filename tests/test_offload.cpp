@@ -3,13 +3,18 @@
  * Offload-core tests: the cache planner's conservation invariants, the
  * finalization schedule (§4.2.2), the pinned pool layout (§5.2), the
  * selective copy kernels' round-trip/accumulation semantics (§5.3) and
- * the TransferEngine's staging/scatter/prefetch behaviour.
+ * the TransferEngine's staging/scatter behaviour with up to W
+ * microbatches in flight over its buffer ring.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <future>
+#include <map>
+#include <numeric>
 #include <set>
 
 #include "gaussian/model.hpp"
@@ -201,6 +206,46 @@ TEST(Finalization, PartitionsTouchedSet)
     EXPECT_EQ(f.finalized_after[0].size(), 200u - expected.size());
 }
 
+TEST(Finalization, MatchesOrderedMapReference)
+{
+    // The dense last-touch pass against a std::map reference, over
+    // random batches (some views repeated, some sets empty) and both
+    // F_0 modes — twice each, since the pass reuses its stamps.
+    Rng rng(7);
+    for (int trial = 0; trial < 40; ++trial) {
+        const uint32_t n = 1 + static_cast<uint32_t>(rng.uniformInt(0, 400));
+        const size_t views = static_cast<size_t>(rng.uniformInt(0, 9));
+        auto sets = randomSets(views, n, rng.uniform() * 0.5,
+                               100 + static_cast<uint64_t>(trial));
+        if (views > 2)
+            sets[views - 1] = sets[0];    // a repeated view
+        std::map<uint32_t, uint32_t> last;
+        for (size_t i = 0; i < sets.size(); ++i)
+            for (uint32_t g : sets[i])
+                last[g] = static_cast<uint32_t>(i + 1);
+        std::vector<std::vector<uint32_t>> expect(views + 1);
+        for (const auto &[g, l] : last)
+            expect[l].push_back(g);
+        std::vector<uint32_t> untouched;
+        for (uint32_t g = 0; g < n; ++g)
+            if (!last.count(g))
+                untouched.push_back(g);
+        for (bool include_untouched : {false, true, false}) {
+            expect[0] = include_untouched ? untouched
+                                          : std::vector<uint32_t>{};
+            FinalizationSchedule f =
+                computeFinalization(n, sets, include_untouched);
+            EXPECT_EQ(f.finalized_after, expect)
+                << "trial " << trial << " n=" << n << " views=" << views;
+        }
+    }
+    // An out-of-range index throws and leaves no stamp behind.
+    EXPECT_THROW(computeFinalization(4, {{2, 9}}, false), std::logic_error);
+    FinalizationSchedule f = computeFinalization(10, {{1}}, true);
+    EXPECT_EQ(f.finalized_after[0],
+              (std::vector<uint32_t>{0, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
 TEST(PinnedPool, LayoutAndAlignment)
 {
     PinnedPool pool(100);
@@ -244,13 +289,43 @@ TEST(PinnedPool, UploadDownloadRoundTrip)
 
 TEST(DeviceBuffer, BindAndRowLookup)
 {
-    DeviceBuffer buf(10);
+    DeviceBuffer buf;
     buf.bind({2, 5, 9});
     EXPECT_EQ(buf.rows(), 3u);
     EXPECT_EQ(buf.rowOf(2), 0);
     EXPECT_EQ(buf.rowOf(9), 2);
     EXPECT_EQ(buf.rowOf(3), -1);
     EXPECT_THROW(buf.bind({3, 1}), std::logic_error);    // unsorted
+
+    // Storage follows the bound sets: rebinding to a larger set grows
+    // it, a smaller one reuses it, and every bound row stages exactly.
+    Rng rng(12);
+    GaussianModel m = GaussianModel::random(40, {-1, -1, -1}, {1, 1, 1},
+                                            0.1f, rng);
+    PinnedPool pool(40);
+    pool.uploadParams(m);
+    auto expectStaged = [&](const std::vector<uint32_t> &set) {
+        buf.bind(set);
+        gatherParams(pool, buf, set);
+        buf.zeroGrads();
+        ASSERT_EQ(buf.rows(), set.size());
+        for (size_t r = 0; r < set.size(); ++r) {
+            EXPECT_EQ(buf.boundRow(set[r]), r);
+            float expect[kNonCriticalDim];
+            m.packNonCritical(set[r], expect);
+            EXPECT_EQ(std::memcmp(buf.paramRow(r), expect, sizeof(expect)),
+                      0)
+                << "row " << r << " of " << set.size();
+            for (int k = 0; k < kParamsPerGaussian; ++k)
+                EXPECT_EQ(buf.gradRow(r)[k], 0.0f);
+            buf.gradRow(r)[kParamsPerGaussian - 1] = 1.0f;
+        }
+    };
+    expectStaged({2, 5, 9});
+    std::vector<uint32_t> large(37);
+    std::iota(large.begin(), large.end(), 3u);
+    expectStaged(large);
+    expectStaged({0, 39});
 }
 
 TEST(SelectiveCopy, GatherScatterRoundTrip)
@@ -261,7 +336,7 @@ TEST(SelectiveCopy, GatherScatterRoundTrip)
     PinnedPool pool(30);
     pool.uploadParams(m);
 
-    DeviceBuffer buf(30);
+    DeviceBuffer buf;
     std::vector<uint32_t> set{3, 7, 8, 21};
     buf.bind(set);
     gatherParams(pool, buf, set);
@@ -281,7 +356,7 @@ TEST(SelectiveCopy, CachedCopyMatchesPinnedLoad)
     PinnedPool pool(30);
     pool.uploadParams(m);
 
-    DeviceBuffer a(30), b(30);
+    DeviceBuffer a, b;
     a.bind({1, 2, 3, 4});
     gatherParams(pool, a, a.indices());
     b.bind({2, 3, 10});
@@ -301,7 +376,7 @@ TEST(SelectiveCopy, ScatterAccumulatesRmw)
 {
     PinnedPool pool(5);
     pool.zeroGradients();
-    DeviceBuffer buf(5);
+    DeviceBuffer buf;
     buf.bind({1, 3});
     buf.zeroGrads();
     buf.gradRow(0)[0] = 2.0f;      // gaussian 1
@@ -316,7 +391,7 @@ TEST(SelectiveCopy, ScatterAccumulatesRmw)
 
 TEST(SelectiveCopy, CarryAccumulation)
 {
-    DeviceBuffer a(6), b(6);
+    DeviceBuffer a, b;
     a.bind({2, 4});
     a.zeroGrads();
     a.gradRow(0)[5] = 1.25f;    // gaussian 2
@@ -336,36 +411,39 @@ TEST(TransferEngine, GatherScatterRoundTripBitExact)
         for (int k = 0; k < kShDim; ++k)
             m.sh(i)[k] = rng.normal();
 
-    TransferEngineConfig ec;
-    ec.prefetch = false;
-    TransferEngine engine(40, ec);
+    TransferEngine engine(40);
     engine.uploadParams(m);
 
     std::vector<uint32_t> set{1, 4, 5, 19, 33};
     CachePlan cache = planCache({set}, true);
-    engine.beginBatch({set}, std::move(cache), FinalizationSchedule{});
-    DeviceBuffer &buf = engine.acquire(0);
-
-    // Staged parameter rows are bit-exact copies of the pinned records.
-    for (size_t r = 0; r < set.size(); ++r) {
-        float expect[kNonCriticalDim];
-        m.packNonCritical(set[r], expect);
-        EXPECT_EQ(std::memcmp(buf.paramRow(r), expect,
-                              sizeof(expect)),
-                  0)
-            << "row " << r;
-    }
-
+    std::vector<float> written;
+    engine.runBatch(
+        {set}, std::move(cache), FinalizationSchedule{}, 1,
+        [&](size_t, const DeviceBuffer &buf) {
+            // Staged parameter rows are bit-exact copies of the pinned
+            // records.
+            for (size_t r = 0; r < set.size(); ++r) {
+                float expect[kNonCriticalDim];
+                m.packNonCritical(set[r], expect);
+                EXPECT_EQ(std::memcmp(buf.paramRow(r), expect,
+                                      sizeof(expect)),
+                          0)
+                    << "row " << r;
+            }
+        },
+        [&](size_t, DeviceBuffer &buf) {
+            for (size_t r = 0; r < set.size(); ++r)
+                for (int k = 0; k < kParamsPerGaussian; ++k) {
+                    buf.gradRow(r)[k] =
+                        0.25f * float(r + 1) - 0.01f * float(k);
+                    written.push_back(buf.gradRow(r)[k]);
+                }
+        });
     // Gradient rows written on the "GPU" come back bit-exactly through
     // the RMW scatter (pool gradients start at zero).
     for (size_t r = 0; r < set.size(); ++r)
-        for (int k = 0; k < kParamsPerGaussian; ++k)
-            buf.gradRow(r)[k] = 0.25f * float(r + 1) - 0.01f * float(k);
-    engine.release(0);
-    engine.endBatch();
-    for (size_t r = 0; r < set.size(); ++r)
         EXPECT_EQ(std::memcmp(engine.pool().gradRecord(set[r]),
-                              buf.gradRow(r),
+                              &written[r * kParamsPerGaussian],
                               kParamsPerGaussian * sizeof(float)),
                   0)
             << "record " << set[r];
@@ -375,32 +453,51 @@ TEST(TransferEngine, GatherScatterRoundTripBitExact)
     EXPECT_EQ(engine.peakBufferRows(), set.size());
 }
 
-/** Drive one batch through an engine with a deterministic fake "compute"
- *  (grad row r of microbatch i gets i + r/100), return pool grads. */
+/**
+ * Drive one batch through an engine at @p depth with a deterministic
+ * fake "compute" running on its own thread (grad row r of microbatch i
+ * gets i + r/100) and return the pool grads. Each compute checks that
+ * its staged params match the pinned records; @p max_in_flight gets
+ * the most microbatches ever launched and not yet collected.
+ */
 std::vector<std::vector<float>>
 runFakeBatch(TransferEngine &engine, const GaussianModel &m,
-             const std::vector<std::vector<uint32_t>> &sets)
+             const std::vector<std::vector<uint32_t>> &sets, size_t depth,
+             size_t *max_in_flight = nullptr)
 {
     engine.uploadParams(m);
     CachePlan cache = planCache(sets, true);
-    engine.beginBatch(sets, std::move(cache), FinalizationSchedule{});
-    for (size_t i = 0; i < sets.size(); ++i) {
-        DeviceBuffer &buf = engine.acquire(i);
-        // Staged params must match the pinned records regardless of
-        // whether they arrived via PCIe gather or cached copy.
-        for (size_t r = 0; r < buf.rows(); ++r) {
-            float expect[kNonCriticalDim];
-            m.packNonCritical(buf.indices()[r], expect);
-            EXPECT_EQ(std::memcmp(buf.paramRow(r), expect,
-                                  sizeof(expect)),
-                      0);
-        }
-        for (size_t r = 0; r < buf.rows(); ++r)
-            for (int k = 0; k < kParamsPerGaussian; ++k)
-                buf.gradRow(r)[k] += float(i) + float(r) / 100.0f;
-        engine.release(i);
-    }
-    engine.endBatch();
+    std::vector<std::future<std::vector<float>>> computes(sets.size());
+    std::atomic<size_t> in_flight{0}, peak{0}, bad_rows{0};
+    engine.runBatch(
+        sets, std::move(cache), FinalizationSchedule{}, depth,
+        [&](size_t i, const DeviceBuffer &buf) {
+            peak = std::max(peak.load(), ++in_flight);
+            computes[i] = std::async(std::launch::async, [&, i] {
+                std::vector<float> grads;
+                for (size_t r = 0; r < buf.rows(); ++r) {
+                    // Staged params must match the pinned records
+                    // whether they came by PCIe gather or cached copy.
+                    float expect[kNonCriticalDim];
+                    m.packNonCritical(buf.indices()[r], expect);
+                    if (std::memcmp(buf.paramRow(r), expect,
+                                    sizeof(expect)) != 0)
+                        ++bad_rows;
+                    grads.push_back(float(i) + float(r) / 100.0f);
+                }
+                return grads;
+            });
+        },
+        [&](size_t i, DeviceBuffer &buf) {
+            const std::vector<float> grads = computes[i].get();
+            --in_flight;
+            for (size_t r = 0; r < buf.rows(); ++r)
+                for (int k = 0; k < kParamsPerGaussian; ++k)
+                    buf.gradRow(r)[k] += grads[r];
+        });
+    EXPECT_EQ(bad_rows.load(), 0u);
+    if (max_in_flight)
+        *max_in_flight = peak.load();
     std::vector<std::vector<float>> grads;
     for (size_t g = 0; g < m.size(); ++g)
         grads.emplace_back(engine.pool().gradRecord(g),
@@ -414,31 +511,32 @@ TEST(TransferEngine, PrefetchMatchesSynchronousStaging)
     Rng rng(17);
     GaussianModel m = GaussianModel::random(60, {-1, -1, -1}, {1, 1, 1},
                                             0.1f, rng);
-    // Overlapping sets exercise caching, carried grads and RMW stores.
-    auto sets = randomSets(6, 60, 0.4, 18);
+    // Overlapping sets exercise caching, carried grads and RMW stores;
+    // nine microbatches wrap every ring below depth 8.
+    auto sets = randomSets(9, 60, 0.4, 18);
+    sets[5] = sets[4];    // a repeated view: everything cached, carried
 
-    TransferEngineConfig sync_cfg;
-    sync_cfg.prefetch = false;
-    TransferEngineConfig pre_cfg;
-    pre_cfg.prefetch = true;
-    TransferEngine sync_engine(60, sync_cfg);
-    TransferEngine pre_engine(60, pre_cfg);
+    TransferEngine sync_engine(60);
+    auto sync_grads = runFakeBatch(sync_engine, m, sets, 1);
+    for (size_t depth : {2u, 3u, 4u, 8u, 12u}) {
+        TransferEngine engine(60);
+        size_t in_flight = 0;
+        auto grads = runFakeBatch(engine, m, sets, depth, &in_flight);
+        EXPECT_EQ(in_flight, std::min(depth, sets.size()));
+        for (size_t g = 0; g < 60; ++g)
+            EXPECT_EQ(std::memcmp(sync_grads[g].data(), grads[g].data(),
+                                  kParamsPerGaussian * sizeof(float)),
+                      0)
+                << "gaussian " << g << " depth " << depth;
 
-    auto sync_grads = runFakeBatch(sync_engine, m, sets);
-    auto pre_grads = runFakeBatch(pre_engine, m, sets);
-    for (size_t g = 0; g < 60; ++g)
-        EXPECT_EQ(std::memcmp(sync_grads[g].data(), pre_grads[g].data(),
-                              kParamsPerGaussian * sizeof(float)),
-                  0)
-            << "gaussian " << g;
-
-    // Identical plans -> identical traffic counters either way.
-    EXPECT_EQ(sync_engine.counters().records_loaded,
-              pre_engine.counters().records_loaded);
-    EXPECT_EQ(sync_engine.counters().cache_hits,
-              pre_engine.counters().cache_hits);
-    EXPECT_EQ(sync_engine.counters().records_stored,
-              pre_engine.counters().records_stored);
+        // Identical plans -> identical traffic counters at any depth.
+        EXPECT_EQ(sync_engine.counters().records_loaded,
+                  engine.counters().records_loaded);
+        EXPECT_EQ(sync_engine.counters().cache_hits,
+                  engine.counters().cache_hits);
+        EXPECT_EQ(sync_engine.counters().records_stored,
+                  engine.counters().records_stored);
+    }
 }
 
 TEST(TransferEngine, FinalizationDispatchAndCounters)
@@ -451,7 +549,6 @@ TEST(TransferEngine, FinalizationDispatchAndCounters)
 
     for (bool async : {false, true}) {
         TransferEngineConfig ec;
-        ec.prefetch = true;
         ec.async_finalize = async;
         TransferEngine engine(30, ec);
         engine.uploadParams(m);
@@ -461,12 +558,9 @@ TEST(TransferEngine, FinalizationDispatchAndCounters)
             return f.size();
         });
         CachePlan cache = planCache(sets, true);
-        engine.beginBatch(sets, std::move(cache), fin);
-        for (size_t i = 0; i < sets.size(); ++i) {
-            engine.acquire(i);
-            engine.release(i);
-        }
-        engine.endBatch();
+        engine.runBatch(sets, std::move(cache), fin, 2,
+                        [](size_t, const DeviceBuffer &) {},
+                        [](size_t, DeviceBuffer &) {});
         // Every touched Gaussian finalized exactly once.
         std::sort(finalized.begin(), finalized.end());
         EXPECT_EQ(finalized,
@@ -483,7 +577,7 @@ TEST(TransferEngine, StageTimingsAccumulate)
                                             0.1f, rng);
     auto sets = randomSets(3, 30, 0.5, 21);
     TransferEngine engine(30, {});
-    runFakeBatch(engine, m, sets);
+    runFakeBatch(engine, m, sets, 2);
     const StageTimings &t = engine.timings();
     EXPECT_EQ(t.microbatches.size(), sets.size());
     EXPECT_GT(t[TrainStage::Compute], 0.0);
@@ -497,7 +591,7 @@ TEST(TransferEngine, StageTimingsAccumulate)
 
 TEST(DeviceBuffer, BoundRowAssertsOnMiss)
 {
-    DeviceBuffer buf(10);
+    DeviceBuffer buf;
     buf.bind({2, 5, 9});
     EXPECT_EQ(buf.boundRow(5), 1u);
     EXPECT_THROW(buf.boundRow(3), std::logic_error);
