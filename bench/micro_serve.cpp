@@ -137,6 +137,7 @@ batchMatchesSequential(const GaussianModel &model,
 {
     BatchCullScratch cull;
     std::vector<std::vector<uint32_t>> subsets;
+    buildCullStage(model, cull);
     frustumCullBatch(model, cams, cull, subsets);
     RenderArena arena;
     renderForwardBatch(model, cams, subsets, render, arena);

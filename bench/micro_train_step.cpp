@@ -191,6 +191,7 @@ runBatchBackward(const SceneSpec &spec, const GaussianModel &gt_model,
     Image d_image;
     std::vector<std::vector<uint32_t>> subsets;
 
+    buildCullStage(model, ba.cull);
     auto runFused = [&](const RenderConfig &rc, GaussianGrads &grads) {
         grads.zero();
         frustumCullBatch(model, cams, ba.cull, subsets, rc.parallel);

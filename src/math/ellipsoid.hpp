@@ -58,7 +58,9 @@ struct Ellipsoid
      * Exact plane-based frustum test: the ellipsoid is rejected iff it lies
      * strictly outside some frustum plane, using the support distance along
      * the plane normal. (Conservative for convex-region intersection, exact
-     * per plane — matching production 3DGS cullers.)
+     * per plane — matching production 3DGS cullers.) The rotation
+     * matrix is built once for all six planes; each plane's support
+     * distance is bitwise supportDistance(plane normal).
      */
     bool intersectsFrustum(const Frustum &f) const;
 };

@@ -46,20 +46,4 @@ Frustum::intersectsSphere(const Vec3 &center, float radius) const
     return true;
 }
 
-bool
-Frustum::intersectsAabb(const Aabb &box) const
-{
-    for (const auto &pl : planes_) {
-        // Most-positive vertex along the plane normal.
-        Vec3 v{
-            pl.n.x >= 0.0f ? box.hi.x : box.lo.x,
-            pl.n.y >= 0.0f ? box.hi.y : box.lo.y,
-            pl.n.z >= 0.0f ? box.hi.z : box.lo.z,
-        };
-        if (pl.signedDistance(v) < 0.0f)
-            return false;
-    }
-    return true;
-}
-
 } // namespace clm

@@ -9,7 +9,6 @@
 
 #include <array>
 
-#include "math/aabb.hpp"
 #include "math/mat.hpp"
 #include "math/vec.hpp"
 
@@ -58,9 +57,6 @@ class Frustum
      * edges, as is standard for plane-based tests).
      */
     bool intersectsSphere(const Vec3 &center, float radius) const;
-
-    /** Conservative AABB intersection test. */
-    bool intersectsAabb(const Aabb &box) const;
 
     /** Access one of the six planes. */
     const Plane &plane(int i) const { return planes_[i]; }

@@ -100,7 +100,10 @@ BatchCullScratch::bytes() const
 {
     return (cx.capacity() + cy.capacity() + cz.capacity()
             + neg_thresh.capacity())
-         * sizeof(float);
+             * sizeof(float)
+         + (row_of_lane.capacity() + lane_of_row.capacity())
+               * sizeof(uint32_t)
+         + chunks.capacity() * sizeof(Chunk);
 }
 
 size_t

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "math/aabb.hpp"
 #include "render/binning.hpp"
 #include "render/rasterizer.hpp"
 
@@ -92,28 +93,50 @@ struct TileStage
     size_t bytes() const;
 };
 
-/** Reusable scratch of frustumCullBatch: the shared SoA cull stage
- *  (padded to a multiple of 8 for the packed sweep). The stage is a
- *  pure function of the model parameters, so it can be cached across
- *  batches keyed by the snapshot version being served (the first rung
- *  of the ROADMAP's snapshot-scoped serving caches). */
+/** Lanes per cull chunk: the unit the chunked cull tests against the
+ *  frustum before sweeping any of its lanes (a multiple of 8). */
+constexpr size_t kCullChunkLanes = 64;
+
+/**
+ * The shared cull stage of frustumCullBatch (render/batch.hpp): one
+ * lane per Gaussian holding its bounding-sphere center and packed
+ * reject threshold, laid out in a Morton order of the positions and
+ * cut into kCullChunkLanes-lane chunks with per-chunk bounds, so a
+ * view sweeps only the chunks that can reach its frustum.
+ *
+ * The stage is a pure function of the model's critical attributes
+ * (position, log-scale, rotation), except for its lane order, which is
+ * fixed at the last full build. buildCullStage() computes it from
+ * scratch (construction, densification, a new snapshot version);
+ * refreshCullStage() rewrites only the lanes of rows whose critical
+ * attributes changed since and re-bounds the chunks holding them.
+ * Either way every row's lane holds exactly the values a fresh build
+ * would give it, so culls never depend on which of the two ran.
+ */
 struct BatchCullScratch
 {
-    std::vector<float> cx, cy, cz;    //!< Bounding-sphere centers.
+    /** Per-lane bounding-sphere centers, padded to a whole chunk. */
+    std::vector<float> cx, cy, cz;
     /** Packed reject threshold: -radius - eps * 3|p|_inf (padding lanes
      *  hold +inf, so they always read as "clearly outside"). */
     std::vector<float> neg_thresh;
+    /** Model row of each lane (Morton order of the last full build)
+     *  and its inverse, the lane of each model row. */
+    std::vector<uint32_t> row_of_lane, lane_of_row;
 
-    /** @name Snapshot-scoped cache tag
-     * Non-zero cached_key means the SoA stage above was built from a
-     * model tagged with that key (a ModelSnapshot version) of
-     * cached_size Gaussians; frustumCullBatch skips the rebuild when a
-     * caller passes the same key again. 0 = untagged (always rebuild).
-     */
-    /// @{
-    uint64_t cached_key = 0;
-    size_t cached_size = 0;
-    /// @}
+    /** One chunk's conservative bounds over its real lanes: the box of
+     *  their centers and the least threshold. min_thresh is -inf when
+     *  some lane is non-finite or out of range, so such a chunk is
+     *  never skipped. */
+    struct Chunk
+    {
+        Aabb box;
+        float min_thresh;
+    };
+    std::vector<Chunk> chunks;
+
+    /** Number of Gaussians the stage covers. */
+    size_t size() const { return row_of_lane.size(); }
 
     /** Bytes currently held (for memory accounting). */
     size_t bytes() const;

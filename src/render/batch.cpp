@@ -31,17 +31,124 @@ forRange(size_t n, bool parallel, const Body &body)
     poolForRange(n, parallel, kMinParallel, body);
 }
 
+/** Lane and threshold magnitudes past this (and NaN/inf) make a chunk
+ *  unskippable: below it no plane distance of a lane or chunk corner
+ *  can overflow, which the chunk test's error budget relies on. */
+constexpr float kChunkRange = 1e30f;
+
+/** Morton bits per axis (30-bit codes) and the largest cell index. */
+constexpr int kMortonBits = 10;
+constexpr int kMortonMax = (1 << kMortonBits) - 1;
+
+/** Spread the low 10 bits of @p v to every third bit. */
+uint32_t
+spreadBits(uint32_t v)
+{
+    v &= 0x3ffu;
+    v = (v | (v << 16)) & 0x030000ffu;
+    v = (v | (v << 8)) & 0x0300f00fu;
+    v = (v | (v << 4)) & 0x030c30c3u;
+    v = (v | (v << 2)) & 0x09249249u;
+    return v;
+}
+
+/** Write Gaussian @p i of @p model into lane @p l — the one lane
+ *  expression, shared by build and refresh. */
+void
+writeLane(const GaussianModel &model, size_t i, size_t l,
+          BatchCullScratch &st)
+{
+    const float r = cullBoundingRadius(model, i);
+    const Vec3 &p = model.position(i);
+    float m = std::fabs(p.x);
+    if (std::fabs(p.y) > m)
+        m = std::fabs(p.y);
+    if (std::fabs(p.z) > m)
+        m = std::fabs(p.z);
+    st.cx[l] = p.x;
+    st.cy[l] = p.y;
+    st.cz[l] = p.z;
+    // NaN radii/centers poison the threshold, so their lanes are never
+    // pre-rejected and the exact test decides.
+    st.neg_thresh[l] = -r - kCullPrefilterEps * (3.0f * m);
+}
+
+/** Recompute chunk @p c's bounds from its real lanes (padding lanes
+ *  never count). */
+void
+boundChunk(BatchCullScratch &st, size_t c)
+{
+    BatchCullScratch::Chunk ch{Aabb{},
+                               std::numeric_limits<float>::infinity()};
+    const size_t l1 = std::min(st.size(), (c + 1) * kCullChunkLanes);
+    for (size_t l = c * kCullChunkLanes; l < l1; ++l) {
+        const Vec3 p{st.cx[l], st.cy[l], st.cz[l]};
+        const float t = st.neg_thresh[l];
+        // Written so NaN fails every comparison.
+        if (!(std::fabs(p.x) <= kChunkRange && std::fabs(p.y) <= kChunkRange
+              && std::fabs(p.z) <= kChunkRange && t >= -kChunkRange)) {
+            ch.min_thresh = -std::numeric_limits<float>::infinity();
+            break;
+        }
+        ch.box.extend(p);
+        ch.min_thresh = std::min(ch.min_thresh, t);
+    }
+    st.chunks[c] = ch;
+}
+
 /**
- * The packed plane sweep of one view: 8 Gaussians per op against the 6
- * frustum planes, no early exit but no branches either. Lanes that are
- * not *clearly* outside (per the kCullPrefilterEps margin) fall through
- * to the exact scalar predicate — the same Ellipsoid/Frustum member
- * functions frustumCull() runs, on the same values, so membership can
- * never differ from the per-view cull.
+ * True when every lane of @p ch is pre-rejected by the packed prefilter
+ * of @p a, so skipping the chunk cannot change membership. For each
+ * plane, the chunk corner farthest along the normal bounds every lane's
+ * exact plane distance from above, and min_thresh bounds every lane's
+ * threshold from below (the prefilter's thr - margin is monotone in
+ * thr). The packed distances and this corner's are float evaluations
+ * a few ulp of their term magnitudes (at most 3 max|corner| + |d|, as
+ * |n| = 1) from exact, however the backend rounds or contracts them, so
+ * the corner must clear the threshold by kCullPrefilterEps times that
+ * magnitude — ~1000x the evaluation error, the same budget as the
+ * prefilter's. A chunk with a non-finite lane has min_thresh = -inf
+ * and never clears.
+ */
+bool
+chunkOutside(const BatchCullScratch::Chunk &ch, const CullPrefilterArgs &a)
+{
+    const Aabb &b = ch.box;
+    const float mag = std::max({std::fabs(b.lo.x), std::fabs(b.lo.y),
+                                std::fabs(b.lo.z), std::fabs(b.hi.x),
+                                std::fabs(b.hi.y), std::fabs(b.hi.z)});
+    for (int j = 0; j < 6; ++j) {
+        const float px = a.plane_nx[j] >= 0.0f ? b.hi.x : b.lo.x;
+        const float py = a.plane_ny[j] >= 0.0f ? b.hi.y : b.lo.y;
+        const float pz = a.plane_nz[j] >= 0.0f ? b.hi.z : b.lo.z;
+        const float dist = a.plane_nx[j] * px + a.plane_ny[j] * py
+                         + a.plane_nz[j] * pz + a.plane_d[j];
+        const float slack =
+            kCullPrefilterEps * (3.0f * mag + std::fabs(a.plane_d[j]));
+        if (dist + slack < ch.min_thresh - a.margin[j])
+            return true;
+    }
+    return false;
+}
+
+/**
+ * One view's cull over the stage: chunks that clearly miss the frustum
+ * are skipped whole; runs of surviving chunks go through the packed
+ * plane sweep (8 lanes per op against the 6 frustum planes, no early
+ * exit but no branches either). Lanes whose bounding sphere is clearly
+ * inside every plane are selected outright: their packed distances
+ * exceed r + kCullPrefilterEps (3|p|_inf + |d|), so the scalar
+ * distance frustumCull computes is positive on every plane and both of
+ * its tests pass (they reject only below -r and -support, both <= 0).
+ * Lanes neither clearly outside nor clearly inside fall through to the
+ * exact scalar predicate — the same Ellipsoid/Frustum member functions
+ * frustumCull() runs, on the same values — so membership can never
+ * differ from the per-view cull. Lanes are in Morton order, so the
+ * selection is sorted back into ascending row order at the end.
  */
 void
-cullViewPacked(const GaussianModel &model, const BatchCullScratch &st,
-               const Camera &cam, std::vector<uint32_t> &sel)
+cullViewChunked(const GaussianModel &model, const BatchCullScratch &st,
+                const Camera &cam, std::vector<uint32_t> &sel)
 {
     sel.clear();
     const Frustum &fr = cam.frustum();
@@ -55,29 +162,32 @@ cullViewPacked(const GaussianModel &model, const BatchCullScratch &st,
         args.plane_d[j] = pl.d;
         args.margin[j] = kCullPrefilterEps * std::fabs(pl.d);
     }
-    const size_t n = model.size();
-    const size_t padded = st.cx.size();
-    // Per-view (and hence per-thread in pass 2) mask buffer on the
-    // stack: the dispatched kernel sweeps one block, then the scalar
-    // scan below confirms surviving lanes with the exact predicate.
+    const size_t n = st.size();
+    // Per-view (and hence per-thread in the view loop) mask buffer on
+    // the stack: the dispatched kernel sweeps one run of chunks, then
+    // the scalar scan below confirms surviving lanes with the exact
+    // predicate.
     constexpr size_t kBlock = 1024;
     alignas(32) float rejected[kBlock];
-    for (size_t b0 = 0; b0 < padded; b0 += kBlock) {
-        const size_t blk =
-            padded - b0 < kBlock ? padded - b0 : kBlock;
-        args.cx = st.cx.data() + b0;
-        args.cy = st.cy.data() + b0;
-        args.cz = st.cz.data() + b0;
-        args.neg_thresh = st.neg_thresh.data() + b0;
-        args.padded = blk;
+    alignas(32) float accepted[kBlock];
+    auto sweep = [&](size_t l0, size_t l1) {
+        args.cx = st.cx.data() + l0;
+        args.cy = st.cy.data() + l0;
+        args.cz = st.cz.data() + l0;
+        args.neg_thresh = st.neg_thresh.data() + l0;
+        args.padded = l1 - l0;
         args.rejected = rejected;
+        args.accepted = accepted;
         kern.cull_prefilter(args);
-        for (size_t k = 0; k < blk; ++k) {
-            const size_t i = b0 + k;
-            if (i >= n)
-                break;
-            if (rejected[k] != 0.0f)
+        const size_t end = std::min(l1, n);
+        for (size_t l = l0; l < end; ++l) {
+            if (rejected[l - l0] != 0.0f)
                 continue;    // clearly outside this view
+            const uint32_t i = st.row_of_lane[l];
+            if (accepted[l - l0] != 0.0f) {
+                sel.push_back(i);    // clearly inside this view
+                continue;
+            }
             // Exact predicate — identical to frustumCull().
             Ellipsoid e = Ellipsoid::fromGaussian(
                 model.position(i), model.worldScale(i),
@@ -85,82 +195,151 @@ cullViewPacked(const GaussianModel &model, const BatchCullScratch &st,
             if (!fr.intersectsSphere(e.center, e.boundingRadius()))
                 continue;
             if (e.intersectsFrustum(fr))
-                sel.push_back(static_cast<uint32_t>(i));
+                sel.push_back(i);
         }
+    };
+    size_t run0 = 0, run1 = 0;    // pending lanes [run0, run1)
+    for (size_t c = 0; c < st.chunks.size(); ++c) {
+        if (chunkOutside(st.chunks[c], args))
+            continue;
+        const size_t l0 = c * kCullChunkLanes;
+        if (run1 != l0 || run1 - run0 == kBlock) {
+            if (run1 > run0)
+                sweep(run0, run1);
+            run0 = l0;
+        }
+        run1 = l0 + kCullChunkLanes;
     }
+    if (run1 > run0)
+        sweep(run0, run1);
+    std::sort(sel.begin(), sel.end());
 }
 
 } // namespace
 
 void
+buildCullStage(const GaussianModel &model, BatchCullScratch &st,
+               bool parallel)
+{
+    const size_t n = model.size();
+    CLM_ASSERT(n <= std::numeric_limits<uint32_t>::max(),
+               "cull stage rows overflow 32-bit lane indices");
+
+    // Morton codes over the box of the finite positions; non-finite
+    // coordinates clamp to a box face (their lanes are correct wherever
+    // they sit, only locality is at stake).
+    Aabb box;
+    for (size_t i = 0; i < n; ++i) {
+        const Vec3 &p = model.position(i);
+        if (std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z))
+            box.extend(p);
+    }
+    const Vec3 &lo = box.lo;
+    auto cells = [](float e) {
+        return e > 0.0f && std::isfinite(e) ? kMortonMax / e : 0.0f;
+    };
+    const Vec3 ext = box.extent();
+    const Vec3 inv{cells(ext.x), cells(ext.y), cells(ext.z)};
+    auto cell = [](float p, float lo_p, float inv_p) {
+        return spreadBits(static_cast<uint32_t>(
+            clampedFloor((p - lo_p) * inv_p, 0, kMortonMax)));
+    };
+    std::vector<uint64_t> keys(n), keys_tmp;
+    std::vector<uint32_t> rows(n), rows_tmp, hist;
+    forRange(n, parallel, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+            const Vec3 &p = model.position(i);
+            keys[i] = cell(p.x, lo.x, inv.x)
+                    | (cell(p.y, lo.y, inv.y) << 1)
+                    | (cell(p.z, lo.z, inv.z) << 2);
+            rows[i] = static_cast<uint32_t>(i);
+        }
+    });
+    radixSortPairs(keys, rows, keys_tmp, rows_tmp, 3 * kMortonBits,
+                   parallel, &hist);
+
+    st.row_of_lane = std::move(rows);
+    st.lane_of_row.resize(n);
+    const size_t padded = (n + kCullChunkLanes - 1) / kCullChunkLanes
+                        * kCullChunkLanes;
+    st.cx.resize(padded);
+    st.cy.resize(padded);
+    st.cz.resize(padded);
+    st.neg_thresh.resize(padded);
+    forRange(n, parallel, [&](size_t begin, size_t end) {
+        for (size_t l = begin; l < end; ++l) {
+            const uint32_t i = st.row_of_lane[l];
+            st.lane_of_row[i] = static_cast<uint32_t>(l);
+            writeLane(model, i, l, st);
+        }
+    });
+    for (size_t l = n; l < padded; ++l) {
+        st.cx[l] = st.cy[l] = st.cz[l] = 0.0f;
+        // Padding lanes always read "clearly outside" so they can never
+        // force the scalar path.
+        st.neg_thresh[l] = std::numeric_limits<float>::infinity();
+    }
+    st.chunks.resize(padded / kCullChunkLanes);
+    forRange(st.chunks.size(), parallel, [&](size_t begin, size_t end) {
+        for (size_t c = begin; c < end; ++c)
+            boundChunk(st, c);
+    });
+}
+
+void
+refreshCullStage(const GaussianModel &model,
+                 const std::vector<uint32_t> &rows, BatchCullScratch &st,
+                 bool parallel)
+{
+    CLM_ASSERT(st.size() == model.size(), "cull stage covers ", st.size(),
+               " Gaussians, model has ", model.size());
+    if (rows.empty())
+        return;
+    // Distinct rows own distinct lanes, so any split is race-free.
+    forRange(rows.size(), parallel, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k)
+            writeLane(model, rows[k], st.lane_of_row[rows[k]], st);
+    });
+    // Re-bound only the chunks holding a refreshed lane.
+    std::vector<uint8_t> seen(st.chunks.size(), 0);
+    std::vector<uint32_t> dirty;
+    for (uint32_t row : rows) {
+        const uint32_t c = st.lane_of_row[row] / kCullChunkLanes;
+        if (seen[c] == 0) {
+            seen[c] = 1;
+            dirty.push_back(c);
+        }
+    }
+    forRange(dirty.size(), parallel, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k)
+            boundChunk(st, dirty[k]);
+    });
+}
+
+void
 frustumCullBatch(const GaussianModel &model,
                  const std::vector<Camera> &cameras,
-                 BatchCullScratch &scratch,
+                 const BatchCullScratch &stage,
                  std::vector<std::vector<uint32_t>> &subsets,
-                 bool parallel, uint64_t cache_key)
+                 bool parallel)
 {
     const size_t B = cameras.size();
     CLM_ASSERT(B >= 1, "empty camera batch");
+    CLM_ASSERT(stage.size() == model.size(), "cull stage covers ",
+               stage.size(), " Gaussians, model has ", model.size());
     subsets.resize(B);
-
-    const size_t n = model.size();
-    // Snapshot-scoped cache: the SoA stage is a pure function of the
-    // model, so when the caller vouches (by key) that the model is the
-    // same published state as last time, pass 1 is skipped whole and
-    // the sweep below reads the cached stage.
-    const bool cached = cache_key != 0 && scratch.cached_key == cache_key
-                     && scratch.cached_size == n;
-    if (!cached) {
-        // Pass 1 — shared per-Gaussian setup, paid once for the whole
-        // batch: world scale (3 exp), bounding radius, packed
-        // thresholds.
-        const size_t padded = (n + 7) & ~size_t(7);
-        scratch.cx.resize(padded);
-        scratch.cy.resize(padded);
-        scratch.cz.resize(padded);
-        scratch.neg_thresh.resize(padded);
-        forRange(n, parallel, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                const float r = cullBoundingRadius(model, i);
-                const Vec3 &p = model.position(i);
-                float m = std::fabs(p.x);
-                if (std::fabs(p.y) > m)
-                    m = std::fabs(p.y);
-                if (std::fabs(p.z) > m)
-                    m = std::fabs(p.z);
-                scratch.cx[i] = p.x;
-                scratch.cy[i] = p.y;
-                scratch.cz[i] = p.z;
-                // NaN radii/centers poison the threshold, so their
-                // lanes are never pre-rejected and the exact test
-                // decides.
-                scratch.neg_thresh[i] =
-                    -r - kCullPrefilterEps * (3.0f * m);
-            }
-        });
-        for (size_t i = n; i < padded; ++i) {
-            scratch.cx[i] = scratch.cy[i] = scratch.cz[i] = 0.0f;
-            // Padding lanes always read "clearly outside" so they can
-            // never force the scalar path.
-            scratch.neg_thresh[i] =
-                std::numeric_limits<float>::infinity();
-        }
-        scratch.cached_key = cache_key;
-        scratch.cached_size = n;
-    }
-
-    // Pass 2 — each view sweeps the shared stage. Views are
-    // independent, so the parallel split cannot change results.
+    // Views are independent, so the parallel split cannot change
+    // results.
     if (parallel && B > 1) {
         ThreadPool::global().parallelFor(
             B, [&](size_t begin, size_t end) {
                 for (size_t v = begin; v < end; ++v)
-                    cullViewPacked(model, scratch, cameras[v],
-                                   subsets[v]);
+                    cullViewChunked(model, stage, cameras[v],
+                                    subsets[v]);
             });
     } else {
         for (size_t v = 0; v < B; ++v)
-            cullViewPacked(model, scratch, cameras[v], subsets[v]);
+            cullViewChunked(model, stage, cameras[v], subsets[v]);
     }
 }
 

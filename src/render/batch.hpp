@@ -5,16 +5,23 @@
  * of view-at-a-time, and a single view is simply a batch of one
  * (renderForward / renderBackward in render/rasterizer.hpp):
  *
- *  - frustumCullBatch(): one sweep over the model builds a shared SoA
- *    cull stage (world-space bounding spheres — the per-Gaussian setup
- *    every view would otherwise redo, including the 3 exp() of the
- *    world scale), then each view runs an 8-wide packed plane prefilter
- *    over it; only near-boundary survivors run the exact per-view
- *    ellipsoid test. Membership is bitwise identical to frustumCull()
- *    per view: the prefilter only rejects Gaussians that provably fail
- *    the exact sphere test, under an explicit error margin
+ *  - frustumCullBatch(): every view sweeps one shared cull stage
+ *    (BatchCullScratch, render/arena.hpp: world-space bounding spheres
+ *    — the per-Gaussian setup every view would otherwise redo,
+ *    including the 3 exp() of the world scale — in Morton-ordered
+ *    64-lane chunks with per-chunk bounds). A view first tests each
+ *    chunk against its six planes and skips chunks that lie clearly
+ *    outside one of them, then runs an 8-wide packed plane prefilter
+ *    over the surviving chunks' lanes, which rejects spheres clearly
+ *    outside a plane and accepts spheres clearly inside all six; only
+ *    near-boundary lanes run the exact per-view ellipsoid test.
+ *    Membership is bitwise identical to frustumCull() per view: the
+ *    chunk test skips only chunks whose every lane the prefilter would
+ *    reject, and the prefilter only decides Gaussians whose exact test
+ *    provably fails or passes, under an explicit error margin
  *    (kCullPrefilterEps) that covers the float-evaluation differences
- *    between the packed and scalar plane distances.
+ *    between the packed and scalar plane distances. buildCullStage()
+ *    and refreshCullStage() keep the stage in step with the model.
  *
  *  - renderForwardBatch(): the union of the batch's subsets is formed
  *    once and projected union-major: each distinct Gaussian's
@@ -37,7 +44,8 @@
  * (serve/render_service), GPU-only training batches, the offload
  * trainers' microbatches and every single-view render. The shared
  * per-Gaussian work is paid once per batch instead of once per view
- * and, when serving, the cull stage once per published snapshot. With
+ * and the cull stage once per published snapshot when serving, once per
+ * model restructure when training (refreshed in place in between). With
  * a thread pool it additionally exposes cross-view parallelism (all
  * views' tiles form one task list).
  */
@@ -56,10 +64,11 @@
 namespace clm {
 
 /**
- * Relative error budget of the packed cull prefilter: a view may
- * pre-reject a Gaussian only when its packed plane distance clears the
- * sphere test by more than kCullPrefilterEps times the distance's term
- * magnitudes (|n_k p_k| <= |p|_inf per component, plus |d|). The true
+ * Relative error budget of the packed cull prefilter and the chunk
+ * test: a view may pre-reject (or pre-accept) a Gaussian, or skip a
+ * chunk, only when the packed plane distance clears the sphere test by
+ * more than kCullPrefilterEps times the distance's term magnitudes
+ * (|n_k p_k| <= |p|_inf per component, plus |d|). The true
  * float-evaluation difference between the packed and scalar distances
  * is a few ulp (~1e-7 relative, FMA contraction included), so 1e-4
  * over-covers it by ~1000x; anything closer to the boundary falls
@@ -69,26 +78,42 @@ namespace clm {
 constexpr float kCullPrefilterEps = 1e-4f;
 
 /**
- * Cull @p model against every camera of the batch in one fused pass.
+ * Build the cull stage of @p model from scratch: a Morton order of the
+ * positions (a stable radix sort, so equal codes keep row order), every
+ * row's lane and every chunk's bounds. Call on construction, after the
+ * model's rows are restructured (densification) and for every new
+ * model (a new snapshot version); refreshCullStage() covers in-place
+ * parameter updates.
+ */
+void buildCullStage(const GaussianModel &model, BatchCullScratch &stage,
+                    bool parallel = true);
+
+/**
+ * Bring @p stage back in step with @p model after the critical
+ * attributes of @p rows (duplicate-free, any order) changed in place:
+ * rewrite those rows' lanes in parallel through the stage's inverse
+ * permutation, then recompute the bounds of the chunks holding them.
+ * Every lane then equals
+ * what buildCullStage() would write for its row, so culls match a fresh
+ * build exactly; only the lane order keeps the last build's. The model
+ * must have the size the stage was built for.
+ */
+void refreshCullStage(const GaussianModel &model,
+                      const std::vector<uint32_t> &rows,
+                      BatchCullScratch &stage, bool parallel = true);
+
+/**
+ * Cull @p model against every camera of the batch from @p stage, which
+ * must be in step with @p model (buildCullStage / refreshCullStage).
  * @p subsets[v] receives exactly frustumCull(model, cameras[v]) — same
  * membership, same (ascending) order, in every build flavor.
  * Deterministic under any parallel split.
- *
- * @param cache_key Non-zero tags the shared SoA stage with this key
- *        (callers pass the ModelSnapshot version they render): when
- *        @p scratch already holds the stage for the same key and model
- *        size, the per-Gaussian rebuild — including the 3 worldScale
- *        exp() per row — is skipped entirely, amortizing it across all
- *        batches served from one snapshot. The stage is a pure function
- *        of the model, so the cache is bitwise neutral; callers must
- *        pass distinct keys for distinct models (snapshot versions do).
- *        0 (the default) rebuilds unconditionally and untags.
  */
 void frustumCullBatch(const GaussianModel &model,
                       const std::vector<Camera> &cameras,
-                      BatchCullScratch &scratch,
+                      const BatchCullScratch &stage,
                       std::vector<std::vector<uint32_t>> &subsets,
-                      bool parallel = true, uint64_t cache_key = 0);
+                      bool parallel = true);
 
 /**
  * Render every view of the batch through the fused pipeline (see file

@@ -91,8 +91,10 @@ struct BackwardTileArgs
 };
 
 /** Batched frustum plane sweep of the batch culler: fills a per-entry
- *  reject mask (nonzero = clearly outside some plane by more than the
- *  margin; the caller runs the exact predicate on the rest). */
+ *  reject mask (nonzero = the bounding sphere is clearly outside some
+ *  plane by more than the margin) and accept mask (nonzero = it is
+ *  clearly inside every plane); the caller runs the exact predicate on
+ *  the entries neither mask decides. */
 struct CullPrefilterArgs
 {
     const float *cx, *cy, *cz;    //!< Centers, padded to a multiple of 8.
@@ -101,6 +103,7 @@ struct CullPrefilterArgs
     float plane_nx[6], plane_ny[6], plane_nz[6], plane_d[6];
     float margin[6];
     float *rejected;              //!< @p padded lanes of mask output.
+    float *accepted;              //!< @p padded lanes of mask output.
 };
 
 /** One backend's kernel table. */

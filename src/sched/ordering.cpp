@@ -61,11 +61,66 @@ symmetricDifferenceSize(const std::vector<uint32_t> &a,
 DistanceMatrix
 buildOverlapDistanceMatrix(const std::vector<std::vector<uint32_t>> &sets)
 {
-    DistanceMatrix d(sets.size());
-    for (size_t i = 0; i < sets.size(); ++i)
-        for (size_t j = i + 1; j < sets.size(); ++j)
-            d.set(i, j, static_cast<double>(
-                            symmetricDifferenceSize(sets[i], sets[j])));
+    const size_t b = sets.size();
+    const size_t words = (b + 63) / 64;
+    uint32_t universe = 0;
+    for (const std::vector<uint32_t> &s : sets)
+        if (!s.empty())
+            universe = std::max(universe, s.back() + 1);
+
+    // Dense per-Gaussian view bitmasks (`words` words per Gaussian), all
+    // zero between calls: set here, cleared again on the way out
+    // (exceptions included), so a call costs O(sum |S_i|) plus one
+    // count per shared (Gaussian, view pair) instead of a merge per
+    // view pair.
+    thread_local std::vector<uint64_t> masks;
+    if (masks.size() < universe * words)
+        masks.resize(universe * words);
+    struct ClearMasks
+    {
+        const std::vector<std::vector<uint32_t>> &sets;
+        size_t words;
+        ~ClearMasks()
+        {
+            for (const auto &set : sets)
+                for (uint32_t g : set)
+                    std::fill_n(masks.begin() + g * words, words, 0);
+        }
+    } clear{sets, words};
+    for (size_t i = 0; i < b; ++i) {
+        const uint64_t bit = uint64_t(1) << (i % 64);
+        for (uint32_t g : sets[i]) {
+            uint64_t &m = masks[g * words + i / 64];
+            CLM_ASSERT((m & bit) == 0, "view ", i, " lists Gaussian ", g,
+                       " twice");
+            m |= bit;
+        }
+    }
+
+    // |S_i & S_j| for i < j: each Gaussian of S_i counts once towards
+    // every later view whose bit it carries.
+    std::vector<size_t> inter(b * b, 0);
+    for (size_t i = 0; i < b; ++i) {
+        for (uint32_t g : sets[i]) {
+            const uint64_t *m = &masks[g * words];
+            for (size_t w = i / 64; w < words; ++w) {
+                uint64_t bits = m[w];
+                if (w == i / 64)    // views j > i only
+                    bits &= ~uint64_t(0) << (i % 64) << 1;
+                while (bits != 0) {
+                    const size_t j = w * 64 + __builtin_ctzll(bits);
+                    ++inter[i * b + j];
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+
+    DistanceMatrix d(b);
+    for (size_t i = 0; i < b; ++i)
+        for (size_t j = i + 1; j < b; ++j)
+            d.set(i, j, static_cast<double>(sets[i].size() + sets[j].size()
+                                            - 2 * inter[i * b + j]));
     return d;
 }
 

@@ -42,7 +42,11 @@ size_t symmetricDifferenceSize(const std::vector<uint32_t> &a,
 
 /**
  * Build the TSP distance matrix d(i,j) = |S_i xor S_j| from the per-view
- * in-frustum sets (each ascending-sorted).
+ * in-frustum sets (each ascending and duplicate-free, the frustumCull
+ * contract). Counts every pairwise intersection in one pass over
+ * per-Gaussian view bitmasks, O(sum |S_i|) plus one step per shared
+ * (Gaussian, view pair); the distances equal symmetricDifferenceSize()
+ * of every pair exactly.
  */
 DistanceMatrix buildOverlapDistanceMatrix(
     const std::vector<std::vector<uint32_t>> &sets);

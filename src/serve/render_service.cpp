@@ -203,6 +203,7 @@ RenderService::workerLoop()
     std::vector<PendingRequest> batch;
     std::vector<PendingRequest> expired;
     RenderArena arena;
+    uint64_t cull_version = 0;    // snapshot arena.cull was built from
     std::vector<Camera> cams;
     std::vector<std::vector<uint32_t>> subsets;
 
@@ -230,9 +231,8 @@ RenderService::workerLoop()
         const size_t n = batch.size();
 
         // One fused pass for the whole wakeup, a batch of one included.
-        // The snapshot version keys the cull stage cache: consecutive
-        // batches on the same published state skip the per-Gaussian SoA
-        // rebuild.
+        // The cull stage is built once per snapshot version: consecutive
+        // batches on the same published state reuse it.
         const double t0 = clock_.seconds();
         cams.clear();
         for (const PendingRequest &r : batch)
@@ -243,8 +243,13 @@ RenderService::workerLoop()
             // id via StageClock).
             TraceContext trace_ctx(batch[0].id);
             ScopedSpan render_span("serve.render_batch");
+            if (cull_version != snap->version) {
+                buildCullStage(snap->model, arena.cull,
+                               config_.render.parallel);
+                cull_version = snap->version;
+            }
             frustumCullBatch(snap->model, cams, arena.cull, subsets,
-                             config_.render.parallel, snap->version);
+                             config_.render.parallel);
             renderForwardBatch(snap->model, cams, subsets, config_.render,
                                arena);
         }

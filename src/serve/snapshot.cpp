@@ -21,14 +21,26 @@ constexpr size_t kHashChunkRows = 4096;
 constexpr uint64_t kWordMul = 0x9e3779b97f4a7c15ull;
 
 /**
- * Word-at-a-time mix of @p bytes at @p data into @p h. Each step
- * h = (h ^ w) * odd is a bijection of h, so changing any one word of
- * the input always changes the result.
+ * Word-at-a-time mix of @p bytes at @p data into @p h, storing each
+ * word to @p copy_to as it goes when that is non-null (one read of the
+ * source for copy and hash). Each step h = (h ^ w) * odd is a bijection
+ * of h, so changing any one word of the input always changes the
+ * result.
  */
 uint64_t
-mixWords(const unsigned char *data, size_t bytes, uint64_t h)
+mixWords(const unsigned char *data, size_t bytes, uint64_t h,
+         unsigned char *copy_to)
 {
     size_t i = 0;
+    if (copy_to != nullptr) {
+        for (; i + sizeof(uint64_t) <= bytes; i += sizeof(uint64_t)) {
+            uint64_t w;
+            std::memcpy(&w, data + i, sizeof(w));
+            std::memcpy(copy_to + i, &w, sizeof(w));
+            h = (h ^ w) * kWordMul;
+        }
+        std::memcpy(copy_to + i, data + i, bytes - i);
+    }
     for (; i + sizeof(uint64_t) <= bytes; i += sizeof(uint64_t)) {
         uint64_t w;
         std::memcpy(&w, data + i, sizeof(w));
@@ -42,28 +54,36 @@ mixWords(const unsigned char *data, size_t bytes, uint64_t h)
     return h;
 }
 
-} // namespace
-
+/**
+ * The one chunked pass over @p model's five raw attribute arrays: per
+ * fixed row chunk, hash every array's chunk of @p model into its fixed
+ * (array, chunk) slot and, when @p copy_to is given (already sized
+ * like @p model), copy the chunk into it word by word in the same
+ * loop. The hash always mixes the source words, so it is the same
+ * with or without a copy. Returns the combined hash.
+ */
 uint64_t
-hashModelParams(const GaussianModel &model)
+hashChunks(const GaussianModel &model, GaussianModel *copy_to)
 {
     const size_t n = model.size();
     uint64_t h = splitmix64(n);
     if (n == 0)
         return h;
 
-    // The five raw attribute arrays, each hashed in fixed row chunks.
     struct Array
     {
-        const void *base;
+        const void *src;
+        void *dst;
         size_t row_bytes;
     };
+    GaussianModel *d = copy_to;
     const Array arrays[] = {
-        {&model.position(0), sizeof(Vec3)},
-        {&model.logScale(0), sizeof(Vec3)},
-        {&model.rotation(0), sizeof(Quat)},
-        {model.sh(0), kShDim * sizeof(float)},
-        {&model.rawOpacity(0), sizeof(float)},
+        {&model.position(0), d ? &d->position(0) : nullptr, sizeof(Vec3)},
+        {&model.logScale(0), d ? &d->logScale(0) : nullptr, sizeof(Vec3)},
+        {&model.rotation(0), d ? &d->rotation(0) : nullptr, sizeof(Quat)},
+        {model.sh(0), d ? d->sh(0) : nullptr, kShDim * sizeof(float)},
+        {&model.rawOpacity(0), d ? &d->rawOpacity(0) : nullptr,
+         sizeof(float)},
     };
     constexpr size_t kArrays = sizeof(arrays) / sizeof(arrays[0]);
     const size_t chunks = (n + kHashChunkRows - 1) / kHashChunkRows;
@@ -76,11 +96,15 @@ hashModelParams(const GaussianModel &model)
             const size_t row0 = c * kHashChunkRows;
             const size_t rows = std::min(kHashChunkRows, n - row0);
             for (size_t a = 0; a < kArrays; ++a) {
-                const unsigned char *p =
-                    static_cast<const unsigned char *>(arrays[a].base)
-                    + row0 * arrays[a].row_bytes;
-                chunk_hash[a * chunks + c] =
-                    mixWords(p, rows * arrays[a].row_bytes, 0);
+                const size_t off = row0 * arrays[a].row_bytes;
+                const size_t bytes = rows * arrays[a].row_bytes;
+                unsigned char *dst =
+                    arrays[a].dst == nullptr
+                        ? nullptr
+                        : static_cast<unsigned char *>(arrays[a].dst) + off;
+                chunk_hash[a * chunks + c] = mixWords(
+                    static_cast<const unsigned char *>(arrays[a].src) + off,
+                    bytes, 0, dst);
             }
         }
     });
@@ -89,6 +113,14 @@ hashModelParams(const GaussianModel &model)
     for (uint64_t ch : chunk_hash)
         h = splitmix64(h ^ ch);
     return h;
+}
+
+} // namespace
+
+uint64_t
+hashModelParams(const GaussianModel &model)
+{
+    return hashChunks(model, nullptr);
 }
 
 void
@@ -110,12 +142,14 @@ SnapshotSlot::publish(const GaussianModel &model, int train_step)
     if (!buf)
         buf = std::make_shared<ModelSnapshot>();
 
-    // The full-model copy and hash run outside the lock: readers keep
-    // serving the previous snapshot untouched in the meantime.
-    buf->model = model;
+    // One parallel pass copies and hashes the model chunk by chunk,
+    // outside the lock: readers keep serving the previous snapshot
+    // untouched in the meantime. A recycled buffer of the same size is
+    // overwritten in place.
+    buf->model.resize(model.size());
+    buf->param_hash = hashChunks(model, &buf->model);
     buf->version = version;
     buf->train_step = train_step;
-    buf->param_hash = hashModelParams(buf->model);
 
     // Fault injection (tests): a slow/stalled publication. Readers are
     // unaffected structurally — they keep acquiring the previous

@@ -59,8 +59,11 @@ class SnapshotSlot
   public:
     /** Copy @p model into a (reused when possible) buffer, stamp it
      *  with the next version and @p train_step, and make it current.
-     *  The copy runs outside the slot lock, so readers are never
-     *  blocked for longer than a pointer swap. */
+     *  Copy and hash are one parallel pass: each fixed hash chunk is
+     *  copied and hashed (from the source bytes, so the hash equals
+     *  hashModelParams(model)) by the same pool task. The pass runs
+     *  outside the slot lock, so readers are never blocked for longer
+     *  than a pointer swap. */
     void publish(const GaussianModel &model, int train_step);
 
     /** The current snapshot; nullptr before the first publish(). */

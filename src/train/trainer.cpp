@@ -161,6 +161,14 @@ GpuOnlyTrainer::GpuOnlyTrainer(GaussianModel model,
               config)
 {
     grads_.resize(model_.size());
+    buildCullStage(model_, arena_.cull, config_.render.parallel);
+}
+
+void
+GpuOnlyTrainer::onModelResized()
+{
+    grads_.resize(model_.size());
+    buildCullStage(model_, arena_.cull, config_.render.parallel);
 }
 
 BatchStats
@@ -204,6 +212,9 @@ GpuOnlyTrainer::trainBatch(const std::vector<int> &view_ids)
         ScopedSpan span("train.adam");
         adam_.updateSubset(model_, grads_, touched);
     }
+    // Adam changed exactly the touched rows: the next batch's cull
+    // stage needs only their lanes.
+    refreshCullStage(model_, touched, arena_.cull, render.parallel);
     stats.adam_updated = touched.size();
     observeDensify(grads_);
     return stats;

@@ -182,7 +182,9 @@ class Trainer
  * kernel input size, which the performance simulator accounts for).
  * Every batch, a batch of one included, runs one frustumCullBatch and
  * the fused forward/backward pair (render/batch.hpp) with retained
- * staging; the Adam subset is the union of the views' subsets.
+ * staging; the Adam subset is the union of the views' subsets. The
+ * cull stage (arena_.cull) is built at construction and densification
+ * and refreshed with each batch's Adam subset.
  */
 class GpuOnlyTrainer : public Trainer
 {
@@ -193,7 +195,7 @@ class GpuOnlyTrainer : public Trainer
     BatchStats trainBatch(const std::vector<int> &view_ids) override;
 
   protected:
-    void onModelResized() override { grads_.resize(model_.size()); }
+    void onModelResized() override;
 
     GaussianGrads grads_;
 

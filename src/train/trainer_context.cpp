@@ -45,6 +45,8 @@ TrainerContext::rebuild()
     scratch_.resize(n);
     for (size_t i = 0; i < n; ++i)
         copyCritical(model_, i, scratch_, i);
+    buildCullStage(scratch_, cull_);
+    dirty_.clear();
 }
 
 std::vector<std::vector<uint32_t>>
@@ -56,9 +58,11 @@ TrainerContext::cullViews(const std::vector<Camera> &cameras,
     batch.reserve(view_ids.size());
     for (int v : view_ids)
         batch.push_back(cameras[v]);
-    // Cache key 0: the critical store changes every batch.
+    // Only the rows finalized since the last cull changed.
+    refreshCullStage(scratch_, dirty_, cull_, parallel);
+    dirty_.clear();
     std::vector<std::vector<uint32_t>> sets;
-    frustumCullBatch(scratch_, batch, cull_, sets, parallel, 0);
+    frustumCullBatch(scratch_, batch, cull_, sets, parallel);
     return sets;
 }
 
@@ -162,6 +166,7 @@ TrainerContext::finalize(PinnedPool &pool,
         ThreadPool::global().parallelFor(fin.size(), finalize_rows);
     else
         finalize_rows(0, fin.size());
+    dirty_.insert(dirty_.end(), fin.begin(), fin.end());
     return fin.size();
 }
 

@@ -54,15 +54,18 @@ class TrainerContext
     TrainerContext(GaussianModel &model, CpuAdam &adam,
                    Densifier &densifier);
 
-    /** (Re)build the critical store for the master model's current
-     *  topology (construction, densification). */
+    /** (Re)build the critical store and its full cull stage for the
+     *  master model's current topology (construction, densification). */
     void rebuild();
 
     /**
      * Pre-rendering frustum culling (§5.1) of every view in @p view_ids
      * from the critical store, in one fused frustumCullBatch sweep:
      * element k is exactly frustumCull(model, cameras[view_ids[k]]).
-     * Call only while no finalization is in flight (between batches).
+     * First refreshes the cull stage's lanes of the rows finalized
+     * since the last cull — the previous batch's touched union, which
+     * its sets F_1..F_b partition — instead of rebuilding it. Call only
+     * while no finalization is in flight (between batches).
      */
     std::vector<std::vector<uint32_t>>
     cullViews(const std::vector<Camera> &cameras,
@@ -115,7 +118,8 @@ class TrainerContext
      * attributes to the critical store. Rows are independent; with
      * @p parallel large sets spread over the global thread pool (the
      * dedicated Adam thread passes false so it never competes with the
-     * render pool).
+     * render pool). Calls must not overlap (the engine makes them from
+     * one thread); the rows are recorded for the next cullViews().
      *
      * @return Number of Gaussians updated.
      */
@@ -134,9 +138,12 @@ class TrainerContext
     /** The "GPU" critical store: its critical fields are always valid
      *  (culling reads them); its non-critical arrays are never read. */
     GaussianModel scratch_;
-    /** Fused cull stage, rebuilt every batch (the model changes every
-     *  batch, so it is never cached across batches). */
+    /** Cull stage of scratch_: built by rebuild(), refreshed per batch
+     *  with dirty_. */
     BatchCullScratch cull_;
+    /** Rows finalize() updated since the last cull (duplicate-free:
+     *  one batch's finalization sets partition its touched union). */
+    std::vector<uint32_t> dirty_;
     BatchPlanResult last_plan_;
 };
 

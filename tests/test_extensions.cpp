@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the extensions beyond the paper's core: BVH-accelerated
- * culling (§8 future work), the thread pool, parallel rasterization/Adam
- * determinism, the dedicated asynchronous CPU Adam thread (§5.4),
- * densification integrated with the offloaded trainer, and model I/O.
+ * Tests for the extensions beyond the paper's core: the thread pool,
+ * parallel rasterization/Adam determinism, the dedicated asynchronous
+ * CPU Adam thread (§5.4), densification integrated with the offloaded
+ * trainer, and model I/O. (The spatially chunked cull stage, §8's
+ * spatial structure, is tested in test_serve.cpp.)
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 
 #include "gaussian/io.hpp"
 #include "math/rng.hpp"
-#include "render/bvh.hpp"
 #include "render/culling.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/synthetic.hpp"
@@ -56,74 +56,6 @@ TEST(ThreadPool, EmptyAndTinyRanges)
         n += static_cast<int>(e - b);
     });
     EXPECT_EQ(n.load(), 1);
-}
-
-class BvhTest : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(BvhTest, CullIdenticalToLinearSweep)
-{
-    int leaf_size = GetParam();
-    SceneSpec spec = SceneSpec::rubble();
-    GaussianModel m = generateSceneGaussians(spec, 3000);
-    auto cams = generateCameraPath(spec, 8, 64, 48);
-
-    BvhConfig cfg;
-    cfg.leaf_size = leaf_size;
-    GaussianBvh bvh(m, cfg);
-    for (const Camera &cam : cams) {
-        auto linear = frustumCull(m, cam);
-        auto accel = bvh.cull(cam);
-        EXPECT_EQ(linear, accel);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(LeafSizes, BvhTest, ::testing::Values(1, 8, 64));
-
-TEST(Bvh, SkipsMostLeafTestsOnSparseScenes)
-{
-    SceneSpec spec = SceneSpec::bigCity();
-    GaussianModel m = generateSceneGaussians(spec, 20000);
-    auto cams = generateCameraPath(spec, 4, 64, 48);
-    GaussianBvh bvh(m);
-    bvh.cull(cams[0]);
-    const auto &stats = bvh.lastStats();
-    // The tree should prune the vast majority of exact tests (BigCity
-    // views touch <1% of Gaussians).
-    EXPECT_LT(stats.leaf_tests, m.size() / 4);
-    EXPECT_GT(stats.boxes_rejected, 0u);
-}
-
-TEST(Bvh, RefitFollowsParameterDrift)
-{
-    SceneSpec spec = SceneSpec::bicycle();
-    GaussianModel m = generateSceneGaussians(spec, 1000);
-    GaussianBvh bvh(m);
-    // Drift every Gaussian, refit, and compare against fresh culling.
-    Rng rng(5);
-    for (size_t i = 0; i < m.size(); ++i)
-        m.position(i) += rng.normal3({0, 0, 0}, 0.5f);
-    bvh.refit(m);
-    auto cams = generateCameraPath(spec, 4, 48, 48);
-    for (const Camera &cam : cams)
-        EXPECT_EQ(bvh.cull(cam), frustumCull(m, cam));
-}
-
-TEST(Bvh, EmptyAndSingletonModels)
-{
-    GaussianModel empty;
-    GaussianBvh b0(empty);
-    Camera cam = Camera::lookAt({0, 0, 0}, {0, 0, 5}, {0, 1, 0}, 32, 32,
-                                1.0f);
-    EXPECT_TRUE(b0.cull(cam).empty());
-
-    GaussianModel one(1);
-    one.position(0) = {0, 0, 3};
-    one.logScale(0) = {-1, -1, -1};
-    one.rotation(0) = {1, 0, 0, 0};
-    GaussianBvh b1(one);
-    EXPECT_EQ(b1.cull(cam), (std::vector<uint32_t>{0}));
 }
 
 TEST(ParallelRender, IdenticalToSerial)

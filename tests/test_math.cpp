@@ -209,20 +209,6 @@ TEST(Frustum, SphereTestIsConservative)
     EXPECT_FALSE(f.intersectsSphere({0, 0, -50}, 2.0f));
 }
 
-TEST(Frustum, AabbTest)
-{
-    Camera cam = Camera::lookAt({0, 0, 0}, {0, 0, 10}, {0, 1, 0}, 64, 64,
-                                1.0f, 0.1f, 100.0f);
-    Aabb inside;
-    inside.extend({-1, -1, 4});
-    inside.extend({1, 1, 6});
-    EXPECT_TRUE(cam.frustum().intersectsAabb(inside));
-    Aabb behind;
-    behind.extend({-1, -1, -6});
-    behind.extend({1, 1, -4});
-    EXPECT_FALSE(cam.frustum().intersectsAabb(behind));
-}
-
 TEST(Ellipsoid, SupportDistanceSphere)
 {
     Ellipsoid e{{0, 0, 0}, Quat{1, 0, 0, 0}, {2, 2, 2}};
@@ -254,6 +240,45 @@ TEST(Ellipsoid, FrustumIntersectionNearBoundary)
     EXPECT_TRUE(fat.intersectsFrustum(cam.frustum()));
     Ellipsoid thin{{0, 0, -1.0f}, Quat{1, 0, 0, 0}, {0.1f, 0.1f, 0.1f}};
     EXPECT_FALSE(thin.intersectsFrustum(cam.frustum()));
+}
+
+TEST(Ellipsoid, HoistedRotationMatchesPerPlaneSupportDistance)
+{
+    // intersectsFrustum builds R^T once for all six planes; the
+    // reference below is the per-plane form, which rebuilds it inside
+    // every supportDistance() call. Ellipsoids are placed on a shell
+    // around the frustum boundary, with non-unit and zero quaternions
+    // and zero, tiny and huge radii, so both branches of every plane
+    // test are exercised.
+    auto reference = [](const Ellipsoid &e, const Frustum &f) {
+        for (int i = 0; i < 6; ++i) {
+            const Plane &pl = f.plane(i);
+            if (pl.signedDistance(e.center) < -e.supportDistance(pl.n))
+                return false;
+        }
+        return true;
+    };
+    Camera cam = Camera::lookAt({1, 2, -3}, {0, 0, 10}, {0, 1, 0}, 64, 48,
+                                0.9f, 0.1f, 50.0f);
+    const Frustum &f = cam.frustum();
+    Rng rng(2024);
+    size_t inside = 0, outside = 0;
+    for (int k = 0; k < 20000; ++k) {
+        Ellipsoid e;
+        e.center = rng.uniformInBox({-30, -30, -10}, {30, 30, 60});
+        e.rotation = Quat{rng.uniform(-2, 2), rng.uniform(-2, 2),
+                          rng.uniform(-2, 2), rng.uniform(-2, 2)};
+        if (k % 97 == 0)
+            e.rotation = Quat{0, 0, 0, 0};
+        const float s = std::exp(rng.uniform(-8, 4));
+        e.radii = {s * rng.uniform(0, 1), s * rng.uniform(0, 1),
+                   k % 13 == 0 ? 0.0f : s};
+        const bool hoisted = e.intersectsFrustum(f);
+        ASSERT_EQ(hoisted, reference(e, f)) << "sample " << k;
+        (hoisted ? inside : outside)++;
+    }
+    EXPECT_GT(inside, 1000u);
+    EXPECT_GT(outside, 1000u);
 }
 
 TEST(Ellipsoid, ThreeSigmaScaling)

@@ -477,6 +477,7 @@ fusedBackward(const GaussianModel &model,
     RenderArena &arena = reuse != nullptr ? *reuse : local;
     arena.retain_staging = retain_staging;
     std::vector<std::vector<uint32_t>> subsets;
+    buildCullStage(model, arena.cull, cfg.parallel);
     frustumCullBatch(model, cams, arena.cull, subsets, cfg.parallel);
     renderForwardBatch(model, cams, subsets, cfg, arena);
     renderBackwardBatch(model, cams, cfg, d_images, grads, arena);

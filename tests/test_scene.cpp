@@ -10,6 +10,7 @@
 
 #include <numeric>
 
+#include "math/aabb.hpp"
 #include "offload/frustum_sets.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/scene_spec.hpp"

@@ -67,6 +67,55 @@ TEST(SetOps, SymmetricDifferenceIsMetric)
     EXPECT_TRUE(d.isMetric());
 }
 
+/** The matrix buildOverlapDistanceMatrix must reproduce: one sorted-set
+ *  merge per view pair. */
+void
+expectPairwiseDistances(const std::vector<std::vector<uint32_t>> &sets)
+{
+    DistanceMatrix d = buildOverlapDistanceMatrix(sets);
+    ASSERT_EQ(d.size(), sets.size());
+    for (size_t i = 0; i < sets.size(); ++i)
+        for (size_t j = 0; j < sets.size(); ++j)
+            EXPECT_EQ(d.at(i, j),
+                      i == j ? 0.0
+                             : static_cast<double>(symmetricDifferenceSize(
+                                   sets[i], sets[j])))
+                << i << "," << j;
+}
+
+TEST(DistanceMatrix, BitmaskCountsEqualPairwiseMerges)
+{
+    // Random sets of mixed density.
+    expectPairwiseDistances(randomSets(16, 3000, 0.1, 7));
+    expectPairwiseDistances(randomSets(5, 64, 0.7, 8));
+
+    // A repeated view: distance 0 to its twin, equal rows elsewhere.
+    auto rep = randomSets(6, 500, 0.3, 9);
+    rep.push_back(rep[2]);
+    expectPairwiseDistances(rep);
+    EXPECT_EQ(buildOverlapDistanceMatrix(rep).at(2, 6), 0.0);
+
+    // Empty sets, alone and among others.
+    auto with_empty = randomSets(4, 300, 0.4, 10);
+    with_empty.insert(with_empty.begin() + 1, std::vector<uint32_t>{});
+    expectPairwiseDistances(with_empty);
+    expectPairwiseDistances({{}, {}});
+
+    // A batch of one, and no batch at all.
+    expectPairwiseDistances(randomSets(1, 100, 0.5, 11));
+    expectPairwiseDistances({});
+
+    // Wider than one 64-view mask word, with views on both sides of
+    // the word boundary sharing Gaussians.
+    auto wide = randomSets(150, 400, 0.05, 12);
+    wide[63] = wide[64] = wide[130] = {1, 2, 3, 399};
+    expectPairwiseDistances(wide);
+
+    // The stamps are cleared on exit: a second call over different sets
+    // on the same thread sees no leftovers.
+    expectPairwiseDistances(randomSets(16, 3000, 0.1, 13));
+}
+
 TEST(DistanceMatrix, SetAndGet)
 {
     DistanceMatrix d(3);

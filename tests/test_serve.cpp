@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <future>
 #include <map>
 #include <thread>
@@ -29,6 +32,8 @@
 #include "scene/synthetic.hpp"
 #include "serve/render_service.hpp"
 #include "serve/snapshot.hpp"
+#include "train/clm_trainer.hpp"
+#include "train/quality_harness.hpp"
 
 namespace clm {
 namespace {
@@ -69,12 +74,13 @@ struct BatchFixture
 TEST(FrustumCullBatch, MatchesPerViewCullExactly)
 {
     BatchFixture fix;
+    BatchCullScratch stage;
+    buildCullStage(fix.model, stage);
     for (size_t batch : {size_t(1), size_t(3), size_t(5)}) {
         std::vector<Camera> cams(fix.cameras.begin(),
                                  fix.cameras.begin() + batch);
-        BatchCullScratch scratch;
         std::vector<std::vector<uint32_t>> subsets;
-        frustumCullBatch(fix.model, cams, scratch, subsets);
+        frustumCullBatch(fix.model, cams, stage, subsets);
         ASSERT_EQ(subsets.size(), batch);
         for (size_t v = 0; v < batch; ++v)
             EXPECT_EQ(subsets[v], frustumCull(fix.model, cams[v]))
@@ -82,53 +88,325 @@ TEST(FrustumCullBatch, MatchesPerViewCullExactly)
     }
 }
 
-TEST(FrustumCullBatch, SnapshotScopedCullCacheIsBitwiseNeutral)
-{
-    // Passing the same non-zero cache key again must skip the shared
-    // SoA rebuild (the stage is a pure function of the model) without
-    // changing any membership; a new key over a *changed* model must
-    // invalidate and rebuild.
-    BatchFixture fix;
-    std::vector<Camera> cams(fix.cameras.begin(), fix.cameras.begin() + 3);
-    BatchCullScratch cached, fresh;
-    std::vector<std::vector<uint32_t>> a, b, c;
-
-    frustumCullBatch(fix.model, cams, cached, a, true, /*cache_key=*/7);
-    EXPECT_EQ(cached.cached_key, 7u);
-    // Poison detector: a cached second call must not touch the stage
-    // (same key + size), and must produce identical subsets.
-    const std::vector<float> stage_before = cached.neg_thresh;
-    frustumCullBatch(fix.model, cams, cached, b, true, /*cache_key=*/7);
-    EXPECT_EQ(cached.neg_thresh, stage_before);
-    EXPECT_EQ(a, b);
-    for (size_t v = 0; v < cams.size(); ++v)
-        EXPECT_EQ(a[v], frustumCull(fix.model, cams[v]));
-
-    // Model changed, key advanced: results must track the new model.
-    GaussianModel moved = fix.model;
-    for (size_t i = 0; i < moved.size(); ++i)
-        moved.position(i).x += 3.0f;
-    frustumCullBatch(moved, cams, cached, c, true, /*cache_key=*/8);
-    EXPECT_EQ(cached.cached_key, 8u);
-    std::vector<std::vector<uint32_t>> ref;
-    frustumCullBatch(moved, cams, fresh, ref);
-    EXPECT_EQ(c, ref);
-
-    // Key 0 untags: the next keyed call cannot falsely hit.
-    frustumCullBatch(fix.model, cams, cached, b, true, /*cache_key=*/0);
-    EXPECT_EQ(cached.cached_key, 0u);
-    EXPECT_EQ(b, a);
-}
-
 TEST(FrustumCullBatch, SerialAndParallelIdentical)
 {
     BatchFixture fix;
     std::vector<Camera> cams(fix.cameras.begin(), fix.cameras.begin() + 4);
     BatchCullScratch s1, s2;
+    buildCullStage(fix.model, s1, /*parallel=*/false);
+    buildCullStage(fix.model, s2, /*parallel=*/true);
+    EXPECT_EQ(s1.row_of_lane, s2.row_of_lane);
     std::vector<std::vector<uint32_t>> a, b;
     frustumCullBatch(fix.model, cams, s1, a, /*parallel=*/false);
     frustumCullBatch(fix.model, cams, s2, b, /*parallel=*/true);
     EXPECT_EQ(a, b);
+}
+
+/** Cull @p model through a fresh stage, expect frustumCull's sets and
+ *  return them. */
+std::vector<std::vector<uint32_t>>
+expectStageMatchesFrustumCull(const GaussianModel &model,
+                              const std::vector<Camera> &cams)
+{
+    BatchCullScratch stage;
+    buildCullStage(model, stage);
+    std::vector<std::vector<uint32_t>> subsets;
+    frustumCullBatch(model, cams, stage, subsets);
+    EXPECT_EQ(subsets.size(), cams.size());
+    for (size_t v = 0; v < cams.size(); ++v)
+        EXPECT_EQ(subsets[v], frustumCull(model, cams[v])) << "view " << v;
+    return subsets;
+}
+
+TEST(CullStage, ChunkedCullMatchesFrustumCullOnEveryScene)
+{
+    for (const SceneSpec &spec : SceneSpec::all()) {
+        SCOPED_TRACE(spec.name);
+        GaussianModel m = generateSceneGaussians(spec, 6000);
+        expectStageMatchesFrustumCull(
+            m, generateCameraPath(spec, 6, spec.sim.width,
+                                  spec.sim.height));
+    }
+}
+
+TEST(CullStage, ChunkBoundsPruneMostChunksOnSparseScenes)
+{
+    // The Morton order keeps chunks spatially tight: on BigCity a view
+    // reaches only a few percent of the model, so most chunk boxes
+    // (grown by their largest bounding radius) lie wholly outside some
+    // frustum plane — the chunks the culler skips without a sweep.
+    SceneSpec spec = SceneSpec::bigCity();
+    GaussianModel m = generateSceneGaussians(spec, 20000);
+    BatchCullScratch stage;
+    buildCullStage(m, stage);
+    ASSERT_EQ(stage.chunks.size(),
+              (m.size() + kCullChunkLanes - 1) / kCullChunkLanes);
+    const Camera cam = generateCameraPath(spec, 4, 64, 48)[0];
+    size_t outside = 0;
+    for (const BatchCullScratch::Chunk &ch : stage.chunks) {
+        for (int j = 0; j < 6; ++j) {
+            const Plane &pl = cam.frustum().plane(j);
+            const Vec3 corner{pl.n.x >= 0 ? ch.box.hi.x : ch.box.lo.x,
+                              pl.n.y >= 0 ? ch.box.hi.y : ch.box.lo.y,
+                              pl.n.z >= 0 ? ch.box.hi.z : ch.box.lo.z};
+            if (pl.signedDistance(corner) < ch.min_thresh) {
+                ++outside;
+                break;
+            }
+        }
+    }
+    EXPECT_GT(outside, stage.chunks.size() * 3 / 4);
+}
+
+TEST(CullStage, EmptyAndSingletonModels)
+{
+    Camera cam = Camera::lookAt({0, 0, 0}, {0, 0, 5}, {0, 1, 0}, 32, 32,
+                                1.0f);
+    GaussianModel empty;
+    BatchCullScratch stage;
+    buildCullStage(empty, stage);
+    EXPECT_EQ(stage.size(), 0u);
+    EXPECT_TRUE(stage.chunks.empty());
+    std::vector<std::vector<uint32_t>> subsets;
+    frustumCullBatch(empty, {cam, cam}, stage, subsets);
+    ASSERT_EQ(subsets.size(), 2u);
+    EXPECT_TRUE(subsets[0].empty());
+    EXPECT_TRUE(subsets[1].empty());
+    refreshCullStage(empty, {}, stage);
+
+    GaussianModel one(1);
+    one.position(0) = {0, 0, 3};
+    one.logScale(0) = {-1, -1, -1};
+    one.rotation(0) = {1, 0, 0, 0};
+    buildCullStage(one, stage);    // the same stage, rebuilt
+    frustumCullBatch(one, {cam}, stage, subsets);
+    EXPECT_EQ(subsets[0], (std::vector<uint32_t>{0}));
+    // Behind the camera: culled, through the refresh path.
+    one.position(0) = {0, 0, -3};
+    refreshCullStage(one, {0}, stage);
+    frustumCullBatch(one, {cam}, stage, subsets);
+    EXPECT_TRUE(subsets[0].empty());
+}
+
+/** A BigCity model salted with degenerate rows: NaN and Inf positions
+ *  and log-scales, zero (log-scale -inf) and huge scales, zero and
+ *  far-from-unit quaternions — spread over many chunks. */
+GaussianModel
+degenerateModel(size_t n, uint64_t seed)
+{
+    SceneSpec spec = SceneSpec::bigCity();
+    GaussianModel m = generateSceneGaussians(spec, n);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(seed);
+    for (size_t i = 0; i < n; i += 1 + rng.uniformInt(0, 40)) {
+        switch (rng.uniformInt(0, 9)) {
+          case 0: m.position(i).x = nan; break;
+          case 1: m.position(i).z = -inf; break;
+          case 2: m.logScale(i).y = nan; break;
+          case 3: m.logScale(i) = {inf, 0, 0}; break;
+          case 4: m.logScale(i) = {-inf, -inf, -inf}; break;    // zero
+          case 5: m.logScale(i) = {95, 1, 1}; break;    // exp overflows
+          case 6: m.logScale(i) = {30, 30, 30}; break;  // ~1e13
+          case 7: m.rotation(i) = {0, 0, 0, 0}; break;
+          case 8: m.rotation(i) = {40, -3, 7, 0.5f}; break;
+          default: m.position(i) = {3e30f, -2e35f, 1e38f}; break;
+        }
+    }
+    return m;
+}
+
+TEST(CullStage, DegenerateRowsMatchFrustumCull)
+{
+    SceneSpec spec = SceneSpec::bigCity();
+    GaussianModel m = degenerateModel(9000, 3);
+    std::vector<Camera> cams =
+        generateCameraPath(spec, 5, spec.sim.width, spec.sim.height);
+    // A camera inside a large ellipsoid: the row is in every plane's
+    // half-space reach.
+    const Vec3 eye = m.position(17);
+    m.logScale(17) = {2, 2, 2};
+    m.rotation(17) = {0.3f, 0.5f, -0.2f, 0.9f};
+    cams.push_back(Camera::lookAt(eye, eye + Vec3{0, 0, 1}, {0, 1, 0}, 48,
+                                  32, 1.0f));
+    const std::vector<std::vector<uint32_t>> subsets =
+        expectStageMatchesFrustumCull(m, cams);
+    EXPECT_TRUE(std::binary_search(subsets.back().begin(),
+                                   subsets.back().end(), 17u));
+}
+
+/** Every row's lane in @p a holds the same bytes as its lane in @p b. */
+void
+expectLanesEqual(const BatchCullScratch &a, const BatchCullScratch &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        const uint32_t la = a.lane_of_row[i], lb = b.lane_of_row[i];
+        ASSERT_EQ(a.row_of_lane[la], i);
+        const float va[4] = {a.cx[la], a.cy[la], a.cz[la],
+                             a.neg_thresh[la]};
+        const float vb[4] = {b.cx[lb], b.cy[lb], b.cz[lb],
+                             b.neg_thresh[lb]};
+        ASSERT_EQ(std::memcmp(va, vb, sizeof(va)), 0) << "row " << i;
+    }
+}
+
+TEST(CullStage, RefreshAfterRowMutationsEqualsFreshBuild)
+{
+    // Rows move across the scene, drift slightly, turn NaN and come
+    // back; after each round the refreshed stage (built once, lane order
+    // kept) must hold exactly a fresh build's lane values and cull the
+    // same sets as a fresh build and the linear sweep.
+    SceneSpec spec = SceneSpec::bigCity();
+    GaussianModel m = generateSceneGaussians(spec, 8000);
+    std::vector<Camera> cams =
+        generateCameraPath(spec, 6, spec.sim.width, spec.sim.height);
+    BatchCullScratch refreshed;
+    buildCullStage(m, refreshed);
+    Rng rng(11);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::vector<uint32_t> rows;
+        for (uint32_t i = 0; i < m.size(); ++i) {
+            const bool all = round == 3;    // parameter drift everywhere
+            if (!all && rng.uniform() > 0.1f)
+                continue;
+            rows.push_back(i);
+            switch (all ? 1 : rng.uniformInt(0, 3)) {
+              case 0:    // across the scene
+                m.position(i) = rng.uniformInBox(spec.world_lo,
+                                                 spec.world_hi);
+                break;
+              case 1:    // drift
+                m.position(i) += rng.normal3({0, 0, 0}, 0.5f);
+                m.logScale(i).x += rng.uniform(-0.5f, 0.5f);
+                break;
+              case 2:    // non-finite
+                m.position(i).y = nan;
+                break;
+              default:    // back to a finite, rotated state
+                m.position(i) = rng.uniformInBox(spec.world_lo,
+                                                 spec.world_hi);
+                m.rotation(i) = {rng.uniform(-1, 1), rng.uniform(-1, 1),
+                                 rng.uniform(-1, 1), rng.uniform(-1, 1)};
+                break;
+            }
+        }
+        std::shuffle(rows.begin(), rows.end(), rng.engine());
+        refreshCullStage(m, rows, refreshed, round % 2 == 0);
+
+        BatchCullScratch fresh;
+        buildCullStage(m, fresh);
+        expectLanesEqual(refreshed, fresh);
+        std::vector<std::vector<uint32_t>> a, b;
+        frustumCullBatch(m, cams, refreshed, a);
+        frustumCullBatch(m, cams, fresh, b);
+        EXPECT_EQ(a, b);
+        for (size_t v = 0; v < cams.size(); ++v)
+            EXPECT_EQ(a[v], frustumCull(m, cams[v])) << "view " << v;
+    }
+}
+
+/** A small Bicycle training setup whose large position and scale steps
+ *  move rows across view boundaries every batch, so a cull stage that
+ *  lagged the model by one batch would change some view's set. */
+struct MovingTrainFixture
+{
+    std::vector<Camera> cams;
+    std::vector<Image> gt_images;
+    GaussianModel trainee;
+    TrainConfig cfg;
+
+    MovingTrainFixture()
+    {
+        SceneSpec spec = SceneSpec::bicycle();
+        spec.train = {700, 8, 48, 48};
+        GaussianModel gt = generateGroundTruth(spec, 700);
+        cams = trainCameras(spec);
+        cfg.batch_size = 4;
+        cfg.render.sh_degree = 1;
+        cfg.loss.ssim_window = 5;
+        cfg.async_adam = true;
+        cfg.adam.lr_position = cfg.adam.lr_position_final = 0.05f;
+        cfg.adam.lr_log_scale = 0.2f;
+        gt_images = renderGroundTruth(gt, cams, cfg.render);
+        trainee = makeTrainee(gt, 300, 9);
+    }
+
+    static std::vector<int> batch(int step)
+    {
+        return {step % 8, (step + 3) % 8, (step + 5) % 8, (step + 6) % 8};
+    }
+};
+
+TEST(CullStage, ClmTrainerPlanSetsEqualFrustumCull)
+{
+    // Trainer level: with async Adam and densification, every batch's
+    // microbatch sets (rebuilt from the cache plan: loaded plus cached
+    // rows) equal frustumCull of the model the batch started from, so
+    // the incrementally refreshed stage never lags the critical store.
+    MovingTrainFixture f;
+    ClmTrainer t(f.trainee, f.cams, f.gt_images, f.cfg);
+    DensifyConfig dc;
+    dc.grad_threshold = 1e-7f;
+    t.enableDensification(dc);
+    size_t sizes_seen = 0;
+    for (int step = 0; step < 6; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        if (step == 2 || step == 4) {
+            const size_t before = t.model().size();
+            t.densifyNow();
+            sizes_seen += t.model().size() != before;
+        }
+        const GaussianModel before = t.model();
+        const std::vector<int> ids = MovingTrainFixture::batch(step);
+        t.trainBatch(ids);
+        const BatchPlanResult &plan = t.lastPlan();
+        ASSERT_EQ(plan.order.size(), ids.size());
+        for (size_t k = 0; k < ids.size(); ++k) {
+            const MicrobatchTransfers &mb = plan.cache.mb[k];
+            std::vector<uint32_t> set = mb.load_new;
+            set.insert(set.end(), mb.copy_cached.begin(),
+                       mb.copy_cached.end());
+            std::sort(set.begin(), set.end());
+            EXPECT_EQ(set, frustumCull(before, f.cams[ids[plan.order[k]]]))
+                << "microbatch " << k;
+        }
+    }
+    EXPECT_GT(sizes_seen, 0u);    // densification changed the topology
+}
+
+TEST(CullStage, GpuOnlyTrainerCullsTheCurrentModel)
+{
+    // The GPU-only trainer refreshes its stage with each batch's Adam
+    // subset: every batch must render exactly frustumCull's sets of the
+    // model it started from (their total size and their union, the Adam
+    // subset), across a densification.
+    MovingTrainFixture f;
+    GpuOnlyTrainer t(f.trainee, f.cams, f.gt_images, f.cfg);
+    DensifyConfig dc;
+    dc.grad_threshold = 1e-7f;
+    t.enableDensification(dc);
+    for (int step = 0; step < 6; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        if (step == 3)
+            t.densifyNow();
+        const GaussianModel before = t.model();
+        const std::vector<int> ids = MovingTrainFixture::batch(step);
+        size_t total = 0;
+        std::vector<uint32_t> all;
+        for (int v : ids) {
+            const std::vector<uint32_t> s = frustumCull(before, f.cams[v]);
+            total += s.size();
+            all.insert(all.end(), s.begin(), s.end());
+        }
+        std::sort(all.begin(), all.end());
+        all.erase(std::unique(all.begin(), all.end()), all.end());
+        const BatchStats stats = t.trainBatch(ids);
+        EXPECT_EQ(stats.gaussians_rendered, total);
+        EXPECT_EQ(stats.adam_updated, all.size());
+    }
 }
 
 void
