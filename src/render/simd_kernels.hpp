@@ -30,8 +30,8 @@ namespace clm {
 
 struct StagedGaussian;
 
-/** Forward compositing of one tile: 8-pixel groups, one F8 lane per
- *  pixel (the body formerly known as compositeTileSimd). */
+/** Forward compositing of one tile: blocks of four 8-pixel chains, one
+ *  F8 lane per pixel. */
 struct CompositeTileArgs
 {
     const StagedGaussian *hot;    //!< Staged tile entries (AoS).
@@ -63,9 +63,10 @@ enum : int
     kG8Comps
 };
 
-/** Backward replay of one tile: 8-pixel groups, one F8 lane per pixel,
- *  accumulating per-entry gradients into 8-lane partials that the
- *  caller reduces in fixed lane order (deterministic lane reduction). */
+/** Backward replay of one tile: the forward's blocks of four 8-pixel
+ *  chains, one F8 lane per pixel, accumulating per-entry gradients
+ *  into 8-lane partials that the caller reduces in fixed lane order
+ *  (deterministic lane reduction). */
 struct BackwardTileArgs
 {
     /** @name SoA staged tile fields, padded to a multiple of 8 with

@@ -340,44 +340,48 @@ TEST(RenderBackward, MaskedTailWidthsBitwiseAcrossKernelTables)
 {
     // The SIMD backward replays pixels in groups of 8; image widths
     // 96..103 sweep every tail width (w mod 8 = 0..7), so partial
-    // groups at the right tile edge exercise the masked lanes. The
-    // scalar kernel table runs the identical IEEE op sequence one lane
-    // at a time, so gradients must agree bit for bit with whatever
-    // table the CPU dispatched.
+    // groups at the right tile edge exercise the masked lanes, and
+    // tile sizes 8/16/32 sweep the kernels' block layouts. The scalar
+    // kernel table runs the identical IEEE op sequence one lane at a
+    // time, so gradients must agree bit for bit with whatever table
+    // the CPU dispatched.
     const RenderKernels *scalar_kern =
         renderKernelsFor(SimdBackend::kScalar);
     ASSERT_NE(scalar_kern, nullptr);
     SceneSpec spec = SceneSpec::rubble();
     GaussianModel m = generateGroundTruth(spec, 500);
-    for (int w = 96; w <= 103; ++w) {
-        Camera cam = generateCameraPath(spec, 2, w, 59)[0];
-        auto subset = frustumCull(m, cam);
-        Image d_image(w, 59, {0.3f, -0.2f, 0.1f});
-        auto run = [&](const RenderKernels *kern) {
-            RenderConfig cfg;
-            cfg.kernels = kern;
-            RenderArena arena;
-            renderForward(m, cam, subset, cfg, arena);
-            GaussianGrads g;
-            g.resize(m.size());
-            renderBackward(m, cam, cfg, d_image, g, arena);
-            return g;
-        };
-        GaussianGrads a = run(nullptr);    // dispatched table
-        GaussianGrads b = run(scalar_kern);
-        for (size_t i = 0; i < m.size(); ++i) {
-            ASSERT_EQ(a.d_position[i].x, b.d_position[i].x)
-                << "w=" << w << " i=" << i;
-            ASSERT_EQ(a.d_position[i].y, b.d_position[i].y)
-                << "w=" << w << " i=" << i;
-            ASSERT_EQ(a.d_opacity[i], b.d_opacity[i])
-                << "w=" << w << " i=" << i;
-            ASSERT_EQ(a.d_log_scale[i].y, b.d_log_scale[i].y)
-                << "w=" << w << " i=" << i;
-            ASSERT_EQ(a.d_rotation[i].x, b.d_rotation[i].x)
-                << "w=" << w << " i=" << i;
-            ASSERT_EQ(a.d_sh[i * kShDim], b.d_sh[i * kShDim])
-                << "w=" << w << " i=" << i;
+    for (int tile : {8, 16, 32}) {
+        for (int w = 96; w <= 103; ++w) {
+            Camera cam = generateCameraPath(spec, 2, w, 59)[0];
+            auto subset = frustumCull(m, cam);
+            Image d_image(w, 59, {0.3f, -0.2f, 0.1f});
+            auto run = [&](const RenderKernels *kern) {
+                RenderConfig cfg;
+                cfg.kernels = kern;
+                cfg.tile_size = tile;
+                RenderArena arena;
+                renderForward(m, cam, subset, cfg, arena);
+                GaussianGrads g;
+                g.resize(m.size());
+                renderBackward(m, cam, cfg, d_image, g, arena);
+                return g;
+            };
+            GaussianGrads a = run(nullptr);    // dispatched table
+            GaussianGrads b = run(scalar_kern);
+            for (size_t i = 0; i < m.size(); ++i) {
+                ASSERT_EQ(a.d_position[i].x, b.d_position[i].x)
+                    << "tile=" << tile << " w=" << w << " i=" << i;
+                ASSERT_EQ(a.d_position[i].y, b.d_position[i].y)
+                    << "tile=" << tile << " w=" << w << " i=" << i;
+                ASSERT_EQ(a.d_opacity[i], b.d_opacity[i])
+                    << "tile=" << tile << " w=" << w << " i=" << i;
+                ASSERT_EQ(a.d_log_scale[i].y, b.d_log_scale[i].y)
+                    << "tile=" << tile << " w=" << w << " i=" << i;
+                ASSERT_EQ(a.d_rotation[i].x, b.d_rotation[i].x)
+                    << "tile=" << tile << " w=" << w << " i=" << i;
+                ASSERT_EQ(a.d_sh[i * kShDim], b.d_sh[i * kShDim])
+                    << "tile=" << tile << " w=" << w << " i=" << i;
+            }
         }
     }
 }
