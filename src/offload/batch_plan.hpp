@@ -1,10 +1,11 @@
 /**
  * @file
- * The op-DAG a training system launches for one batch. The plan is
- * execution-substrate-agnostic: the functional trainers interpret the same
- * structure the discrete-event GPU simulator times, so the overlap and
- * communication behaviour measured in the benches is exactly the behaviour
- * the real system's streams would exhibit.
+ * The op-DAG a training system launches for one batch, as the
+ * discrete-event GPU simulator times it. The functional trainers do not
+ * walk this DAG: they take only the planner's order, cache plan and
+ * finalization schedule (planner.hpp) and run them through the
+ * TransferEngine, so the simulated and the measured pipelines share
+ * those three decisions, not their op-level timing.
  */
 
 #ifndef CLM_OFFLOAD_BATCH_PLAN_HPP

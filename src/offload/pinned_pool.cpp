@@ -8,16 +8,15 @@
 namespace clm {
 
 size_t
-PinnedLayout::totalBytes(size_t n, size_t n_signal_slots)
+PinnedLayout::totalBytes(size_t n)
 {
     return n * (paramStride() + gradStride())
-         + n_signal_slots * kCacheLineBytes;
+         + kSignalSlots * kCacheLineBytes;
 }
 
-PinnedPool::PinnedPool(size_t n, size_t n_signal_slots)
-    : n_(n), n_signals_(n_signal_slots)
+PinnedPool::PinnedPool(size_t n) : n_(n)
 {
-    bytes_ = PinnedLayout::totalBytes(n, n_signal_slots);
+    bytes_ = PinnedLayout::totalBytes(n);
     // +64 so we can cache-line-align the base, as cudaHostAlloc would.
     storage_ = std::make_unique<std::byte[]>(bytes_ + kCacheLineBytes);
     auto base = reinterpret_cast<uintptr_t>(storage_.get());
@@ -60,7 +59,7 @@ PinnedPool::gradRecord(size_t i) const
 uint32_t *
 PinnedPool::signalSlot(size_t slot)
 {
-    CLM_ASSERT(slot < n_signals_, "signal slot out of range");
+    CLM_ASSERT(slot < kSignalSlots, "signal slot out of range");
     return reinterpret_cast<uint32_t *>(signals_
                                         + slot * kCacheLineBytes);
 }

@@ -23,6 +23,10 @@ namespace clm {
 
 class GaussianModel;
 
+/** Pinned completion-signal slots (§5.4): the TransferEngine cycles
+ *  microbatch finalization signals through them. */
+constexpr size_t kSignalSlots = 64;
+
 /** Pinned-pool sizing policy, exposed for the Table 6 bench. */
 struct PinnedLayout
 {
@@ -39,7 +43,7 @@ struct PinnedLayout
     }
 
     /** Total pinned bytes for @p n Gaussians (params + grads + signals). */
-    static size_t totalBytes(size_t n, size_t n_signal_slots = 64);
+    static size_t totalBytes(size_t n);
 };
 
 /**
@@ -51,7 +55,7 @@ class PinnedPool
 {
   public:
     /** Allocate records for @p n Gaussians, zero-initialized. */
-    explicit PinnedPool(size_t n, size_t n_signal_slots = 64);
+    explicit PinnedPool(size_t n);
 
     size_t size() const { return n_; }
 
@@ -83,7 +87,6 @@ class PinnedPool
 
   private:
     size_t n_ = 0;
-    size_t n_signals_ = 0;
     size_t bytes_ = 0;
     std::unique_ptr<std::byte[]> storage_;
     std::byte *params_ = nullptr;

@@ -6,6 +6,8 @@
  * (ZeRO-Offload-style, Figure 3) and CLM (Figure 6). For CLM the planner
  * runs ordering (§4.2.3), Gaussian caching (§4.2.1) and finalization
  * (§4.2.2), and emits the 1F1B-interleaved two-stream schedule of §5.3.
+ * The functional CLM trainer uses only BatchPlanResult's order, cache and
+ * fin; the op-DAG and its costs feed the simulator.
  */
 
 #ifndef CLM_OFFLOAD_PLANNER_HPP
@@ -40,7 +42,9 @@ struct PlannerConfig
     SystemKind system = SystemKind::Clm;
     OrderingStrategy ordering = OrderingStrategy::Tsp;
     bool enable_cache = true;        //!< Precise Gaussian caching §4.2.1.
-    bool overlap_adam = true;        //!< Overlapped CPU Adam §4.2.2.
+    /** Overlapped CPU Adam §4.2.2. Shapes only the simulator's DAG;
+     *  the functional trainers follow TrainConfig::async_adam. */
+    bool overlap_adam = true;
     TspConfig tsp;                   //!< 1 ms budget by default.
     uint64_t seed = 1;
 };

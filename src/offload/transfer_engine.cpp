@@ -27,7 +27,7 @@ packGradRecord(const GaussianGrads &grads, size_t i, float *out)
 }
 
 TransferEngine::TransferEngine(size_t n, TransferEngineConfig config)
-    : config_(config), pool_(n, config.signal_slots)
+    : config_(config), pool_(n)
 {
     if (config_.async_finalize)
         adam_thread_ = std::thread([this] { adamThreadLoop(); });
@@ -55,7 +55,7 @@ void
 TransferEngine::reset(size_t n)
 {
     drain();
-    pool_ = PinnedPool(n, config_.signal_slots);
+    pool_ = PinnedPool(n);
     ring_.clear();
 }
 
@@ -74,6 +74,14 @@ TransferEngine::addStageTime(TrainStage stage, double seconds)
 {
     std::lock_guard<std::mutex> lock(timings_mutex_);
     timings_.add(stage, seconds);
+}
+
+void
+TransferEngine::addScheduleTime(double seconds)
+{
+    std::lock_guard<std::mutex> lock(timings_mutex_);
+    timings_.add(TrainStage::Schedule, seconds);
+    timings_.batch_seconds += seconds;
 }
 
 void
@@ -201,7 +209,7 @@ TransferEngine::commit(size_t i, const CollectFn &collect)
     // (1-based index i+1 in the schedule).
     if (i + 1 < fin_.finalized_after.size())
         dispatchFinalize(std::move(fin_.finalized_after[i + 1]),
-                         i % config_.signal_slots);
+                         i % kSignalSlots);
 }
 
 size_t

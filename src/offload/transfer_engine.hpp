@@ -44,8 +44,6 @@ struct TransferEngineConfig
     /** Run finalization on the dedicated CPU Adam thread (§5.4),
      *  handshaking through the pinned signal slots. */
     bool async_finalize = false;
-    /** Number of pinned completion-signal slots (§5.4). */
-    size_t signal_slots = 64;
 };
 
 /**
@@ -141,13 +139,18 @@ class TransferEngine
     /** Measured stage timers (accumulated; call between batches). */
     const StageTimings &timings() const { return timings_; }
 
-    /** Record stage time measured outside the engine (e.g. planning). */
-    void addStageTime(TrainStage stage, double seconds);
+    /** Record the caller's scheduling of the next batch (cull + plan,
+     *  measured outside the engine) as TrainStage::Schedule; it counts
+     *  in StageTimings::batch_seconds too, beside runBatch()'s time. */
+    void addScheduleTime(double seconds);
 
     /** Discard accumulated stage timers. */
     void resetTimings();
 
   private:
+    /** Record @p seconds of busy time for @p stage (any thread). */
+    void addStageTime(TrainStage stage, double seconds);
+
     /** Ring buffer of microbatch @p i (W+1 buffers for depth W). */
     DeviceBuffer &buffer(size_t i) { return ring_[i % ring_size_]; }
 

@@ -27,7 +27,7 @@ ClmTrainer::ClmTrainer(GaussianModel model, std::vector<Camera> cameras,
                        std::vector<Image> ground_truth, TrainConfig config)
     : Trainer(std::move(model), std::move(cameras),
               std::move(ground_truth), config),
-      ctx_(model_, adam_, densifier_),
+      ctx_(model_, adam_, densifier_, cull_dirty_),
       engine_(model_.size(), engineConfig(config_))
 {
     engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
@@ -40,7 +40,6 @@ ClmTrainer::ClmTrainer(GaussianModel model, std::vector<Camera> cameras,
 void
 ClmTrainer::onModelResized()
 {
-    ctx_.rebuild();
     engine_.reset(model_.size());
     engine_.uploadParams(model_);
 }
@@ -65,14 +64,15 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
     CLM_ASSERT(b > 0, "empty batch");
 
     // 1. Pre-rendering frustum culling (§5.1) + batch planning (§4.2):
-    // ordering, caching, finalization — the Figure 13 scheduling stage.
+    // ordering, caching, finalization — the Figure 13 scheduling stage,
+    // part of the batch's measured total.
     Timer sched;
-    BatchWorkload wl =
-        ctx_.buildWorkload(cameras_, view_ids, config_.render.parallel);
+    BatchWorkload wl = ctx_.buildWorkload(
+        cullBatch(view_ids, config_.render.parallel), cameras_, view_ids);
     PlannerConfig pc = config_.planner;
     pc.system = SystemKind::Clm;
     const BatchPlanResult &plan = ctx_.planViews(pc, wl);
-    engine_.addStageTime(TrainStage::Schedule, sched.seconds());
+    engine_.addScheduleTime(sched.seconds());
 
     // 2. Train the microbatches through the engine: up to W render at
     // once, each serially on a pool thread from its own slot, and the

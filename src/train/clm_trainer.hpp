@@ -1,8 +1,9 @@
 /**
  * @file
  * The functional CLM trainer, now a thin policy over the shared offload
- * subsystem: TrainerContext holds the attribute-split state (critical
- * store, compact microbatch gather, finalization pass) and
+ * subsystem: TrainerContext holds the attribute-split state (compact
+ * microbatch gather from the master model's critical rows and the
+ * staged non-critical rows, finalization pass) and
  * TransferEngine owns the whole data path (pinned pool, a ring of W+1
  * staging buffers, RMW gradient scatter, dedicated finalization
  * thread). The trainer itself culls and plans (§4.2), then renders up
@@ -57,21 +58,9 @@ class ClmTrainer : public Trainer
     const StageTimings &stageTimings() const { return engine_.timings(); }
 
     /** Densification with offload-state rebuild: drains the Adam
-     *  thread, restructures the model, then rebuilds the critical
-     *  store, pinned pool and buffer ring. */
+     *  thread, restructures the model, then rebuilds the cull stage,
+     *  pinned pool and buffer ring. */
     DensifyStats densifyNow() override;
-
-    /**
-     * Failure injection (tests only): overwrite every non-critical
-     * attribute of the "GPU" critical store with NaN. Training must be
-     * unaffected, because the attribute-wise offload guarantees every
-     * rendered Gaussian's non-critical attributes are loaded from pinned
-     * memory first (§4.1): renders read them only from the microbatch's
-     * staged buffer rows — any read of an unloaded attribute poisons the
-     * output and fails the test.
-     */
-    void debugPoisonScratchNonCritical()
-    { ctx_.debugPoisonScratchNonCritical(); }
 
   protected:
     void onModelResized() override;

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/logging.hpp"
+#include "util/timer.hpp"
 
 namespace clm {
 
@@ -29,7 +30,7 @@ NaiveOffloadTrainer::NaiveOffloadTrainer(GaussianModel model,
                                          TrainConfig config)
     : Trainer(std::move(model), std::move(cameras),
               std::move(ground_truth), config),
-      ctx_(model_, adam_, densifier_),
+      ctx_(model_, adam_, densifier_, cull_dirty_),
       engine_(model_.size(), naiveEngineConfig(config_))
 {
     engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
@@ -42,7 +43,6 @@ NaiveOffloadTrainer::NaiveOffloadTrainer(GaussianModel model,
 void
 NaiveOffloadTrainer::onModelResized()
 {
-    ctx_.rebuild();
     engine_.reset(model_.size());
     engine_.uploadParams(model_);
 }
@@ -61,11 +61,13 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     BatchStats stats;
     size_t n = model_.size();
 
-    // Cull the whole batch up front in one fused sweep: the critical
-    // store cannot change inside a naive batch, because the only
-    // finalization runs after the view loop.
+    // Cull the whole batch up front in one fused sweep: the model's
+    // critical rows cannot change inside a naive batch, because the
+    // only finalization runs after the view loop. Cull and plan are the
+    // batch's Schedule stage.
+    Timer sched;
     std::vector<std::vector<uint32_t>> subsets =
-        ctx_.cullViews(cameras_, view_ids, config_.render.parallel);
+        cullBatch(view_ids, config_.render.parallel);
 
     // CPU Adam on the master copy runs sparse over the touched
     // Gaussians, the same rule every trainer uses so trajectories are
@@ -88,6 +90,7 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     std::vector<uint32_t> all(n);
     std::iota(all.begin(), all.end(), 0u);
     CachePlan cache = planCache({all}, /*enable_cache=*/false);
+    engine_.addScheduleTime(sched.seconds());
     const RenderConfig render = activeRenderConfig();
     auto train_views = [&](size_t, DeviceBuffer &buf) {
         for (size_t k = 0; k < view_ids.size(); ++k) {

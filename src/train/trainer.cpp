@@ -24,6 +24,7 @@ Trainer::Trainer(GaussianModel model, std::vector<Camera> cameras,
                "one ground-truth image per camera required");
     CLM_ASSERT(!cameras_.empty(), "need at least one view");
     adam_.reset(model_.size());
+    buildCullStage(model_, arena_.cull, config_.render.parallel);
     // One startup line so training logs record which SIMD kernel table
     // the run dispatched to (CLM_SIMD can override the CPUID choice).
     static const bool logged_simd = [] {
@@ -108,6 +109,8 @@ Trainer::densifyNow()
 {
     CLM_ASSERT(densify_enabled_, "enableDensification() first");
     DensifyStats stats = densifier_.densify(model_, adam_, rng_);
+    buildCullStage(model_, arena_.cull, config_.render.parallel);
+    cull_dirty_.clear();
     onModelResized();
     // Densification restructures the model; republish so serving reads
     // the new topology instead of a retired snapshot for too long.
@@ -130,6 +133,22 @@ Trainer::activeRenderConfig() const
     RenderConfig cfg = config_.render;
     cfg.sh_degree = activeShDegree();
     return cfg;
+}
+
+std::vector<std::vector<uint32_t>>
+Trainer::cullBatch(const std::vector<int> &view_ids, bool parallel)
+{
+    CLM_ASSERT(!view_ids.empty(), "empty batch");
+    std::vector<Camera> cams;
+    cams.reserve(view_ids.size());
+    for (int v : view_ids)
+        cams.push_back(cameras_[v]);
+    // Only the dirty rows changed since the last cull.
+    refreshCullStage(model_, cull_dirty_, arena_.cull, parallel);
+    cull_dirty_.clear();
+    std::vector<std::vector<uint32_t>> sets;
+    frustumCullBatch(model_, cams, arena_.cull, sets, parallel);
+    return sets;
 }
 
 double
@@ -161,14 +180,12 @@ GpuOnlyTrainer::GpuOnlyTrainer(GaussianModel model,
               config)
 {
     grads_.resize(model_.size());
-    buildCullStage(model_, arena_.cull, config_.render.parallel);
 }
 
 void
 GpuOnlyTrainer::onModelResized()
 {
     grads_.resize(model_.size());
-    buildCullStage(model_, arena_.cull, config_.render.parallel);
 }
 
 BatchStats
@@ -187,9 +204,9 @@ GpuOnlyTrainer::trainBatch(const std::vector<int> &view_ids)
     cams.reserve(B);
     for (int v : view_ids)
         cams.push_back(cameras_[v]);
-    std::vector<std::vector<uint32_t>> subsets;
     StageClock stage_clock;
-    frustumCullBatch(model_, cams, arena_.cull, subsets, render.parallel);
+    std::vector<std::vector<uint32_t>> subsets =
+        cullBatch(view_ids, render.parallel);
     arena_.retain_staging = true;
     renderForwardBatch(model_, cams, subsets, render, arena_);
     stage_clock.lap("train.forward");
@@ -213,8 +230,8 @@ GpuOnlyTrainer::trainBatch(const std::vector<int> &view_ids)
         adam_.updateSubset(model_, grads_, touched);
     }
     // Adam changed exactly the touched rows: the next batch's cull
-    // stage needs only their lanes.
-    refreshCullStage(model_, touched, arena_.cull, render.parallel);
+    // refreshes only their lanes.
+    cull_dirty_ = touched;
     stats.adam_updated = touched.size();
     observeDensify(grads_);
     return stats;

@@ -100,8 +100,9 @@ class Trainer
     virtual const GaussianModel &model() const { return model_; }
 
     /** @name Adaptive density control (§2.1)
-     * Enable observation, then call densifyNow() periodically; trainers
-     * rebuild their internal (offloaded) state after topology changes.
+     * Enable observation, then call densifyNow() periodically; it
+     * rebuilds the cull stage, and trainers rebuild their internal
+     * (offloaded) state after topology changes.
      */
     /// @{
     void enableDensification(DensifyConfig config = {});
@@ -158,6 +159,17 @@ class Trainer
     /** Rebuild trainer-local buffers after the model was restructured. */
     virtual void onModelResized() {}
 
+    /**
+     * Pre-rendering frustum culling (§5.1) of every view in @p view_ids
+     * from the master model, in one frustumCullBatch sweep of
+     * arena_.cull: element k is exactly frustumCull(model_,
+     * cameras_[view_ids[k]]). First refreshes the stage's lanes of the
+     * rows in cull_dirty_ instead of rebuilding it. Call only while
+     * nothing writes model_ (between batches).
+     */
+    std::vector<std::vector<uint32_t>>
+    cullBatch(const std::vector<int> &view_ids, bool parallel);
+
     GaussianModel model_;
     std::vector<Camera> cameras_;
     std::vector<Image> ground_truth_;
@@ -169,10 +181,18 @@ class Trainer
     int batches_done_ = 0;
     SnapshotSlot *snapshot_sink_ = nullptr;    //!< Non-owning.
 
+    /** Rows whose critical attributes changed since the last
+     *  cullBatch() (duplicate-free: each batch's Adam rows are, and the
+     *  list is cleared at every cull). One writer at a time: the
+     *  GPU-only trainer after its Adam step, or an offload trainer's
+     *  finalization, whose calls never overlap. */
+    std::vector<uint32_t> cull_dirty_;
+
     /** Render scratch of the GPU-only trainer's fused batches and of
      *  evaluatePsnr (offload trainers render microbatches in their
-     *  MicrobatchSlots). mutable: purely scratch — reuse never changes
-     *  results. */
+     *  MicrobatchSlots), plus every trainer's cull stage (arena_.cull),
+     *  built at construction and densification. mutable: purely
+     *  scratch — reuse never changes results. */
     mutable RenderArena arena_;
 };
 
@@ -182,9 +202,8 @@ class Trainer
  * kernel input size, which the performance simulator accounts for).
  * Every batch, a batch of one included, runs one frustumCullBatch and
  * the fused forward/backward pair (render/batch.hpp) with retained
- * staging; the Adam subset is the union of the views' subsets. The
- * cull stage (arena_.cull) is built at construction and densification
- * and refreshed with each batch's Adam subset.
+ * staging; the Adam subset is the union of the views' subsets, which
+ * it marks dirty for the next batch's cull.
  */
 class GpuOnlyTrainer : public Trainer
 {

@@ -1,7 +1,6 @@
 #include "train/trainer_context.hpp"
 
 #include <cstring>
-#include <limits>
 #include <numeric>
 
 #include "util/logging.hpp"
@@ -15,64 +14,23 @@ namespace {
  *  finalization runs inline (the cut CpuAdam::updateSubset uses). */
 constexpr size_t kParallelFinalizeRows = 1024;
 
-/** Copy Gaussian @p i's critical attributes of @p src into row @p j of
- *  @p dst. */
-void
-copyCritical(const GaussianModel &src, size_t i, GaussianModel &dst,
-             size_t j)
-{
-    dst.position(j) = src.position(i);
-    dst.logScale(j) = src.logScale(i);
-    dst.rotation(j) = src.rotation(i);
-}
-
 } // namespace
 
 TrainerContext::TrainerContext(GaussianModel &model, CpuAdam &adam,
-                               Densifier &densifier)
-    : model_(model), adam_(adam), densifier_(densifier)
+                               Densifier &densifier,
+                               std::vector<uint32_t> &cull_dirty)
+    : model_(model), adam_(adam), densifier_(densifier),
+      cull_dirty_(cull_dirty)
 {
-    rebuild();
-}
-
-void
-TrainerContext::rebuild()
-{
-    // Attribute-wise offload (§4.1): non-critical attributes live in the
-    // engine's pinned pool; critical attributes are resident in the
-    // critical store.
-    size_t n = model_.size();
-    scratch_.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        copyCritical(model_, i, scratch_, i);
-    buildCullStage(scratch_, cull_);
-    dirty_.clear();
-}
-
-std::vector<std::vector<uint32_t>>
-TrainerContext::cullViews(const std::vector<Camera> &cameras,
-                          const std::vector<int> &view_ids, bool parallel)
-{
-    CLM_ASSERT(!view_ids.empty(), "empty batch");
-    std::vector<Camera> batch;
-    batch.reserve(view_ids.size());
-    for (int v : view_ids)
-        batch.push_back(cameras[v]);
-    // Only the rows finalized since the last cull changed.
-    refreshCullStage(scratch_, dirty_, cull_, parallel);
-    dirty_.clear();
-    std::vector<std::vector<uint32_t>> sets;
-    frustumCullBatch(scratch_, batch, cull_, sets, parallel);
-    return sets;
 }
 
 BatchWorkload
-TrainerContext::buildWorkload(const std::vector<Camera> &cameras,
-                              const std::vector<int> &view_ids,
-                              bool parallel)
+TrainerContext::buildWorkload(std::vector<std::vector<uint32_t>> sets,
+                              const std::vector<Camera> &cameras,
+                              const std::vector<int> &view_ids) const
 {
     BatchWorkload wl;
-    wl.sets = cullViews(cameras, view_ids, parallel);
+    wl.sets = std::move(sets);
     wl.camera_centers.reserve(view_ids.size());
     for (int v : view_ids)
         wl.camera_centers.push_back(cameras[v].eye());
@@ -120,7 +78,9 @@ TrainerContext::gatherCompact(MicrobatchSlot &slot, const DeviceBuffer &buf,
         CLM_ASSERT(row < bound.size() && bound[row] == g,
                    "microbatch Gaussian ", g, " not bound in buffer");
         slot.rows[r] = row;
-        copyCritical(scratch_, g, slot.compact, r);
+        slot.compact.position(r) = model_.position(g);
+        slot.compact.logScale(r) = model_.logScale(g);
+        slot.compact.rotation(r) = model_.rotation(g);
         slot.compact.unpackNonCritical(r, buf.paramRow(row));
     }
 }
@@ -145,9 +105,9 @@ TrainerContext::finalize(PinnedPool &pool,
 {
     // Gradients for the finalized set are complete in pinned memory
     // (§4.2.2): update each row straight from its record (§5.4), make
-    // the new non-critical parameters visible to future loads, reset
-    // the record for the next batch, and push the new critical
-    // attributes to the GPU store (§4.1).
+    // the new non-critical parameters visible to future loads, and
+    // reset the record for the next batch. The new critical attributes
+    // are in place in the master rows the next cull reads (§4.1).
     auto finalize_rows = [&](size_t begin, size_t end) {
         for (size_t k = begin; k < end; ++k) {
             const uint32_t g = fin[k];
@@ -158,7 +118,6 @@ TrainerContext::finalize(PinnedPool &pool,
             adam_.updateRecord(model_, g, grad);
             model_.packNonCritical(g, pool.paramRecord(g));
             std::memset(grad, 0, kParamsPerGaussian * sizeof(float));
-            copyCritical(model_, g, scratch_, g);
         }
     };
     if (parallel && adam_.config().parallel
@@ -166,18 +125,8 @@ TrainerContext::finalize(PinnedPool &pool,
         ThreadPool::global().parallelFor(fin.size(), finalize_rows);
     else
         finalize_rows(0, fin.size());
-    dirty_.insert(dirty_.end(), fin.begin(), fin.end());
+    cull_dirty_.insert(cull_dirty_.end(), fin.begin(), fin.end());
     return fin.size();
-}
-
-void
-TrainerContext::debugPoisonScratchNonCritical()
-{
-    float poison[kNonCriticalDim];
-    for (int k = 0; k < kNonCriticalDim; ++k)
-        poison[k] = std::numeric_limits<float>::quiet_NaN();
-    for (size_t i = 0; i < scratch_.size(); ++i)
-        scratch_.unpackNonCritical(i, poison);
 }
 
 } // namespace clm

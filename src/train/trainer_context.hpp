@@ -1,13 +1,18 @@
 /**
  * @file
  * Shared per-trainer offload state that ClmTrainer and NaiveOffloadTrainer
- * previously duplicated: the GPU-resident critical store (position,
- * log-scale, rotation; §4.1), the compact microbatch gather each view
- * renders from (§5.2) into a caller-owned MicrobatchSlot, batch workload
- * construction (pre-rendering frustum culling of the whole batch in one
- * fused sweep, §5.1), planner invocation, and the finalization pass (CPU
- * Adam straight from the pinned gradient records plus parameter
- * write-back, §4.2.2/§5.4).
+ * previously duplicated: the compact microbatch gather each view renders
+ * from (§5.2) into a caller-owned MicrobatchSlot, batch workload
+ * construction around the trainer's pre-rendering cull (§5.1), planner
+ * invocation, and the finalization pass (CPU Adam straight from the
+ * pinned gradient records plus parameter write-back, §4.2.2/§5.4).
+ *
+ * The master model's critical attributes (position, log-scale,
+ * rotation; §4.1) are the "GPU-resident" set: the cull and the gather
+ * read them in place, so there is no second copy to keep in step.
+ * Gathers read only rows of in-flight sets, and finalization writes
+ * only rows that no later set of the batch holds (§4.2.2), so the
+ * dedicated Adam thread never writes a row a gather reads.
  */
 
 #ifndef CLM_TRAIN_TRAINER_CONTEXT_HPP
@@ -21,7 +26,6 @@
 #include "offload/planner.hpp"
 #include "offload/transfer_engine.hpp"
 #include "render/arena.hpp"
-#include "render/batch.hpp"
 #include "render/camera.hpp"
 #include "render/loss.hpp"
 
@@ -47,35 +51,20 @@ struct MicrobatchSlot
 };
 
 /** See file comment. Holds references to the owning trainer's master
- *  model and optimizer; owns every derived offload-side structure. */
+ *  model, optimizer and cull dirty list; owns every derived
+ *  offload-side structure. */
 class TrainerContext
 {
   public:
     TrainerContext(GaussianModel &model, CpuAdam &adam,
-                   Densifier &densifier);
+                   Densifier &densifier, std::vector<uint32_t> &cull_dirty);
 
-    /** (Re)build the critical store and its full cull stage for the
-     *  master model's current topology (construction, densification). */
-    void rebuild();
-
-    /**
-     * Pre-rendering frustum culling (§5.1) of every view in @p view_ids
-     * from the critical store, in one fused frustumCullBatch sweep:
-     * element k is exactly frustumCull(model, cameras[view_ids[k]]).
-     * First refreshes the cull stage's lanes of the rows finalized
-     * since the last cull — the previous batch's touched union, which
-     * its sets F_1..F_b partition — instead of rebuilding it. Call only
-     * while no finalization is in flight (between batches).
-     */
-    std::vector<std::vector<uint32_t>>
-    cullViews(const std::vector<Camera> &cameras,
-              const std::vector<int> &view_ids, bool parallel);
-
-    /** Build the planner workload for a batch of views (cullViews()
-     *  plus the camera centers the ordering reads). */
-    BatchWorkload buildWorkload(const std::vector<Camera> &cameras,
-                                const std::vector<int> &view_ids,
-                                bool parallel);
+    /** Build the planner workload for a batch of views from their culled
+     *  @p sets (element k is view_ids[k]'s) plus the camera centers the
+     *  ordering reads. */
+    BatchWorkload buildWorkload(std::vector<std::vector<uint32_t>> sets,
+                                const std::vector<Camera> &cameras,
+                                const std::vector<int> &view_ids) const;
 
     /** Run the batch planner and stash the result. */
     const BatchPlanResult &planViews(const PlannerConfig &config,
@@ -91,15 +80,15 @@ class TrainerContext
     /**
      * Fill @p slot with the compact microbatch of @p set (§5.2, every
      * entry bound in @p buf, ascending): compact row r takes the
-     * critical attributes of set[r] from the critical store and the
+     * critical attributes of set[r] from the master model and the
      * non-critical ones from its bound row of @p buf; the gradients are
      * zeroed. Rendering the compact model over slot.subset is bitwise
      * identical to rendering the full model over @p set (a render
      * depends only on subset position), while touching k contiguous
      * rows instead of k rows scattered over the whole model. Reads only
-     * the critical store rows of @p set, so concurrent calls for
-     * different slots are safe beside finalization of rows in no
-     * in-flight set.
+     * the master model's critical attributes of @p set's rows, so
+     * concurrent calls for different slots are safe beside finalization
+     * of rows in no in-flight set.
      */
     void gatherCompact(MicrobatchSlot &slot, const DeviceBuffer &buf,
                        const std::vector<uint32_t> &set) const;
@@ -114,36 +103,23 @@ class TrainerContext
      * its pinned gradient record in @p pool: feed the densification
      * statistics when @p observe_densify, run CPU Adam on the master
      * model, write the updated non-critical parameters into the pool
-     * record, zero the gradient record, and push the updated critical
-     * attributes to the critical store. Rows are independent; with
+     * record, and zero the gradient record. Rows are independent; with
      * @p parallel large sets spread over the global thread pool (the
      * dedicated Adam thread passes false so it never competes with the
      * render pool). Calls must not overlap (the engine makes them from
-     * one thread); the rows are recorded for the next cullViews().
+     * one thread); the rows are marked in the cull dirty list, since
+     * their critical attributes changed.
      *
      * @return Number of Gaussians updated.
      */
     size_t finalize(PinnedPool &pool, const std::vector<uint32_t> &fin,
                     bool observe_densify, bool parallel);
 
-    /** Failure injection (tests only): overwrite every non-critical
-     *  attribute of the critical store with NaN; see
-     *  ClmTrainer::debugPoisonScratchNonCritical(). */
-    void debugPoisonScratchNonCritical();
-
   private:
     GaussianModel &model_;      //!< Master copy (CPU, Adam-updated).
     CpuAdam &adam_;
     Densifier &densifier_;
-    /** The "GPU" critical store: its critical fields are always valid
-     *  (culling reads them); its non-critical arrays are never read. */
-    GaussianModel scratch_;
-    /** Cull stage of scratch_: built by rebuild(), refreshed per batch
-     *  with dirty_. */
-    BatchCullScratch cull_;
-    /** Rows finalize() updated since the last cull (duplicate-free:
-     *  one batch's finalization sets partition its touched union). */
-    std::vector<uint32_t> dirty_;
+    std::vector<uint32_t> &cull_dirty_;    //!< Trainer::cull_dirty_.
     BatchPlanResult last_plan_;
 };
 

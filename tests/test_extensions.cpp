@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 
 #include "gaussian/io.hpp"
@@ -19,6 +20,7 @@
 #include "scene/camera_path.hpp"
 #include "scene/synthetic.hpp"
 #include "train/clm_trainer.hpp"
+#include "train/trainer_context.hpp"
 #include "train/quality_harness.hpp"
 #include "util/thread_pool.hpp"
 
@@ -355,24 +357,71 @@ TEST(ShRamp, DegreeIncreasesWithBatches)
     EXPECT_EQ(t.activeShDegree(), 2);    // capped at render.sh_degree
 }
 
-TEST(AttributeOffload, PoisonedUnloadedAttributesNeverRead)
+TEST(AttributeOffload, GatherTakesCriticalFromMasterNonCriticalFromBuffer)
 {
-    // The strongest form of the §4.1 claim: rendering only ever touches
-    // non-critical attributes that the selective loader placed. Poison
-    // everything; the loads must overwrite exactly what rendering reads.
-    TrainFixture f;
-    ClmTrainer t(makeTrainee(f.gt, 300, 33), f.cameras, f.gt_images,
-                 f.config);
-    for (int step = 0; step < 3; ++step) {
-        t.debugPoisonScratchNonCritical();
-        BatchStats s = t.trainBatch({0, 2, 4, 6});
-        EXPECT_TRUE(std::isfinite(s.loss)) << "step " << step;
+    // The §4.1 split at the gather: a compact row's critical attributes
+    // come from the master model's row (the resident set the cull also
+    // reads), its non-critical ones only from the staged buffer row.
+    // Buffer rows hold markers that differ from every master
+    // non-critical value, so reading either half from the wrong place
+    // breaks bitwise equality.
+    GaussianModel model = generateGroundTruth(SceneSpec::bicycle(), 300);
+    CpuAdam adam;
+    adam.reset(model.size());
+    Densifier densifier;
+    std::vector<uint32_t> cull_dirty;
+    TrainerContext ctx(model, adam, densifier, cull_dirty);
+
+    // Bind every third row; gather every sixth, so the merge walk must
+    // skip bound rows the set does not hold.
+    std::vector<uint32_t> bound, set;
+    for (uint32_t g = 0; g < model.size(); g += 3) {
+        bound.push_back(g);
+        if (g % 6 == 0)
+            set.push_back(g);
     }
-    // The learned model itself stays finite.
-    for (size_t i = 0; i < t.model().size(); ++i) {
-        EXPECT_TRUE(std::isfinite(t.model().rawOpacity(i)));
-        EXPECT_TRUE(std::isfinite(t.model().sh(i)[0]));
+    DeviceBuffer buf;
+    buf.bind(bound);
+    for (size_t r = 0; r < buf.rows(); ++r)
+        for (int k = 0; k < kNonCriticalDim; ++k)
+            buf.paramRow(r)[k] =
+                -1000.0f - static_cast<float>(r * kNonCriticalDim + k);
+
+    MicrobatchSlot slot;
+    ctx.gatherCompact(slot, buf, set);
+    ASSERT_EQ(slot.compact.size(), set.size());
+    ASSERT_EQ(slot.rows.size(), set.size());
+    ASSERT_EQ(slot.subset.size(), set.size());
+    float master[kNonCriticalDim], compact[kNonCriticalDim];
+    for (size_t r = 0; r < set.size(); ++r) {
+        SCOPED_TRACE("compact row " + std::to_string(r));
+        const uint32_t g = set[r];
+        EXPECT_EQ(slot.subset[r], r);
+        ASSERT_EQ(slot.rows[r], static_cast<size_t>(buf.boundRow(g)));
+        slot.compact.packNonCritical(r, compact);
+        EXPECT_EQ(std::memcmp(compact, buf.paramRow(slot.rows[r]),
+                              sizeof(compact)),
+                  0);
+        model.packNonCritical(g, master);
+        EXPECT_NE(std::memcmp(compact, master, sizeof(compact)), 0);
+        EXPECT_EQ(std::memcmp(&slot.compact.position(r), &model.position(g),
+                              sizeof(Vec3)),
+                  0);
+        EXPECT_EQ(std::memcmp(&slot.compact.logScale(r), &model.logScale(g),
+                              sizeof(Vec3)),
+                  0);
+        EXPECT_EQ(std::memcmp(&slot.compact.rotation(r), &model.rotation(g),
+                              sizeof(Quat)),
+                  0);
     }
+    // Gradients start at zero (the backward accumulates).
+    for (size_t r = 0; r < set.size(); ++r) {
+        float rec[kParamsPerGaussian];
+        packGradRecord(slot.grads, r, rec);
+        for (float v : rec)
+            EXPECT_EQ(v, 0.0f);
+    }
+    EXPECT_TRUE(cull_dirty.empty());    // a gather marks nothing dirty
 }
 
 TEST(Robustness, ViewWithEmptyFrustumSet)

@@ -33,6 +33,7 @@
 #include "serve/render_service.hpp"
 #include "serve/snapshot.hpp"
 #include "train/clm_trainer.hpp"
+#include "train/naive_offload_trainer.hpp"
 #include "train/quality_harness.hpp"
 
 namespace clm {
@@ -345,7 +346,7 @@ TEST(CullStage, ClmTrainerPlanSetsEqualFrustumCull)
     // Trainer level: with async Adam and densification, every batch's
     // microbatch sets (rebuilt from the cache plan: loaded plus cached
     // rows) equal frustumCull of the model the batch started from, so
-    // the incrementally refreshed stage never lags the critical store.
+    // the incrementally refreshed stage never lags the master model.
     MovingTrainFixture f;
     ClmTrainer t(f.trainee, f.cams, f.gt_images, f.cfg);
     DensifyConfig dc;
@@ -377,21 +378,25 @@ TEST(CullStage, ClmTrainerPlanSetsEqualFrustumCull)
     EXPECT_GT(sizes_seen, 0u);    // densification changed the topology
 }
 
-TEST(CullStage, GpuOnlyTrainerCullsTheCurrentModel)
+/** Train @p t over MovingTrainFixture's batches with a densification
+ *  before step @p densify_step: every batch must render exactly
+ *  frustumCull's sets of the model it started from — their total size
+ *  and their union, the Adam subset. */
+void
+expectTrainerCullsTheCurrentModel(Trainer &t, const MovingTrainFixture &f,
+                                  int densify_step)
 {
-    // The GPU-only trainer refreshes its stage with each batch's Adam
-    // subset: every batch must render exactly frustumCull's sets of the
-    // model it started from (their total size and their union, the Adam
-    // subset), across a densification.
-    MovingTrainFixture f;
-    GpuOnlyTrainer t(f.trainee, f.cams, f.gt_images, f.cfg);
     DensifyConfig dc;
     dc.grad_threshold = 1e-7f;
     t.enableDensification(dc);
+    size_t sizes_seen = 0;
     for (int step = 0; step < 6; ++step) {
         SCOPED_TRACE("step " + std::to_string(step));
-        if (step == 3)
+        if (step == densify_step) {
+            const size_t before = t.model().size();
             t.densifyNow();
+            sizes_seen += t.model().size() != before;
+        }
         const GaussianModel before = t.model();
         const std::vector<int> ids = MovingTrainFixture::batch(step);
         size_t total = 0;
@@ -407,6 +412,25 @@ TEST(CullStage, GpuOnlyTrainerCullsTheCurrentModel)
         EXPECT_EQ(stats.gaussians_rendered, total);
         EXPECT_EQ(stats.adam_updated, all.size());
     }
+    EXPECT_GT(sizes_seen, 0u);    // densification changed the topology
+}
+
+TEST(CullStage, GpuOnlyTrainerCullsTheCurrentModel)
+{
+    // The GPU-only trainer marks each batch's Adam subset dirty for the
+    // next cull's refresh.
+    MovingTrainFixture f;
+    GpuOnlyTrainer t(f.trainee, f.cams, f.gt_images, f.cfg);
+    expectTrainerCullsTheCurrentModel(t, f, 3);
+}
+
+TEST(CullStage, NaiveOffloadTrainerCullsTheCurrentModel)
+{
+    // The naive trainer's finalization (on the async Adam thread here)
+    // marks the rows it updated dirty for the next cull's refresh.
+    MovingTrainFixture f;
+    NaiveOffloadTrainer t(f.trainee, f.cams, f.gt_images, f.cfg);
+    expectTrainerCullsTheCurrentModel(t, f, 3);
 }
 
 void
