@@ -63,8 +63,9 @@ report(const SceneSpec &scene)
     std::cout << "\n";
 }
 
-/** Measured decomposition from the functional trainers' stage timers. */
-void
+/** Measured decomposition from the functional trainers' stage timers.
+ *  @return CLM's scheduling time as a share of the naive total. */
+double
 reportMeasured()
 {
     SceneSpec spec = SceneSpec::rubble();
@@ -114,6 +115,7 @@ reportMeasured()
     add("CLM", bc, true);
     t.print(std::cout);
     std::cout << "\n";
+    return bc.scheduling / norm;
 }
 
 } // namespace
@@ -125,13 +127,14 @@ main()
                  "===\n\n";
     report(SceneSpec::rubble());
     report(SceneSpec::bigCity());
-    reportMeasured();
+    const double measured_scheduling = reportMeasured();
     std::cout
-        << "Shape check: naive spends >50% of the batch on "
-           "communication + CPU Adam; CLM's total approaches its "
-           "compute time (communication hidden), and its scheduling "
-           "cost is marginal. The measured table shows the same shape "
-           "from real stage timers: CLM's staging time overlaps compute "
-           "instead of extending the total.\n";
+        << "Shape check (simulated tables): naive spends >50% of the "
+           "batch on communication + CPU Adam; CLM's total approaches "
+           "its compute time (communication hidden), and its scheduling "
+           "cost is marginal.\n"
+        << "Measured table (CPU-scale profile, not held to that "
+           "shape): CLM Scheduling = "
+        << Table::fmt(measured_scheduling, 3) << " of the naive total.\n";
     return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "math/simd.hpp"
 #include "util/logging.hpp"
@@ -13,25 +12,8 @@ namespace clm {
 void
 CpuAdam::reset(size_t n)
 {
-    m_position_.assign(n, Vec3{});
-    v_position_.assign(n, Vec3{});
-    m_log_scale_.assign(n, Vec3{});
-    v_log_scale_.assign(n, Vec3{});
-    m_rotation_.assign(n, Quat{0, 0, 0, 0});
-    v_rotation_.assign(n, Quat{0, 0, 0, 0});
-    m_sh_.assign(n * kShDim, 0.0f);
-    v_sh_.assign(n * kShDim, 0.0f);
-    m_opacity_.assign(n, 0.0f);
-    v_opacity_.assign(n, 0.0f);
+    state_.assign(n * 2 * kParamsPerGaussian, 0.0f);
     step_.assign(n, 0);
-}
-
-void
-CpuAdam::update(GaussianModel &model, const GaussianGrads &grads)
-{
-    std::vector<uint32_t> all(model.size());
-    std::iota(all.begin(), all.end(), 0u);
-    updateSubset(model, grads, all);
 }
 
 void
@@ -44,42 +26,16 @@ CpuAdam::updateSubset(GaussianModel &model, const GaussianGrads &grads,
     CLM_ASSERT(grads.size() == size(), "gradient size mismatch");
 
     auto update_rows = [&](size_t begin, size_t end) {
+        float rec[kParamsPerGaussian];
         for (size_t k = begin; k < end; ++k) {
-            uint32_t i = indices[k];
-            updateRow(model, i, grads.d_position[i], grads.d_log_scale[i],
-                      grads.d_rotation[i], &grads.d_sh[size_t(i) * kShDim],
-                      grads.d_opacity[i]);
+            packGradRecord(grads, indices[k], rec);
+            updateRecord(model, indices[k], rec);
         }
     };
-    if (config_.parallel && indices.size() > 1024)
+    if (config_.parallel && indices.size() > kParallelAdamRows)
         ThreadPool::global().parallelFor(indices.size(), update_rows);
     else
         update_rows(0, indices.size());
-}
-
-void
-CpuAdam::packMoments(size_t i, float *m, float *v) const
-{
-    auto pack = [i](float *out, const std::vector<Vec3> &pos,
-                    const std::vector<Vec3> &log_scale,
-                    const std::vector<Quat> &rot,
-                    const std::vector<float> &sh,
-                    const std::vector<float> &opacity) {
-        out[0] = pos[i].x;
-        out[1] = pos[i].y;
-        out[2] = pos[i].z;
-        out[3] = log_scale[i].x;
-        out[4] = log_scale[i].y;
-        out[5] = log_scale[i].z;
-        out[6] = rot[i].w;
-        out[7] = rot[i].x;
-        out[8] = rot[i].y;
-        out[9] = rot[i].z;
-        std::copy_n(&sh[i * kShDim], kShDim, out + kShOffset);
-        out[kOpacityOffset] = opacity[i];
-    };
-    pack(m, m_position_, m_log_scale_, m_rotation_, m_sh_, m_opacity_);
-    pack(v, v_position_, v_log_scale_, v_rotation_, v_sh_, v_opacity_);
 }
 
 float
@@ -103,17 +59,6 @@ void
 CpuAdam::updateRecord(GaussianModel &model, uint32_t i, const float *grad)
 {
     CLM_ASSERT(i < size(), "adam row ", i, " of ", size());
-    updateRow(model, i, {grad[0], grad[1], grad[2]},
-              {grad[3], grad[4], grad[5]},
-              {grad[6], grad[7], grad[8], grad[9]}, grad + kShOffset,
-              grad[kOpacityOffset]);
-}
-
-void
-CpuAdam::updateRow(GaussianModel &model, uint32_t i, const Vec3 &d_position,
-                   const Vec3 &d_log_scale, const Quat &d_rotation,
-                   const float *d_sh, float d_opacity)
-{
     const uint32_t t = ++step_[i];
     const float beta1 = config_.beta1;
     const float beta2 = config_.beta2;
@@ -122,33 +67,28 @@ CpuAdam::updateRow(GaussianModel &model, uint32_t i, const Vec3 &d_position,
     // corrections are computed once (same expression as per element).
     const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
     const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
-    auto step = [&](float &param, float grad, float &m, float &v,
-                    float lr) {
-        m = beta1 * m + (1.0f - beta1) * grad;
-        v = beta2 * v + (1.0f - beta2) * grad * grad;
-        float m_hat = m / bc1;
-        float v_hat = v / bc2;
+    float *m = &state_[size_t(i) * 2 * kParamsPerGaussian];
+    float *v = m + kParamsPerGaussian;
+    auto step = [&](float &param, int k, float lr) {
+        m[k] = beta1 * m[k] + (1.0f - beta1) * grad[k];
+        v[k] = beta2 * v[k] + (1.0f - beta2) * grad[k] * grad[k];
+        float m_hat = m[k] / bc1;
+        float v_hat = v[k] / bc2;
         param -= lr * m_hat / (std::sqrt(v_hat) + eps);
     };
 
-    const float lr_pos = positionLr(t);
+    // The 10 critical parameters in record order, LR chosen by segment.
     Vec3 &p = model.position(i);
-    step(p.x, d_position.x, m_position_[i].x, v_position_[i].x, lr_pos);
-    step(p.y, d_position.y, m_position_[i].y, v_position_[i].y, lr_pos);
-    step(p.z, d_position.z, m_position_[i].z, v_position_[i].z, lr_pos);
-
-    const float lr_s = config_.lr_log_scale;
     Vec3 &s = model.logScale(i);
-    step(s.x, d_log_scale.x, m_log_scale_[i].x, v_log_scale_[i].x, lr_s);
-    step(s.y, d_log_scale.y, m_log_scale_[i].y, v_log_scale_[i].y, lr_s);
-    step(s.z, d_log_scale.z, m_log_scale_[i].z, v_log_scale_[i].z, lr_s);
-
-    const float lr_r = config_.lr_rotation;
     Quat &q = model.rotation(i);
-    step(q.w, d_rotation.w, m_rotation_[i].w, v_rotation_[i].w, lr_r);
-    step(q.x, d_rotation.x, m_rotation_[i].x, v_rotation_[i].x, lr_r);
-    step(q.y, d_rotation.y, m_rotation_[i].y, v_rotation_[i].y, lr_r);
-    step(q.z, d_rotation.z, m_rotation_[i].z, v_rotation_[i].z, lr_r);
+    float *const critical[kCriticalDim] = {&p.x, &p.y, &p.z, &s.x, &s.y,
+                                           &s.z, &q.w, &q.x, &q.y, &q.z};
+    const float lr_pos = positionLr(t);
+    for (int k = 0; k < kCriticalDim; ++k)
+        step(*critical[k], k,
+             k < kScaleOffset ? lr_pos
+             : k < kRotOffset ? config_.lr_log_scale
+                              : config_.lr_rotation);
 
     // SH: the same per-element op sequence, eight lanes at a time (every
     // F8 op is the correctly-rounded IEEE single op, so lanes match the
@@ -160,23 +100,21 @@ CpuAdam::updateRow(GaussianModel &model, uint32_t i, const Vec3 &d_position,
     const F8 lr_sh = F8::broadcast(config_.lr_sh);
     const F8 epsv = F8::broadcast(eps);
     float *sh = model.sh(i);
-    float *msh = &m_sh_[size_t(i) * kShDim];
-    float *vsh = &v_sh_[size_t(i) * kShDim];
     for (int k = 0; k < kShDim; k += 8) {
-        F8 g = F8::load(d_sh + k);
-        F8 m = b1 * F8::load(msh + k) + c1 * g;
-        F8 v = b2 * F8::load(vsh + k) + c2 * g * g;
-        F8 m_hat = m / bc1v;
-        F8 v_hat = v / bc2v;
+        const int r = kShOffset + k;
+        F8 g = F8::load(grad + r);
+        F8 mk = b1 * F8::load(m + r) + c1 * g;
+        F8 vk = b2 * F8::load(v + r) + c2 * g * g;
+        F8 m_hat = mk / bc1v;
+        F8 v_hat = vk / bc2v;
         F8 param =
             F8::load(sh + k) - lr_sh * m_hat / (F8::sqrt(v_hat) + epsv);
-        m.store(msh + k);
-        v.store(vsh + k);
+        mk.store(m + r);
+        vk.store(v + r);
         param.store(sh + k);
     }
 
-    step(model.rawOpacity(i), d_opacity, m_opacity_[i], v_opacity_[i],
-         config_.lr_opacity);
+    step(model.rawOpacity(i), kOpacityOffset, config_.lr_opacity);
 }
 
 } // namespace clm

@@ -5,6 +5,11 @@
  * (§5.4), which is what makes the overlapped-finalization optimization
  * (§4.2.2) possible: Gaussians whose gradients are complete are updated
  * while later microbatches are still rendering.
+ *
+ * The optimizer state is record-major: each Gaussian owns one m record
+ * and one v record of kParamsPerGaussian floats in the pinned gradient
+ * record order, so one row kernel updates a Gaussian straight from its
+ * gradient record.
  */
 
 #ifndef CLM_GAUSSIAN_ADAM_HPP
@@ -16,6 +21,11 @@
 #include "gaussian/model.hpp"
 
 namespace clm {
+
+/** Row sets larger than this spread over the thread pool, in
+ *  CpuAdam::updateSubset and in the inline finalization pass (rows are
+ *  independent, so the result is the serial sweep's). */
+constexpr size_t kParallelAdamRows = 1024;
 
 /** Per-attribute learning rates, mirroring the reference 3DGS schedule. */
 struct AdamConfig
@@ -41,8 +51,12 @@ struct AdamConfig
 
 /**
  * Adam with first/second moment state for every parameter of every
- * Gaussian. The moment buffers are the "two additional versions" of each
- * parameter counted in the paper's 59 x 4 x 4 bytes model-state estimate.
+ * Gaussian. The moments are the "two additional versions" of each
+ * parameter counted in the paper's 59 x 4 x 4 bytes model-state
+ * estimate: Gaussian i's m record (59 floats: position, log-scale,
+ * rotation w x y z, SH, opacity) is followed by its v record in the
+ * same order, with no padding. One row kernel, updateRecord(), serves
+ * every trainer.
  */
 class CpuAdam
 {
@@ -53,17 +67,11 @@ class CpuAdam
     void reset(size_t n);
 
     /** Number of Gaussians with optimizer state. */
-    size_t size() const { return m_position_.size(); }
+    size_t size() const { return step_.size(); }
 
     /**
-     * Apply one Adam step to *all* Gaussians using @p grads.
-     * Equivalent to updateSubset() with the full index range; used by the
-     * non-overlapped (naive offload / GPU-only) training paths.
-     */
-    void update(GaussianModel &model, const GaussianGrads &grads);
-
-    /**
-     * Apply one Adam step to the Gaussians in @p indices only.
+     * Apply one Adam step to the Gaussians in @p indices only: each row
+     * is packed into a gradient record and run through updateRecord().
      *
      * Each listed Gaussian advances its *own* step counter, so a Gaussian
      * updated early (because it was finalized by an early microbatch) sees
@@ -75,16 +83,18 @@ class CpuAdam
 
     /**
      * Apply one Adam step to Gaussian @p i from its packed 59-float
-     * gradient record @p grad (position, log-scale, rotation w x y z,
-     * SH, opacity: the pinned gradient record layout). Bitwise identical
-     * to updateSubset() over {i} with the same gradients; the
+     * gradient record @p grad (the pinned gradient record layout); the
      * finalization pass uses it to update straight from pinned memory.
+     * The two bias corrections are computed once per row; the 48 SH
+     * coefficients run in F8 lanes with the scalar path's exact IEEE op
+     * sequence.
      */
     void updateRecord(GaussianModel &model, uint32_t i, const float *grad);
 
-    /** Pack Gaussian @p i's first and second moments into 59-float
-     *  records @p m and @p v (the gradient record layout). */
-    void packMoments(size_t i, float *m, float *v) const;
+    /** Gaussian @p i's first-moment record (gradient record layout);
+     *  its second-moment record follows at + kParamsPerGaussian. */
+    const float *firstMoments(size_t i) const
+    { return &state_[i * 2 * kParamsPerGaussian]; }
 
     /** Per-Gaussian step counts (for tests and bias-correction checks). */
     uint32_t stepCount(size_t i) const { return step_[i]; }
@@ -99,22 +109,11 @@ class CpuAdam
     { return size() * kParamsPerGaussian * 2 * sizeof(float); }
 
   private:
-    /** Full Adam update of one Gaussian's 59 parameters. The two bias
-     *  corrections are computed once per row; the 48 SH coefficients
-     *  run in F8 lanes with the scalar path's exact IEEE op sequence. */
-    void updateRow(GaussianModel &model, uint32_t i, const Vec3 &d_position,
-                   const Vec3 &d_log_scale, const Quat &d_rotation,
-                   const float *d_sh, float d_opacity);
-
     /** Scheduled position LR at per-Gaussian step @p t. */
     float positionLr(uint32_t t) const;
 
     AdamConfig config_;
-    std::vector<Vec3> m_position_, v_position_;
-    std::vector<Vec3> m_log_scale_, v_log_scale_;
-    std::vector<Quat> m_rotation_, v_rotation_;
-    std::vector<float> m_sh_, v_sh_;
-    std::vector<float> m_opacity_, v_opacity_;
+    std::vector<float> state_;    //!< Per Gaussian: m record, v record.
     std::vector<uint32_t> step_;
 };
 

@@ -29,6 +29,24 @@ GaussianGrads::zero()
 }
 
 void
+packGradRecord(const GaussianGrads &grads, size_t i, float *out)
+{
+    out[0] = grads.d_position[i].x;
+    out[1] = grads.d_position[i].y;
+    out[2] = grads.d_position[i].z;
+    out[3] = grads.d_log_scale[i].x;
+    out[4] = grads.d_log_scale[i].y;
+    out[5] = grads.d_log_scale[i].z;
+    out[6] = grads.d_rotation[i].w;
+    out[7] = grads.d_rotation[i].x;
+    out[8] = grads.d_rotation[i].y;
+    out[9] = grads.d_rotation[i].z;
+    std::memcpy(out + kShOffset, &grads.d_sh[i * kShDim],
+                kShDim * sizeof(float));
+    out[kOpacityOffset] = grads.d_opacity[i];
+}
+
+void
 GaussianModel::resize(size_t n)
 {
     position_.resize(n, Vec3{});

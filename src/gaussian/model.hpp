@@ -46,6 +46,10 @@ struct GaussianGrads
     float positionGradNorm(size_t i) const { return d_position[i].norm(); }
 };
 
+/** Pack one Gaussian's gradient row into the 59-float pinned record
+ *  layout: position, log-scale, rotation, SH, opacity. */
+void packGradRecord(const GaussianGrads &grads, size_t i, float *out);
+
 /**
  * The scene representation: N anisotropic 3D Gaussians stored as SoA.
  *

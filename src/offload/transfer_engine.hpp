@@ -36,7 +36,6 @@
 namespace clm {
 
 class GaussianModel;
-struct GaussianGrads;
 
 /** Policy knobs distinguishing the trainers that share the engine. */
 struct TransferEngineConfig
@@ -216,10 +215,6 @@ class TransferEngine
     bool adam_stop_ = false;
     std::atomic<size_t> async_finalized_{0};
 };
-
-/** Pack one Gaussian's gradient row into the 59-float pinned record
- *  layout: position, log-scale, rotation, SH, opacity. */
-void packGradRecord(const GaussianGrads &grads, size_t i, float *out);
 
 } // namespace clm
 

@@ -8,14 +8,6 @@
 
 namespace clm {
 
-namespace {
-
-/** Finalized sets larger than this spread over the thread pool when
- *  finalization runs inline (the cut CpuAdam::updateSubset uses). */
-constexpr size_t kParallelFinalizeRows = 1024;
-
-} // namespace
-
 TrainerContext::TrainerContext(GaussianModel &model, CpuAdam &adam,
                                Densifier &densifier,
                                std::vector<uint32_t> &cull_dirty)
@@ -121,7 +113,7 @@ TrainerContext::finalize(PinnedPool &pool,
         }
     };
     if (parallel && adam_.config().parallel
-        && fin.size() > kParallelFinalizeRows)
+        && fin.size() > kParallelAdamRows)
         ThreadPool::global().parallelFor(fin.size(), finalize_rows);
     else
         finalize_rows(0, fin.size());

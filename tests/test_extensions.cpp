@@ -112,32 +112,137 @@ TEST(ParallelRender, BackwardIdenticalToSerial)
     EXPECT_LT(max_rel, 1e-4);
 }
 
+/** Bit-pattern equality of @p n floats. */
+bool
+sameBits(const float *a, const float *b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/** Bitwise equality of Gaussian @p i's parameters in two models. */
+bool
+sameRow(const GaussianModel &a, const GaussianModel &b, size_t i)
+{
+    float ra[kParamsPerGaussian], rb[kParamsPerGaussian];
+    a.packCritical(i, ra);
+    a.packNonCritical(i, ra + kShOffset);
+    b.packCritical(i, rb);
+    b.packNonCritical(i, rb + kShOffset);
+    return sameBits(ra, rb, kParamsPerGaussian);
+}
+
+/** Bitwise equality of Gaussian @p i's step and m and v records. */
+bool
+sameAdamRow(const CpuAdam &a, const CpuAdam &b, size_t i)
+{
+    return a.stepCount(i) == b.stepCount(i)
+           && sameBits(a.firstMoments(i), b.firstMoments(i),
+                       2 * kParamsPerGaussian);
+}
+
 TEST(ParallelAdam, IdenticalToSerial)
 {
+    // Well above kParallelAdamRows, so the parallel sweep really splits.
+    constexpr size_t kRows = 3000;
     Rng rng(6);
-    GaussianModel m1 = GaussianModel::random(3000, {-5, -5, -5},
+    GaussianModel m1 = GaussianModel::random(kRows, {-5, -5, -5},
                                              {5, 5, 5}, 0.1f, rng);
     GaussianModel m2 = m1;
     GaussianGrads g;
-    g.resize(3000);
-    for (size_t i = 0; i < 3000; ++i)
-        g.d_position[i] = {float(i % 7) - 3.0f, 1.0f, -0.5f};
+    g.resize(kRows);
 
     AdamConfig serial_cfg;
     serial_cfg.parallel = false;
     AdamConfig parallel_cfg;
     parallel_cfg.parallel = true;
     CpuAdam a(serial_cfg), b(parallel_cfg);
-    a.reset(3000);
-    b.reset(3000);
-    std::vector<uint32_t> all(3000);
+    a.reset(kRows);
+    b.reset(kRows);
+    std::vector<uint32_t> all(kRows);
     std::iota(all.begin(), all.end(), 0u);
-    a.updateSubset(m1, g, all);
-    b.updateSubset(m2, g, all);
-    for (size_t i = 0; i < 3000; i += 97) {
-        EXPECT_FLOAT_EQ(m1.position(i).x, m2.position(i).x);
-        EXPECT_FLOAT_EQ(m1.sh(i)[3], m2.sh(i)[3]);
+    for (int round = 0; round < 2; ++round) {
+        for (size_t i = 0; i < kRows; ++i) {
+            g.d_position[i] = rng.normal3({0, 0, 0}, 1.0f);
+            g.d_log_scale[i] = rng.normal3({0, 0, 0}, 0.1f);
+            g.d_rotation[i] = Quat{rng.normal(), rng.normal(),
+                                   rng.normal(), rng.normal()};
+            for (int k = 0; k < kShDim; ++k)
+                g.d_sh[i * kShDim + k] = rng.normal(0.0f, 0.01f);
+            g.d_opacity[i] = rng.normal();
+        }
+        a.updateSubset(m1, g, all);
+        b.updateSubset(m2, g, all);
     }
+    for (size_t i = 0; i < kRows; ++i) {
+        ASSERT_TRUE(sameRow(m1, m2, i)) << "row " << i;
+        ASSERT_TRUE(sameAdamRow(a, b, i)) << "row " << i;
+    }
+}
+
+TEST(ParallelFinalize, IdenticalToSerial)
+{
+    // TrainerContext::finalize over a fin set larger than
+    // kParallelAdamRows: the pool-spread pass must leave the model rows,
+    // the moments, the pinned param records and the zeroed gradient
+    // records bitwise equal to the serial pass.
+    constexpr size_t kRows = 4000;
+    const GaussianModel init =
+        generateGroundTruth(SceneSpec::bicycle(), kRows);
+    std::vector<uint32_t> fin;
+    for (uint32_t g = 0; g < kRows; ++g)
+        if (g % 5 != 2)
+            fin.push_back(g);
+    ASSERT_GT(fin.size(), kParallelAdamRows);
+
+    struct Side
+    {
+        GaussianModel model;
+        CpuAdam adam;
+        Densifier densifier;
+        std::vector<uint32_t> cull_dirty;
+        PinnedPool pool;
+        TrainerContext ctx;
+
+        explicit Side(const GaussianModel &m)
+            : model(m), pool(m.size()),
+              ctx(model, adam, densifier, cull_dirty)
+        {
+            adam.reset(m.size());
+            densifier.reset(m.size());
+            pool.uploadParams(model);
+        }
+    };
+    Side serial(init), parallel(init);
+    Rng rng(7);
+    for (int round = 0; round < 2; ++round) {
+        for (uint32_t g : fin)
+            for (int k = 0; k < kParamsPerGaussian; ++k) {
+                const float v = rng.normal(0.0f, k < kShOffset ? 1.0f
+                                                               : 0.01f);
+                serial.pool.gradRecord(g)[k] = v;
+                parallel.pool.gradRecord(g)[k] = v;
+            }
+        EXPECT_EQ(serial.ctx.finalize(serial.pool, fin, true, false),
+                  fin.size());
+        EXPECT_EQ(parallel.ctx.finalize(parallel.pool, fin, true, true),
+                  fin.size());
+    }
+    const float zero[kParamsPerGaussian] = {};
+    for (size_t g = 0; g < kRows; ++g) {
+        SCOPED_TRACE("row " + std::to_string(g));
+        ASSERT_TRUE(sameRow(serial.model, parallel.model, g));
+        ASSERT_TRUE(sameAdamRow(serial.adam, parallel.adam, g));
+        ASSERT_TRUE(sameBits(serial.pool.paramRecord(g),
+                             parallel.pool.paramRecord(g), kNonCriticalDim));
+        ASSERT_TRUE(sameBits(parallel.pool.gradRecord(g), zero,
+                             kParamsPerGaussian));
+        ASSERT_TRUE(sameBits(serial.pool.gradRecord(g), zero,
+                             kParamsPerGaussian));
+    }
+    // Finalization really updated the rows it was given.
+    EXPECT_EQ(parallel.adam.stepCount(fin.front()), 2u);
+    EXPECT_EQ(parallel.adam.stepCount(2), 0u);
+    EXPECT_EQ(serial.cull_dirty, parallel.cull_dirty);
 }
 
 struct TrainFixture
@@ -316,12 +421,12 @@ TEST(LrSchedule, PositionLrDecaysExponentially)
     // approaches lr; later steps must therefore shrink with the
     // schedule. Compare early vs late step sizes.
     float prev = m.position(0).x;
-    adam.update(m, g);
+    adam.updateSubset(m, g, {0});
     float early_step = std::abs(m.position(0).x - prev);
     for (int t = 0; t < 120; ++t)
-        adam.update(m, g);
+        adam.updateSubset(m, g, {0});
     prev = m.position(0).x;
-    adam.update(m, g);
+    adam.updateSubset(m, g, {0});
     float late_step = std::abs(m.position(0).x - prev);
     EXPECT_LT(late_step, early_step / 20.0f);    // ~100x LR decay
 
@@ -331,12 +436,12 @@ TEST(LrSchedule, PositionLrDecaysExponentially)
     CpuAdam adam2(flat);
     adam2.reset(1);
     GaussianModel m2(1);
-    adam2.update(m2, g);
+    adam2.updateSubset(m2, g, {0});
     float first = std::abs(m2.position(0).x);
     for (int t = 0; t < 120; ++t)
-        adam2.update(m2, g);
+        adam2.updateSubset(m2, g, {0});
     prev = m2.position(0).x;
-    adam2.update(m2, g);
+    adam2.updateSubset(m2, g, {0});
     EXPECT_NEAR(std::abs(m2.position(0).x - prev), first, first * 0.2f);
 }
 

@@ -9,12 +9,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "gaussian/adam.hpp"
 #include "gaussian/densify.hpp"
 #include "gaussian/model.hpp"
 #include "math/rng.hpp"
-#include "offload/transfer_engine.hpp"
 
 namespace clm {
 namespace {
@@ -52,6 +52,15 @@ randomGrads(size_t n, uint64_t seed)
             g.d_sh[i * kShDim + k] = rng.normal();
     }
     return g;
+}
+
+/** Every row index of an @p n-Gaussian model (a full Adam step). */
+std::vector<uint32_t>
+allRows(size_t n)
+{
+    std::vector<uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    return all;
 }
 
 TEST(Attributes, LayoutConstants)
@@ -163,7 +172,7 @@ TEST(CpuAdam, MatchesReferenceScalarAdam)
 
     float rp = p0, rm = 0, rv = 0;
     for (int t = 1; t <= 5; ++t) {
-        adam.update(m, g);
+        adam.updateSubset(m, g, allRows(3));
         refAdam(rp, g.d_position[1].x, rm, rv,
                 adam.config().lr_position, t, adam.config());
     }
@@ -205,7 +214,7 @@ TEST(CpuAdam, EarlySubsetUpdateEqualsBatchEndUpdate)
     a1.updateSubset(m1, g, {0, 1});
     a1.updateSubset(m1, g, {2, 3});
     // a2: one batch-end update of everything.
-    a2.update(m2, g);
+    a2.updateSubset(m2, g, allRows(4));
 
     for (size_t i = 0; i < 4; ++i) {
         EXPECT_FLOAT_EQ(m1.position(i).x, m2.position(i).x);
@@ -369,13 +378,14 @@ TEST(CpuAdam, BitwiseMatchesPerParameterReference)
                                 round);
             expectRecordBitwise(p_record, ref.params(i), "param/record", i,
                                 round);
-            float m[kParamsPerGaussian], v[kParamsPerGaussian];
-            grads_adam.packMoments(i, m, v);
+            const float *m = grads_adam.firstMoments(i);
             expectRecordBitwise(m, ref.m(i), "m/grads", i, round);
-            expectRecordBitwise(v, ref.v(i), "v/grads", i, round);
-            record_adam.packMoments(i, m, v);
+            expectRecordBitwise(m + kParamsPerGaussian, ref.v(i), "v/grads",
+                                i, round);
+            m = record_adam.firstMoments(i);
             expectRecordBitwise(m, ref.m(i), "m/record", i, round);
-            expectRecordBitwise(v, ref.v(i), "v/record", i, round);
+            expectRecordBitwise(m + kParamsPerGaussian, ref.v(i), "v/record",
+                                i, round);
         }
     }
     // The schedule really ran past its end for some rows.
@@ -392,13 +402,21 @@ TEST(Densifier, PrunesTransparent)
         m.rawOpacity(i) = inverseSigmoid(0.001f);    // below threshold
     CpuAdam adam;
     adam.reset(10);
+    adam.updateSubset(m, randomGrads(10, 18), allRows(10));    // state != 0
     Densifier d;
     d.reset(10);
     Rng rng(1);
     DensifyStats stats = d.densify(m, adam, rng);
     EXPECT_EQ(stats.pruned, 3u);
     EXPECT_EQ(m.size(), 7u);
-    EXPECT_EQ(adam.size(), 7u);
+    ASSERT_EQ(adam.size(), 7u);
+    // A topology change restarts every row's optimizer state.
+    for (size_t i = 0; i < adam.size(); ++i) {
+        EXPECT_EQ(adam.stepCount(i), 0u) << "row " << i;
+        const float *mv = adam.firstMoments(i);
+        for (int k = 0; k < 2 * kParamsPerGaussian; ++k)
+            ASSERT_EQ(mv[k], 0.0f) << "row " << i << " state " << k;
+    }
 }
 
 TEST(Densifier, ClonesHighGradientSmallGaussians)

@@ -274,9 +274,10 @@ TEST(SimdDispatch, ResolveBackendHonorsTokensAndSupport)
     // Any supported backend's own token resolves to itself.
     for (int b = 0; b < kNumSimdBackends; ++b) {
         const SimdBackend be = static_cast<SimdBackend>(b);
-        if (simdBackendSupported(be))
+        if (simdBackendSupported(be)) {
             EXPECT_EQ(simdResolveBackend(simdBackendName(be), pref), be)
                 << simdBackendName(be);
+        }
     }
     // Unknown tokens warn and keep the preferred choice.
     EXPECT_EQ(simdResolveBackend("banana", pref), pref);
@@ -293,8 +294,9 @@ TEST(SimdDispatch, ResolveBackendHonorsTokensAndSupport)
         const RenderKernels *t = renderKernelsFor(be);
         EXPECT_EQ(t != nullptr, simdBackendSupported(be))
             << simdBackendName(be);
-        if (t)
+        if (t) {
             EXPECT_EQ(t->backend, be);
+        }
     }
 }
 
