@@ -37,7 +37,7 @@ main()
     qc.train.batch_size = 8;
     qc.train.render.sh_degree = 1;
     qc.train.loss.ssim_window = 5;
-    qc.train.planner.tsp.time_limit_ms = 0.5;
+    qc.train.planner.tsp.kick_patience = 32;
 
     auto points = runQualitySweep(spec, qc);
 

@@ -32,7 +32,7 @@ reportMeasured(Table &t)
     cfg.batch_size = 4;
     cfg.render.sh_degree = 1;
     cfg.loss.ssim_window = 5;
-    cfg.planner.tsp.time_limit_ms = 0.5;
+    cfg.planner.tsp.kick_patience = 32;
     std::vector<Image> gt_images =
         renderGroundTruth(gt, cameras, cfg.render);
 

@@ -12,7 +12,10 @@ namespace clm {
 void
 CpuAdam::reset(size_t n)
 {
-    state_.assign(n * 2 * kParamsPerGaussian, 0.0f);
+    // Default-initialized: zeroBytes() is the one zeroing pass.
+    const size_t floats = n * 2 * kParamsPerGaussian;
+    state_.reset(new float[floats]);
+    zeroBytes(state_.get(), floats * sizeof(float));
     step_.assign(n, 0);
 }
 

@@ -16,6 +16,7 @@
 #define CLM_GAUSSIAN_ADAM_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "gaussian/model.hpp"
@@ -63,7 +64,8 @@ class CpuAdam
   public:
     explicit CpuAdam(AdamConfig config = {}) : config_(config) {}
 
-    /** (Re)allocate moment state for @p n Gaussians, zeroed. */
+    /** (Re)allocate moment state for @p n Gaussians, zeroed in one
+     *  pass (zeroBytes, util/thread_pool.hpp). */
     void reset(size_t n);
 
     /** Number of Gaussians with optimizer state. */
@@ -113,7 +115,7 @@ class CpuAdam
     float positionLr(uint32_t t) const;
 
     AdamConfig config_;
-    std::vector<float> state_;    //!< Per Gaussian: m record, v record.
+    std::unique_ptr<float[]> state_;    //!< Per Gaussian: m, v records.
     std::vector<uint32_t> step_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "render/batch.hpp"
 #include "render/culling.hpp"
 #include "util/logging.hpp"
 
@@ -34,9 +35,13 @@ computeFrustumSets(const GaussianModel &model,
 {
     FrustumSets out;
     out.total_gaussians = model.size();
-    out.sets.reserve(cameras.size());
-    for (const Camera &cam : cameras)
-        out.sets.push_back(frustumCull(model, cam));
+    out.sets.resize(cameras.size());
+    cullViewGroups(model, cameras, /*parallel=*/true,
+                   [&](size_t first, const std::vector<Camera> &cams,
+                       std::vector<std::vector<uint32_t>> &subsets) {
+                       for (size_t k = 0; k < cams.size(); ++k)
+                           out.sets[first + k] = std::move(subsets[k]);
+                   });
     return out;
 }
 

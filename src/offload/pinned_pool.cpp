@@ -1,9 +1,8 @@
 #include "offload/pinned_pool.hpp"
 
-#include <cstring>
-
 #include "gaussian/model.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clm {
 
@@ -18,14 +17,15 @@ PinnedPool::PinnedPool(size_t n) : n_(n)
 {
     bytes_ = PinnedLayout::totalBytes(n);
     // +64 so we can cache-line-align the base, as cudaHostAlloc would.
-    storage_ = std::make_unique<std::byte[]>(bytes_ + kCacheLineBytes);
+    // Default-initialized: zeroBytes() below is the one zeroing pass.
+    storage_.reset(new std::byte[bytes_ + kCacheLineBytes]);
     auto base = reinterpret_cast<uintptr_t>(storage_.get());
     uintptr_t aligned =
         (base + kCacheLineBytes - 1) & ~(uintptr_t(kCacheLineBytes) - 1);
     params_ = reinterpret_cast<std::byte *>(aligned);
     grads_ = params_ + n_ * PinnedLayout::paramStride();
     signals_ = grads_ + n_ * PinnedLayout::gradStride();
-    std::memset(params_, 0, bytes_);
+    zeroBytes(params_, bytes_);
 }
 
 float *
@@ -62,12 +62,6 @@ PinnedPool::signalSlot(size_t slot)
     CLM_ASSERT(slot < kSignalSlots, "signal slot out of range");
     return reinterpret_cast<uint32_t *>(signals_
                                         + slot * kCacheLineBytes);
-}
-
-void
-PinnedPool::zeroGradients()
-{
-    std::memset(grads_, 0, n_ * PinnedLayout::gradStride());
 }
 
 void

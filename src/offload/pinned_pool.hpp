@@ -54,7 +54,9 @@ struct PinnedLayout
 class PinnedPool
 {
   public:
-    /** Allocate records for @p n Gaussians, zero-initialized. */
+    /** Allocate records for @p n Gaussians, zeroed in one pass
+     *  (zeroBytes, util/thread_pool.hpp): params, grads and signal
+     *  slots all read 0. */
     explicit PinnedPool(size_t n);
 
     size_t size() const { return n_; }
@@ -75,9 +77,6 @@ class PinnedPool
 
     /** Total pinned bytes held (the Table 6 quantity). */
     size_t bytes() const { return bytes_; }
-
-    /** Zero every gradient record. */
-    void zeroGradients();
 
     /** Populate all parameter records from @p model. */
     void uploadParams(const GaussianModel &model);

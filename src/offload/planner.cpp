@@ -13,6 +13,10 @@ namespace {
 constexpr double kCriticalWriteBytes =
     static_cast<double>(kCriticalBytesPerGaussian);
 
+/** The simulated schedule op's floor: the paper's 1 ms TSP budget per
+ *  batch (A.1). The functional solver runs on a kick budget instead. */
+constexpr double kPaperTspSeconds = 1e-3;
+
 std::string
 mbLabel(const char *prefix, int i)
 {
@@ -220,8 +224,8 @@ planClm(const PlannerConfig &config, const BatchWorkload &wl)
     sched_op.kind = OpKind::Schedule;
     sched_op.engine = EngineId::CpuThread;
     sched_op.deps.push_back(cull);
-    sched_op.fixed_seconds = std::max(r.scheduling_seconds,
-                                      config.tsp.time_limit_ms * 1e-3);
+    sched_op.fixed_seconds =
+        std::max(r.scheduling_seconds, kPaperTspSeconds);
     sched_op.label = "schedule (tsp)";
     int sched = plan.add(std::move(sched_op));
 

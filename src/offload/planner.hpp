@@ -45,7 +45,7 @@ struct PlannerConfig
     /** Overlapped CPU Adam §4.2.2. Shapes only the simulator's DAG;
      *  the functional trainers follow TrainConfig::async_adam. */
     bool overlap_adam = true;
-    TspConfig tsp;                   //!< 1 ms budget by default.
+    TspConfig tsp;                   //!< Default kick budget.
     uint64_t seed = 1;
 };
 

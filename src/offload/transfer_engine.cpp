@@ -47,7 +47,6 @@ TransferEngine::uploadParams(const GaussianModel &model)
                "upload size mismatch: ", model.size(), " vs ",
                pool_.size());
     pool_.uploadParams(model);
-    pool_.zeroGradients();
 }
 
 void

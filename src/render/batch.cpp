@@ -344,6 +344,25 @@ frustumCullBatch(const GaussianModel &model,
 }
 
 void
+cullViewGroups(const GaussianModel &model,
+               const std::vector<Camera> &cameras, bool parallel,
+               const ViewGroupFn &group)
+{
+    BatchCullScratch stage;
+    buildCullStage(model, stage, parallel);
+    std::vector<Camera> cams;
+    std::vector<std::vector<uint32_t>> subsets;
+    for (size_t first = 0; first < cameras.size();
+         first += kViewGroupSize) {
+        const size_t last =
+            std::min(cameras.size(), first + kViewGroupSize);
+        cams.assign(cameras.begin() + first, cameras.begin() + last);
+        frustumCullBatch(model, cams, stage, subsets, parallel);
+        group(first, cams, subsets);
+    }
+}
+
+void
 renderForwardBatch(const GaussianModel &model,
                    const std::vector<Camera> &cameras,
                    const std::vector<std::vector<uint32_t>> &subsets,

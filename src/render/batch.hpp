@@ -54,6 +54,7 @@
 #define CLM_RENDER_BATCH_HPP
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "gaussian/model.hpp"
@@ -114,6 +115,29 @@ void frustumCullBatch(const GaussianModel &model,
                       const BatchCullScratch &stage,
                       std::vector<std::vector<uint32_t>> &subsets,
                       bool parallel = true);
+
+/** Views per group of cullViewGroups(): enough for the fused passes to
+ *  share their per-Gaussian work across a group, few enough that one
+ *  group's activations stay small next to the model. */
+constexpr size_t kViewGroupSize = 16;
+
+/** One group of a cullViewGroups() sweep: cameras[first, first +
+ *  cams.size()) and their in-frustum sets. */
+using ViewGroupFn = std::function<void(
+    size_t first, const std::vector<Camera> &cams,
+    std::vector<std::vector<uint32_t>> &subsets)>;
+
+/**
+ * Whole-view-set sweep (ground-truth rendering, PSNR evaluation, the
+ * frustum sets of a view list): build one cull stage of @p model, cull
+ * @p cameras from it in consecutive groups of kViewGroupSize views (the
+ * last may be partial) and hand each group to @p group, in view order.
+ * subsets[k] is exactly frustumCull(model, cams[k]); @p group may move
+ * them out.
+ */
+void cullViewGroups(const GaussianModel &model,
+                    const std::vector<Camera> &cameras, bool parallel,
+                    const ViewGroupFn &group);
 
 /**
  * Render every view of the batch through the fused pipeline (see file

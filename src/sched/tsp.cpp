@@ -6,7 +6,6 @@
 #include <random>
 
 #include "util/logging.hpp"
-#include "util/timer.hpp"
 
 namespace clm {
 
@@ -85,8 +84,7 @@ nearestNeighbourTour(const DistanceMatrix &d, std::mt19937_64 &rng)
  * shortens the two boundary edges. Returns true if any move improved.
  */
 bool
-twoOptSweep(const DistanceMatrix &d, std::vector<int> &tour,
-            const Timer &timer, double limit_ms)
+twoOptSweep(const DistanceMatrix &d, std::vector<int> &tour)
 {
     size_t n = tour.size();
     bool improved = false;
@@ -107,8 +105,6 @@ twoOptSweep(const DistanceMatrix &d, std::vector<int> &tour,
                 improved = true;
             }
         }
-        if (timer.millis() > limit_ms)
-            return improved;
     }
     return improved;
 }
@@ -149,30 +145,29 @@ solveTsp(const DistanceMatrix &d, const TspConfig &config)
         return result;
     }
 
-    Timer timer;
     std::mt19937_64 rng(config.seed);
 
     std::vector<int> best = nearestNeighbourTour(d, rng);
-    while (twoOptSweep(d, best, timer, config.time_limit_ms)) {
-        ++result.sweeps;
-        if (timer.millis() > config.time_limit_ms)
-            break;
+    if (config.kick_patience > 0) {
+        while (twoOptSweep(d, best))
+            ++result.sweeps;
     }
     double best_len = tourLength(d, best);
 
-    // Stochastic local search: perturb + re-optimize while budget remains.
-    while (config.use_3opt && timer.millis() < config.time_limit_ms) {
+    // Stochastic local search: perturb + re-optimize until the budget
+    // of consecutive non-improving kicks is spent.
+    for (int stale = 0; config.use_3opt && stale < config.kick_patience;) {
         std::vector<int> cand = doubleBridge(best, rng);
-        while (twoOptSweep(d, cand, timer, config.time_limit_ms)) {
+        while (twoOptSweep(d, cand))
             ++result.sweeps;
-            if (timer.millis() > config.time_limit_ms)
-                break;
-        }
         ++result.perturbations;
         double cand_len = tourLength(d, cand);
         if (cand_len + 1e-12 < best_len) {
             best = std::move(cand);
             best_len = cand_len;
+            stale = 0;
+        } else {
+            ++stale;
         }
     }
 

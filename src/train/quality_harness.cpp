@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "render/arena.hpp"
-#include "render/culling.hpp"
+#include "render/batch.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/synthetic.hpp"
 #include "util/logging.hpp"
@@ -16,14 +16,16 @@ renderGroundTruth(const GaussianModel &gt_model,
                   const std::vector<Camera> &cameras,
                   const RenderConfig &render)
 {
-    std::vector<Image> images;
-    images.reserve(cameras.size());
-    RenderArena arena;    // reused across the whole sweep
-    for (const Camera &cam : cameras) {
-        auto subset = frustumCull(gt_model, cam);
-        images.push_back(
-            renderForward(gt_model, cam, subset, render, arena).image);
-    }
+    std::vector<Image> images(cameras.size());
+    RenderArena arena;    // reused across the groups
+    cullViewGroups(
+        gt_model, cameras, render.parallel,
+        [&](size_t first, const std::vector<Camera> &cams,
+            std::vector<std::vector<uint32_t>> &subsets) {
+            renderForwardBatch(gt_model, cams, subsets, render, arena);
+            for (size_t k = 0; k < cams.size(); ++k)
+                images[first + k] = std::move(arena.views[k].out.image);
+        });
     return images;
 }
 
@@ -32,16 +34,17 @@ makeTrainee(const GaussianModel &gt, size_t size, uint64_t seed)
 {
     CLM_ASSERT(size > 0, "empty trainee");
     Rng rng(seed);
-    GaussianModel m;
+    GaussianModel m(size);
 
     // Deterministic stratified subset: every (n/size)-th GT Gaussian, so
     // small trainees still cover the whole scene.
     size_t n = gt.size();
-    for (size_t k = 0; k < size; ++k) {
-        size_t src = std::min(n - 1, k * n / size);
-        m.append(gt.position(src), gt.logScale(src), gt.rotation(src),
-                 gt.sh(src), gt.rawOpacity(src));
-        size_t i = m.size() - 1;
+    for (size_t i = 0; i < size; ++i) {
+        size_t src = std::min(n - 1, i * n / size);
+        m.position(i) = gt.position(src);
+        m.logScale(i) = gt.logScale(src);
+        m.rotation(i) = gt.rotation(src);
+        std::copy_n(gt.sh(src), kShDim, m.sh(i));
         // Perturb so training must recover the scene.
         m.position(i) += rng.normal3({0, 0, 0}, 0.05f);
         float *sh = m.sh(i);

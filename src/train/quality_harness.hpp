@@ -47,7 +47,13 @@ struct QualityPoint
 std::vector<QualityPoint> runQualitySweep(const SceneSpec &spec,
                                           const QualityConfig &config);
 
-/** Render ground-truth images for @p cameras from @p gt_model. */
+/**
+ * Render ground-truth images for @p cameras from @p gt_model: one cull
+ * stage, then fused batches of kViewGroupSize views (cullViewGroups +
+ * renderForwardBatch, render/batch.hpp). Image v is bitwise
+ * renderForward(gt_model, cameras[v], frustumCull(gt_model,
+ * cameras[v]), render).image.
+ */
 std::vector<Image> renderGroundTruth(const GaussianModel &gt_model,
                                      const std::vector<Camera> &cameras,
                                      const RenderConfig &render);

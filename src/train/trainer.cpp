@@ -5,7 +5,6 @@
 #include "math/simd_backend.hpp"
 #include "obs/trace.hpp"
 #include "render/batch.hpp"
-#include "render/culling.hpp"
 #include "serve/snapshot.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
@@ -80,12 +79,16 @@ Trainer::evaluatePsnr() const
 {
     const GaussianModel &m = model();
     double acc = 0.0;
-    for (size_t v = 0; v < cameras_.size(); ++v) {
-        auto subset = frustumCull(m, cameras_[v]);
-        const RenderOutput &out =
-            renderForward(m, cameras_[v], subset, config_.render, arena_);
-        acc += out.image.psnr(ground_truth_[v]);
-    }
+    RenderArena arena;
+    cullViewGroups(
+        m, cameras_, config_.render.parallel,
+        [&](size_t first, const std::vector<Camera> &cams,
+            std::vector<std::vector<uint32_t>> &subsets) {
+            renderForwardBatch(m, cams, subsets, config_.render, arena);
+            for (size_t k = 0; k < cams.size(); ++k)
+                acc += arena.views[k].out.image.psnr(
+                    ground_truth_[first + k]);
+        });
     return acc / cameras_.size();
 }
 

@@ -93,7 +93,9 @@ class Trainer
     /** Run @p steps batches of randomly sampled views. */
     std::vector<BatchStats> trainSteps(int steps);
 
-    /** Mean PSNR of the current model over all training views. */
+    /** Mean PSNR of the current model over all training views,
+     *  rendered in fused groups from a cull stage local to the call
+     *  (cullViewGroups, render/batch.hpp). */
     double evaluatePsnr() const;
 
     /** Current model (the trainer's source of truth). */
@@ -188,12 +190,11 @@ class Trainer
      *  finalization, whose calls never overlap. */
     std::vector<uint32_t> cull_dirty_;
 
-    /** Render scratch of the GPU-only trainer's fused batches and of
-     *  evaluatePsnr (offload trainers render microbatches in their
+    /** Render scratch of the GPU-only trainer's fused batches
+     *  (offload trainers render microbatches in their
      *  MicrobatchSlots), plus every trainer's cull stage (arena_.cull),
-     *  built at construction and densification. mutable: purely
-     *  scratch — reuse never changes results. */
-    mutable RenderArena arena_;
+     *  built at construction and densification. */
+    RenderArena arena_;
 };
 
 /**

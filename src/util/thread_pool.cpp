@@ -1,11 +1,21 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/env.hpp"
 #include "util/logging.hpp"
 
 namespace clm {
+
+namespace {
+
+thread_local bool t_pool_worker = false;
+
+/** Chunk size of zeroBytes(): one page. */
+constexpr size_t kPageBytes = 4096;
+
+} // namespace
 
 ThreadPool::ThreadPool(unsigned threads)
 {
@@ -39,6 +49,7 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::workerLoop()
 {
+    t_pool_worker = true;
     for (;;) {
         std::function<void()> task;
         {
@@ -113,6 +124,27 @@ ThreadPool::global()
 {
     static ThreadPool pool;
     return pool;
+}
+
+bool
+ThreadPool::onWorkerThread()
+{
+    return t_pool_worker;
+}
+
+void
+zeroBytes(void *dst, size_t bytes)
+{
+    auto *p = static_cast<std::byte *>(dst);
+    if (bytes < kParallelZeroBytes || ThreadPool::onWorkerThread()) {
+        std::memset(p, 0, bytes);
+        return;
+    }
+    const size_t pages = (bytes + kPageBytes - 1) / kPageBytes;
+    ThreadPool::global().parallelFor(pages, [&](size_t begin, size_t end) {
+        const size_t lo = begin * kPageBytes;
+        std::memset(p + lo, 0, std::min(end * kPageBytes, bytes) - lo);
+    });
 }
 
 } // namespace clm

@@ -57,6 +57,10 @@ class ThreadPool
     /** Process-wide shared pool. */
     static ThreadPool &global();
 
+    /** True on a worker thread of any pool: a parallelFor from there
+     *  would wait on workers that may all be waiting too. */
+    static bool onWorkerThread();
+
   private:
     void workerLoop();
 
@@ -90,6 +94,17 @@ poolForRange(size_t n, bool parallel, size_t min_parallel,
     else
         body(0, n);
 }
+
+/** Below this many bytes zeroBytes() runs on the caller alone. */
+constexpr size_t kParallelZeroBytes = size_t(1) << 20;
+
+/**
+ * Zero @p bytes at @p dst once, in page-sized chunks spread over the
+ * global pool from kParallelZeroBytes up, serially below it and on a
+ * pool worker. Large fresh allocations take their first page touch
+ * here, on every core instead of one.
+ */
+void zeroBytes(void *dst, size_t bytes);
 
 } // namespace clm
 

@@ -15,6 +15,7 @@
 #include "gaussian/densify.hpp"
 #include "gaussian/model.hpp"
 #include "math/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clm {
 namespace {
@@ -221,6 +222,37 @@ TEST(CpuAdam, EarlySubsetUpdateEqualsBatchEndUpdate)
         EXPECT_FLOAT_EQ(m1.logScale(i).y, m2.logScale(i).y);
         EXPECT_FLOAT_EQ(m1.rawOpacity(i), m2.rawOpacity(i));
         EXPECT_FLOAT_EQ(m1.sh(i)[10], m2.sh(i)[10]);
+    }
+}
+
+TEST(CpuAdam, ResetZeroesEveryMomentAndStep)
+{
+    // Above the parallel zeroing threshold, after real updates.
+    const size_t n = 3000;
+    ASSERT_GT(n * 2 * kParamsPerGaussian * sizeof(float),
+              kParallelZeroBytes);
+    GaussianModel m = randomModel(n, 40);
+    GaussianGrads g = randomGrads(n, 41);
+    CpuAdam adam;
+    adam.reset(n);
+    adam.updateSubset(m, g, allRows(n));
+    adam.updateSubset(m, g, allRows(n));
+    ASSERT_EQ(adam.stepCount(n - 1), 2u);
+    ASSERT_NE(adam.firstMoments(n - 1)[0], 0.0f);
+    for (size_t size : {n, n + 1}) {
+        adam.reset(size);
+        ASSERT_EQ(adam.size(), size);
+        for (size_t i = 0; i < size; ++i) {
+            EXPECT_EQ(adam.stepCount(i), 0u) << "row " << i;
+            const float *mv = adam.firstMoments(i);
+            EXPECT_TRUE(std::all_of(mv, mv + 2 * kParamsPerGaussian,
+                                    [](float x) {
+                                        uint32_t bits;
+                                        std::memcpy(&bits, &x, 4);
+                                        return bits == 0;
+                                    }))
+                << "row " << i;
+        }
     }
 }
 

@@ -42,7 +42,7 @@ struct SceneFixture
         config.batch_size = 4;
         config.render.sh_degree = 1;
         config.loss.ssim_window = 5;
-        config.planner.tsp.time_limit_ms = 0.5;
+        config.planner.tsp.kick_patience = 32;
         gt_images = renderGroundTruth(gt, cameras, config.render);
     }
 };

@@ -25,6 +25,7 @@
 #include "offload/pinned_pool.hpp"
 #include "offload/selective_copy.hpp"
 #include "offload/transfer_engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clm {
 namespace {
@@ -269,6 +270,33 @@ TEST(PinnedPool, LayoutAndAlignment)
               kCacheLineBytes);
 }
 
+TEST(PinnedPool, FreshPoolIsZeroAboveParallelThreshold)
+{
+    const size_t n = 4000;
+    ASSERT_GT(PinnedLayout::totalBytes(n), kParallelZeroBytes);
+    // Free a dirtied pool of the same size first: a reused heap block
+    // would show through a missing zeroing pass.
+    {
+        PinnedPool dirty(n);
+        std::memset(dirty.paramRecord(0), 0xA5, dirty.bytes());
+    }
+    PinnedPool pool(n);
+    auto all_zero = [](const void *p, size_t bytes) {
+        const auto *b = static_cast<const unsigned char *>(p);
+        return std::all_of(b, b + bytes,
+                           [](unsigned char c) { return c == 0; });
+    };
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(all_zero(pool.paramRecord(i), PinnedLayout::paramStride()))
+            << "param record " << i;
+        EXPECT_TRUE(all_zero(pool.gradRecord(i), PinnedLayout::gradStride()))
+            << "grad record " << i;
+    }
+    for (size_t s = 0; s < kSignalSlots; ++s)
+        EXPECT_TRUE(all_zero(pool.signalSlot(s), kCacheLineBytes))
+            << "signal slot " << s;
+}
+
 TEST(PinnedPool, UploadDownloadRoundTrip)
 {
     Rng rng(13);
@@ -375,7 +403,6 @@ TEST(SelectiveCopy, CachedCopyMatchesPinnedLoad)
 TEST(SelectiveCopy, ScatterAccumulatesRmw)
 {
     PinnedPool pool(5);
-    pool.zeroGradients();
     DeviceBuffer buf;
     buf.bind({1, 3});
     buf.zeroGrads();

@@ -290,7 +290,7 @@ TEST(Planner, TspOrderingReducesLoadsVsRandom)
 
     PlannerConfig cfg;
     cfg.system = SystemKind::Clm;
-    cfg.tsp.time_limit_ms = 5.0;
+    cfg.tsp.kick_patience = 320;
     cfg.ordering = OrderingStrategy::Tsp;
     auto tsp = planBatch(cfg, wl);
     cfg.ordering = OrderingStrategy::Random;

@@ -12,6 +12,7 @@
 
 #include "math/aabb.hpp"
 #include "offload/frustum_sets.hpp"
+#include "render/culling.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/scene_spec.hpp"
 #include "scene/synthetic.hpp"
@@ -28,6 +29,19 @@ smallSets(const SceneSpec &spec, size_t n_gaussians = 4000,
     GaussianModel m = generateSceneGaussians(spec, n_gaussians);
     auto cams = generateCameraPath(spec, n_views, 64, 48);
     return computeFrustumSets(m, cams);
+}
+
+TEST(FrustumSets, MatchPerViewCullAcrossViewGroups)
+{
+    // 33 views: two whole cull groups and a partial one.
+    const SceneSpec spec = SceneSpec::rubble();
+    GaussianModel m = generateSceneGaussians(spec, 3000);
+    auto cams = generateCameraPath(spec, 33, 64, 48);
+    FrustumSets fs = computeFrustumSets(m, cams);
+    EXPECT_EQ(fs.total_gaussians, m.size());
+    ASSERT_EQ(fs.sets.size(), cams.size());
+    for (size_t v = 0; v < cams.size(); ++v)
+        EXPECT_EQ(fs.sets[v], frustumCull(m, cams[v])) << "view " << v;
 }
 
 TEST(SceneSpec, PresetsMatchPaperTables)

@@ -12,9 +12,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/clm.hpp"
 #include "render/culling.hpp"
+#include "render/simd_kernels.hpp"
+#include "scene/camera_path.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
 #include "train/quality_harness.hpp"
@@ -39,7 +42,7 @@ struct Fixture
         config.batch_size = 4;
         config.render.sh_degree = 1;
         config.loss.ssim_window = 5;
-        config.planner.tsp.time_limit_ms = 0.5;
+        config.planner.tsp.kick_patience = 32;
         gt_images = renderGroundTruth(gt, cameras, config.render);
     }
 
@@ -202,6 +205,117 @@ TEST(QualityHarness, LargerModelsScoreHigher)
     // Training never hurts a converged-seeded model much; final PSNR
     // should beat the perturbed initialization.
     EXPECT_GT(points[1].psnr_final, points[1].psnr_initial);
+}
+
+/** True when @p a and @p b hold the same floats bit for bit. */
+bool
+sameBits(const float *a, const float *b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(QualityHarness, GroundTruthMatchesPerViewRenders)
+{
+    // Whole groups, a partial last group and a group of one, under the
+    // dispatched and the forced-scalar kernel table, serial and
+    // parallel: every image is bitwise the per-view cull + render.
+    SceneSpec spec = SceneSpec::bicycle();
+    GaussianModel gt = generateGroundTruth(spec, 600);
+    for (int views : {1, 15, 16, 17, 33}) {
+        std::vector<Camera> cams = generateCameraPath(spec, views, 37, 29);
+        for (const RenderKernels *kern :
+             {static_cast<const RenderKernels *>(nullptr),
+              renderKernelsFor(SimdBackend::kScalar)}) {
+            for (bool parallel : {true, false}) {
+                RenderConfig cfg;
+                cfg.sh_degree = 1;
+                cfg.kernels = kern;
+                cfg.parallel = parallel;
+                std::vector<Image> images =
+                    renderGroundTruth(gt, cams, cfg);
+                ASSERT_EQ(images.size(), cams.size());
+                for (size_t v = 0; v < cams.size(); ++v) {
+                    Image ref =
+                        renderForward(gt, cams[v],
+                                      frustumCull(gt, cams[v]), cfg)
+                            .image;
+                    ASSERT_EQ(images[v].data().size(), ref.data().size());
+                    EXPECT_TRUE(sameBits(images[v].data().data(),
+                                         ref.data().data(),
+                                         ref.data().size()))
+                        << views << " views, view " << v << ", "
+                        << (kern ? kern->name : "dispatched")
+                        << ", parallel " << parallel;
+                }
+            }
+        }
+    }
+}
+
+/** The trainee as an append loop built it: one row at a time. */
+GaussianModel
+appendedTrainee(const GaussianModel &gt, size_t size, uint64_t seed)
+{
+    Rng rng(seed);
+    GaussianModel m;
+    size_t n = gt.size();
+    for (size_t k = 0; k < size; ++k) {
+        size_t src = std::min(n - 1, k * n / size);
+        m.append(gt.position(src), gt.logScale(src), gt.rotation(src),
+                 gt.sh(src), gt.rawOpacity(src));
+        size_t i = m.size() - 1;
+        m.position(i) += rng.normal3({0, 0, 0}, 0.05f);
+        float *sh = m.sh(i);
+        for (int c = 0; c < 3; ++c)
+            sh[c] = 0.6f * sh[c] + rng.normal(0.0f, 0.05f);
+        m.rawOpacity(i) = gt.rawOpacity(src) - 0.5f;
+    }
+    return m;
+}
+
+TEST(QualityHarness, MakeTraineeMatchesAppendLoop)
+{
+    GaussianModel gt = generateGroundTruth(SceneSpec::rubble(), 300);
+    for (size_t size : {size_t(7), size_t(299), size_t(300), size_t(301),
+                        size_t(777)}) {
+        GaussianModel a = makeTrainee(gt, size, 42);
+        GaussianModel b = appendedTrainee(gt, size, 42);
+        ASSERT_EQ(a.size(), size);
+        ASSERT_EQ(b.size(), size);
+        // Whole attribute arrays: Vec3 is 3 floats, Quat 4.
+        EXPECT_TRUE(sameBits(&a.position(0).x, &b.position(0).x, 3 * size))
+            << size;
+        EXPECT_TRUE(sameBits(&a.logScale(0).x, &b.logScale(0).x, 3 * size))
+            << size;
+        EXPECT_TRUE(sameBits(&a.rotation(0).w, &b.rotation(0).w, 4 * size))
+            << size;
+        EXPECT_TRUE(sameBits(a.sh(0), b.sh(0), kShDim * size)) << size;
+        EXPECT_TRUE(sameBits(&a.rawOpacity(0), &b.rawOpacity(0), size))
+            << size;
+    }
+}
+
+TEST(Training, EvaluatePsnrMatchesPerViewReference)
+{
+    // 20 views: one whole group of kViewGroupSize and a partial one.
+    Fixture f(700, 20, 40);
+    GpuOnlyTrainer gpu(f.trainee(400), f.cameras, f.gt_images, f.config);
+    ClmTrainer clm(f.trainee(400), f.cameras, f.gt_images, f.config);
+    for (Trainer *t : {static_cast<Trainer *>(&gpu),
+                       static_cast<Trainer *>(&clm)}) {
+        t->trainSteps(2);
+        const GaussianModel &m = t->model();
+        double acc = 0.0;
+        for (size_t v = 0; v < f.cameras.size(); ++v)
+            acc += renderForward(m, f.cameras[v],
+                                 frustumCull(m, f.cameras[v]),
+                                 f.config.render)
+                       .image.psnr(f.gt_images[v]);
+        const double ref = acc / f.cameras.size();
+        const double got = t->evaluatePsnr();
+        EXPECT_EQ(std::memcmp(&got, &ref, sizeof(double)), 0)
+            << got << " vs " << ref;
+    }
 }
 
 TEST(ClmFacade, QuickstartFlow)

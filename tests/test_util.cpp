@@ -218,6 +218,48 @@ TEST(ThreadPool, ClmThreadsEnvPinsDefaultWorkerCount)
     ASSERT_EQ(unsetenv("CLM_THREADS"), 0);
 }
 
+TEST(ThreadPool, ZeroBytesClearsExactlyTheRange)
+{
+    // Below, at and above the parallel threshold, with a partial last
+    // page and an unaligned start; guard bytes on both sides stay.
+    for (size_t bytes : {size_t(0), size_t(1), size_t(4095),
+                         kParallelZeroBytes - 1, kParallelZeroBytes,
+                         kParallelZeroBytes + 4097,
+                         3 * kParallelZeroBytes + 123}) {
+        std::vector<unsigned char> buf(bytes + 2, 0xAB);
+        zeroBytes(buf.data() + 1, bytes);
+        EXPECT_EQ(buf.front(), 0xAB) << bytes;
+        EXPECT_EQ(buf.back(), 0xAB) << bytes;
+        EXPECT_TRUE(std::all_of(buf.begin() + 1, buf.end() - 1,
+                                [](unsigned char c) { return c == 0; }))
+            << bytes;
+    }
+}
+
+TEST(ThreadPool, ZeroBytesInsidePoolTaskRunsSerially)
+{
+    // From a pool task zeroBytes must not fork onto the pool it runs
+    // in; every task finishes and clears its own buffer.
+    EXPECT_FALSE(ThreadPool::onWorkerThread());
+    const size_t tasks = 2 * ThreadPool::global().threads();
+    std::vector<std::vector<unsigned char>> bufs(
+        tasks, std::vector<unsigned char>(2 * kParallelZeroBytes, 0xCD));
+    std::atomic<size_t> on_worker{0};
+    ThreadPool::global().parallelFor(tasks, [&](size_t begin, size_t end) {
+        for (size_t t = begin; t < end; ++t) {
+            if (ThreadPool::onWorkerThread())
+                ++on_worker;
+            zeroBytes(bufs[t].data(), bufs[t].size());
+        }
+    });
+    if (tasks > 1) {
+        EXPECT_EQ(on_worker.load(), tasks);
+    }
+    for (const auto &b : bufs)
+        EXPECT_TRUE(std::all_of(b.begin(), b.end(),
+                                [](unsigned char c) { return c == 0; }));
+}
+
 TEST(ThreadPool, ConcurrentParallelForCallersDoNotWaitOnEachOther)
 {
     // Caller A's chunks block until caller B's parallelFor has returned.
