@@ -1,17 +1,17 @@
 /**
  * @file
  * Microbenchmark for the selective loading / gradient offloading kernels
- * of §5.2-§5.3 (google-benchmark): batched gather from padded pinned
- * records vs naive per-record copy calls (the cudaMemcpyAsync-per-
+ * of §5.2-§5.3 (google-benchmark): batched gather from the master
+ * model's rows vs naive per-record copy calls (the cudaMemcpyAsync-per-
  * Gaussian strawman the paper rejects), plus the RMW gradient scatter
- * and the GPU-side cache copy.
+ * into the pinned gradient records and the GPU-side cache copy.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <numeric>
 
+#include "gaussian/model.hpp"
 #include "math/rng.hpp"
 #include "offload/cache_planner.hpp"
 #include "offload/pinned_pool.hpp"
@@ -37,12 +37,12 @@ sparseIndices(double frac, uint64_t seed)
 void
 BM_GatherBatched(benchmark::State &state)
 {
-    PinnedPool pool(kPoolSize);
+    GaussianModel model(kPoolSize);
     auto idx = sparseIndices(0.05, 1);
     DeviceBuffer buf;
     buf.bind(idx);
     for (auto _ : state) {
-        gatherParams(pool, buf, idx);
+        gatherParams(model, buf, idx);
         benchmark::DoNotOptimize(buf.paramRow(0));
     }
     state.SetBytesProcessed(state.iterations() * idx.size()
@@ -55,20 +55,21 @@ BM_GatherPerRecordCalls(benchmark::State &state)
 {
     // The strawman: one "transfer call" per Gaussian, modeled as an
     // individually dispatched copy through a volatile call boundary.
-    PinnedPool pool(kPoolSize);
+    GaussianModel model(kPoolSize);
     auto idx = sparseIndices(0.05, 1);
     DeviceBuffer buf;
     buf.bind(idx);
     // One dispatched copy per Gaussian with a per-call row lookup —
     // the cudaMemcpyAsync-per-record pattern §5.2 rejects.
-    using CopyFn = void (*)(const float *, float *);
-    static volatile CopyFn copy_one = +[](const float *src, float *dst) {
-        std::memcpy(dst, src, kNonCriticalDim * sizeof(float));
-    };
+    using CopyFn = void (*)(const GaussianModel &, uint32_t, float *);
+    static volatile CopyFn copy_one =
+        +[](const GaussianModel &src, uint32_t g, float *dst) {
+            src.packNonCritical(g, dst);
+        };
     for (auto _ : state) {
         for (uint32_t g : idx) {
             size_t r = buf.boundRow(g);
-            copy_one(pool.paramRecord(g), buf.paramRow(r));
+            copy_one(model, g, buf.paramRow(r));
         }
         benchmark::DoNotOptimize(buf.paramRow(0));
     }
@@ -97,12 +98,12 @@ BENCHMARK(BM_ScatterAccumulateGrads);
 void
 BM_CachedCopy(benchmark::State &state)
 {
-    PinnedPool pool(kPoolSize);
+    GaussianModel model(kPoolSize);
     auto idx = sparseIndices(0.05, 3);
     DeviceBuffer a, b;
     a.bind(idx);
     b.bind(idx);
-    gatherParams(pool, a, idx);
+    gatherParams(model, a, idx);
     for (auto _ : state) {
         copyCachedParams(a, b, idx);
         benchmark::DoNotOptimize(b.paramRow(0));

@@ -1,9 +1,11 @@
 /**
  * @file
  * Table 6: pinned host memory used by CLM at the maximum model size of
- * each scene/testbed. Only parameter and gradient records are pinned
- * (optimizer state stays pageable), so usage remains a modest fraction
- * of host RAM.
+ * each scene/testbed. Table 6 models the GPU system, where parameter
+ * and gradient records are pinned (optimizer state stays pageable), so
+ * usage remains a modest fraction of host RAM. The functional CPU
+ * trainers pin only the gradient records: they stage parameters
+ * straight from the master model.
  */
 
 #include <iostream>

@@ -73,7 +73,6 @@ struct BatchPlanResult
     CachePlan cache;                 //!< At synthetic scale.
     FinalizationSchedule fin;        //!< At synthetic scale.
     double scale = 1.0;              //!< n_target / n_synthetic.
-    double scheduling_seconds = 0;   //!< Measured planning wall time.
 
     /** Paper-scale PCIe CPU->GPU parameter bytes (the Figure 14 metric). */
     double paramLoadBytesScaled() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "gaussian/model.hpp"
 #include "util/logging.hpp"
 
 namespace clm {
@@ -45,7 +46,7 @@ DeviceBuffer::zeroGrads()
 }
 
 void
-gatherParams(const PinnedPool &pool, DeviceBuffer &dst,
+gatherParams(const GaussianModel &model, DeviceBuffer &dst,
              const std::vector<uint32_t> &load_indices)
 {
     // Both lists are ascending: a two-pointer merge walk finds each
@@ -59,10 +60,9 @@ gatherParams(const PinnedPool &pool, DeviceBuffer &dst,
             ++r;
         CLM_ASSERT(r < bound.size() && bound[r] == g,
                    "load target ", g, " not bound in buffer");
-        // The kernel splits the padded pinned record and writes the dense
-        // 49-float row (§5.2's split-and-concatenate in one kernel).
-        std::memcpy(dst.paramRow(r), pool.paramRecord(g),
-                    kNonCriticalDim * sizeof(float));
+        // The kernel concatenates the row's SH and opacity into the
+        // dense 49-float row (§5.2's split-and-concatenate in one kernel).
+        model.packNonCritical(g, dst.paramRow(r));
     }
 }
 

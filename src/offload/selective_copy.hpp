@@ -1,10 +1,11 @@
 /**
  * @file
  * Functional equivalents of the selective loading / gradient offloading
- * kernels (§5.2, §5.3): batched gather of sparse pinned-memory records
- * into dense device buffers, scatter of device gradients back with
- * read-modify-write accumulation, and dense row copies for the GPU-side
- * Gaussian cache. These kernels are driven exclusively by the
+ * kernels (§5.2, §5.3): batched gather of sparse rows of the master
+ * model's non-critical attributes (the one host copy) into dense device
+ * buffers, scatter of device gradients into the pinned gradient records
+ * with read-modify-write accumulation, and dense row copies for the
+ * GPU-side Gaussian cache. These kernels are driven exclusively by the
  * TransferEngine (offload/transfer_engine.hpp); trainers never call them
  * directly. The batched forms are microbenchmarked against naive
  * per-record copies in bench/micro_selective_copy.
@@ -20,6 +21,8 @@
 #include "util/logging.hpp"
 
 namespace clm {
+
+class GaussianModel;
 
 /**
  * Dense device-side staging buffer for one microbatch: row r holds the
@@ -85,11 +88,11 @@ class DeviceBuffer
 };
 
 /**
- * Selective loading "kernel": gather the records of @p rows (positions in
- * dst's bound index list whose data must come from pinned memory) from
- * @p pool into @p dst's parameter rows.
+ * Selective loading "kernel": for every index in @p load_indices (bound
+ * in @p dst, ascending), pack its non-critical attributes from the
+ * master @p model's row into @p dst's parameter row.
  */
-void gatherParams(const PinnedPool &pool, DeviceBuffer &dst,
+void gatherParams(const GaussianModel &model, DeviceBuffer &dst,
                   const std::vector<uint32_t> &load_indices);
 
 /**

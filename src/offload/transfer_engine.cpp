@@ -7,10 +7,11 @@
 
 namespace clm {
 
-TransferEngine::TransferEngine(size_t n, TransferEngineConfig config)
-    : config_(config), pool_(n)
+TransferEngine::TransferEngine(const GaussianModel &model,
+                               bool async_finalize)
+    : model_(model), async_finalize_(async_finalize), pool_(model.size())
 {
-    if (config_.async_finalize)
+    if (async_finalize_)
         adam_thread_ = std::thread([this] { adamThreadLoop(); });
 }
 
@@ -33,20 +34,11 @@ TransferEngine::stopAdamThread()
 }
 
 void
-TransferEngine::reset(size_t n)
+TransferEngine::reset()
 {
     drain();
-    pool_ = PinnedPool(n);
+    pool_ = PinnedPool(model_.size());
     ring_.clear();
-}
-
-void
-TransferEngine::uploadParams(const GaussianModel &model)
-{
-    CLM_ASSERT(model.size() == pool_.size(),
-               "upload size mismatch: ", model.size(), " vs ",
-               pool_.size());
-    pool_.uploadParams(model);
 }
 
 void
@@ -81,6 +73,8 @@ TransferEngine::runBatch(std::vector<std::vector<uint32_t>> ordered_sets,
                "cache plan does not cover the batch");
     CLM_ASSERT(fin.finalized_after.empty() || finalize_fn_,
                "finalization schedule without a finalize callback");
+    CLM_ASSERT(pool_.size() == model_.size(),
+               "model resized without TransferEngine::reset()");
     sets_ = std::move(ordered_sets);
     cache_ = std::move(cache);
     fin_ = std::move(fin);
@@ -124,10 +118,10 @@ TransferEngine::stageAndLaunch(size_t i, bool exposed,
     DeviceBuffer &buf = buffer(i);
     const MicrobatchTransfers &t = cache_.mb[i];
     Timer timer;
-    // Selective load (PCIe) from the pinned pool (§4.2.1, §5.2) into
-    // the rebound buffer, whose gradient rows start at zero.
+    // Selective load (PCIe) of the master rows (§4.2.1, §5.2) into the
+    // rebound buffer, whose gradient rows start at zero.
     buf.bind(sets_[i]);
-    gatherParams(pool_, buf, t.load_new);
+    gatherParams(model_, buf, t.load_new);
     buf.zeroGrads();
     double staged = timer.seconds();
     addStageTime(TrainStage::Gather, staged);
@@ -203,7 +197,7 @@ TransferEngine::runFinalize(const std::vector<uint32_t> &fin)
     {
         std::lock_guard<std::mutex> lock(timings_mutex_);
         timings_.add(TrainStage::Finalize, secs);
-        timings_.finalize_inline |= !config_.async_finalize;
+        timings_.finalize_inline |= !async_finalize_;
         last_finalize_t_ = std::max(last_finalize_t_, at);
     }
     return updated;
@@ -214,7 +208,7 @@ TransferEngine::dispatchFinalize(std::vector<uint32_t> fin, size_t slot)
 {
     if (fin.empty())
         return;
-    if (!config_.async_finalize) {
+    if (!async_finalize_) {
         counters_.finalized += runFinalize(fin);
         return;
     }
@@ -261,7 +255,7 @@ TransferEngine::adamThreadLoop()
 void
 TransferEngine::drainAdamThread()
 {
-    if (!config_.async_finalize)
+    if (!async_finalize_)
         return;
     std::unique_lock<std::mutex> lock(adam_mutex_);
     adam_cv_.wait(lock, [this] { return adam_pending_ == 0; });

@@ -1,13 +1,15 @@
 /**
  * @file
  * The unified offload data path (§4-§5): one engine that owns the pinned
- * host pool, a ring of device staging buffers, the selective
+ * gradient pool, a ring of device staging buffers, the selective
  * gather/cached-copy/RMW-scatter kernels, and the §5.4 dedicated
- * finalization (CPU Adam) thread with its pinned signal slots. A batch
- * is a pipeline of up to W microbatches computing at once over a ring of
- * W+1 buffers (§5.3's double buffer, generalized): staging, carried
- * gradients, RMW scatter and finalization dispatch all run on the
- * calling thread, strictly in plan order, while the trainer's compute
+ * finalization (CPU Adam) thread with its pinned signal slots. It stages
+ * non-critical rows straight from the master model it is built on, the
+ * one host copy that CPU Adam updates in place. A batch is a pipeline
+ * of up to W microbatches computing at once over a ring of W+1 buffers
+ * (§5.3's double buffer, generalized): staging, carried gradients, RMW
+ * scatter and finalization dispatch all run on the calling thread,
+ * strictly in plan order, while the trainer's compute
  * may run on other threads. Every trainer is a thin policy over this
  * engine: CLM computes one microbatch per pool thread with caching on,
  * naive offloading stages the whole model as a single microbatch. All
@@ -37,14 +39,6 @@ namespace clm {
 
 class GaussianModel;
 
-/** Policy knobs distinguishing the trainers that share the engine. */
-struct TransferEngineConfig
-{
-    /** Run finalization on the dedicated CPU Adam thread (§5.4),
-     *  handshaking through the pinned signal slots. */
-    bool async_finalize = false;
-};
-
 /**
  * See the file comment. One runBatch() call runs a batch of B
  * microbatches with up to W = @p depth of them computing at once;
@@ -59,9 +53,10 @@ struct TransferEngineConfig
  *   drain the Adam thread
  *
  * Staging reads buffer j+W-1's parameter rows (cached copies) and the
- * pinned records; finalization writes only rows no later set holds
- * (the §4.2.2 last-touch property), so neither races with in-flight
- * compute. Every float sum keeps the same association at any W, so
+ * master rows of set j+W; finalization writes only rows no later set
+ * holds (the §4.2.2 last-touch property), so neither races with
+ * in-flight compute, and staging never reads a row the Adam thread
+ * writes. Every float sum keeps the same association at any W, so
  * W changes timing, never results. W = 1 is the synchronous schedule.
  */
 class TransferEngine
@@ -81,7 +76,13 @@ class TransferEngine
      *  gradients into the buffer's gradient rows. */
     using CollectFn = std::function<void(size_t i, DeviceBuffer &)>;
 
-    explicit TransferEngine(size_t n, TransferEngineConfig config = {});
+    /** Engine over the master @p model, whose rows it stages and whose
+     *  size sets the gradient pool's. With @p async_finalize,
+     *  finalization runs on the dedicated CPU Adam thread (§5.4),
+     *  handshaking through the pinned signal slots; otherwise inline on
+     *  the calling thread. */
+    explicit TransferEngine(const GaussianModel &model,
+                            bool async_finalize = false);
 
     ~TransferEngine();
 
@@ -92,12 +93,9 @@ class TransferEngine
      *  dispatches finalization). */
     void setFinalizeFn(FinalizeFn fn) { finalize_fn_ = std::move(fn); }
 
-    /** Quiesce the Adam thread and rebuild pool + buffers for a model
-     *  of @p n Gaussians (densification / topology changes). */
-    void reset(size_t n);
-
-    /** Populate every pinned parameter record from @p model. */
-    void uploadParams(const GaussianModel &model);
+    /** Quiesce the Adam thread and rebuild pool + buffers for the
+     *  master model's current size (densification / topology changes). */
+    void reset();
 
     /**
      * Run one batch (see class comment): microbatch i binds
@@ -129,7 +127,7 @@ class TransferEngine
     const PinnedPool &pool() const { return pool_; }
     PinnedPool &pool() { return pool_; }
 
-    /** Total pinned bytes held (the Table 6 quantity). */
+    /** Pinned bytes held: gradient records and signal slots. */
     size_t pinnedBytes() const { return pool_.bytes(); }
 
     /** Peak rows ever bound in one ring buffer (memory accounting). */
@@ -179,7 +177,8 @@ class TransferEngine
 
     void stopAdamThread();
 
-    TransferEngineConfig config_;
+    const GaussianModel &model_;    //!< Master copy staged from.
+    const bool async_finalize_;
     FinalizeFn finalize_fn_;
     PinnedPool pool_;
     std::vector<DeviceBuffer> ring_;    //!< Grows to the largest W+1.
@@ -201,7 +200,7 @@ class TransferEngine
     StageTimings timings_;
     mutable std::mutex timings_mutex_;
 
-    // Dedicated CPU Adam thread state (active when async_finalize).
+    // Dedicated CPU Adam thread state (active when async_finalize_).
     struct FinalizeJob
     {
         std::vector<uint32_t> fin;

@@ -11,37 +11,23 @@
 
 namespace clm {
 
-namespace {
-
-TransferEngineConfig
-engineConfig(const TrainConfig &config)
-{
-    TransferEngineConfig ec;
-    ec.async_finalize = config.async_adam;
-    return ec;
-}
-
-} // namespace
-
 ClmTrainer::ClmTrainer(GaussianModel model, std::vector<Camera> cameras,
                        std::vector<Image> ground_truth, TrainConfig config)
     : Trainer(std::move(model), std::move(cameras),
               std::move(ground_truth), config),
       ctx_(model_, adam_, densifier_, cull_dirty_),
-      engine_(model_.size(), engineConfig(config_))
+      engine_(model_, config_.async_adam)
 {
     engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
         return ctx_.finalize(engine_.pool(), fin, densificationEnabled(),
                              !config_.async_adam);
     });
-    engine_.uploadParams(model_);
 }
 
 void
 ClmTrainer::onModelResized()
 {
-    engine_.reset(model_.size());
-    engine_.uploadParams(model_);
+    engine_.reset();
 }
 
 DensifyStats

@@ -3,13 +3,13 @@
  * The functional CLM trainer, now a thin policy over the shared offload
  * subsystem: TrainerContext holds the attribute-split state (compact
  * microbatch gather from the master model's critical rows and the
- * staged non-critical rows, finalization pass) and
- * TransferEngine owns the whole data path (pinned pool, a ring of W+1
- * staging buffers, RMW gradient scatter, dedicated finalization
- * thread). The trainer itself culls and plans (§4.2), then renders up
- * to W microbatches at once: each is a global-pool task that gathers
- * its compact model and renders it serially (forward, loss, backward)
- * in its own MicrobatchSlot, while the calling thread stages later
+ * staged non-critical rows, finalization pass) and TransferEngine owns
+ * the whole data path (pinned gradient pool, a ring of W+1 staging
+ * buffers loaded from the master model, RMW gradient scatter, dedicated
+ * finalization thread). The trainer itself culls and plans (§4.2), then
+ * renders up to W microbatches at once: each is a global-pool task that
+ * gathers its compact model and renders it serially (forward, loss,
+ * backward) in its own MicrobatchSlot, while the calling thread stages later
  * microbatches and commits finished ones strictly in plan order. With
  * prefetch on, W = min(pool threads, batch size); off, W = 1. Where the
  * paper overlaps transfers with ONE compute stream, this CPU port also
@@ -44,7 +44,9 @@ class ClmTrainer : public Trainer
     /** The CPU-resident master copy (updated by CPU Adam). */
     const GaussianModel &model() const override { return model_; }
 
-    /** Pinned host memory in use (the Table 6 quantity). */
+    /** Pinned host memory in use: n·gradStride() + the signal slots.
+     *  Parameters stay in the master model, so this is less than the
+     *  GPU system's PinnedLayout::totalBytes (Table 6). */
     size_t pinnedBytes() const { return engine_.pinnedBytes(); }
 
     /** Peak rows ever bound in one device buffer (memory accounting). */
@@ -59,7 +61,7 @@ class ClmTrainer : public Trainer
 
     /** Densification with offload-state rebuild: drains the Adam
      *  thread, restructures the model, then rebuilds the cull stage,
-     *  pinned pool and buffer ring. */
+     *  pinned gradient pool and buffer ring. */
     DensifyStats densifyNow() override;
 
   protected:

@@ -8,22 +8,6 @@
 
 namespace clm {
 
-namespace {
-
-TransferEngineConfig
-naiveEngineConfig(const TrainConfig &config)
-{
-    // Figure 3's pipeline has no overlap: the whole model is one
-    // microbatch, so its transfers sit on the critical path, and every
-    // record reloads each batch (caching is disabled per batch in the
-    // cache plan below).
-    TransferEngineConfig ec;
-    ec.async_finalize = config.async_adam;
-    return ec;
-}
-
-} // namespace
-
 NaiveOffloadTrainer::NaiveOffloadTrainer(GaussianModel model,
                                          std::vector<Camera> cameras,
                                          std::vector<Image> ground_truth,
@@ -31,20 +15,18 @@ NaiveOffloadTrainer::NaiveOffloadTrainer(GaussianModel model,
     : Trainer(std::move(model), std::move(cameras),
               std::move(ground_truth), config),
       ctx_(model_, adam_, densifier_, cull_dirty_),
-      engine_(model_.size(), naiveEngineConfig(config_))
+      engine_(model_, config_.async_adam)
 {
     engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
         return ctx_.finalize(engine_.pool(), fin, densificationEnabled(),
                              !config_.async_adam);
     });
-    engine_.uploadParams(model_);
 }
 
 void
 NaiveOffloadTrainer::onModelResized()
 {
-    engine_.reset(model_.size());
-    engine_.uploadParams(model_);
+    engine_.reset();
 }
 
 DensifyStats
@@ -86,7 +68,10 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     // view at a time, each from its compact microbatch, with gradient
     // accumulation into the staging rows (the "GPU" working copy;
     // buffer row = model row). Its commit is "store ALL gradients" —
-    // the full GPU->CPU scatter — followed by the Adam pass.
+    // the full GPU->CPU scatter — followed by the Adam pass. Figure 3's
+    // pipeline has no overlap: with the whole model one microbatch,
+    // its transfers sit on the critical path, and every record reloads
+    // each batch.
     std::vector<uint32_t> all(n);
     std::iota(all.begin(), all.end(), 0u);
     CachePlan cache = planCache({all}, /*enable_cache=*/false);

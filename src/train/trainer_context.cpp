@@ -96,10 +96,9 @@ TrainerContext::finalize(PinnedPool &pool,
                          bool observe_densify, bool parallel)
 {
     // Gradients for the finalized set are complete in pinned memory
-    // (§4.2.2): update each row straight from its record (§5.4), make
-    // the new non-critical parameters visible to future loads, and
-    // reset the record for the next batch. The new critical attributes
-    // are in place in the master rows the next cull reads (§4.1).
+    // (§4.2.2): update each master row straight from its record (§5.4)
+    // and reset the record for the next batch. The new attributes are
+    // in place in the master rows the next cull and loads read (§4.1).
     auto finalize_rows = [&](size_t begin, size_t end) {
         for (size_t k = begin; k < end; ++k) {
             const uint32_t g = fin[k];
@@ -108,7 +107,6 @@ TrainerContext::finalize(PinnedPool &pool,
                 densifier_.observeNorm(
                     g, Vec3{grad[0], grad[1], grad[2]}.norm());
             adam_.updateRecord(model_, g, grad);
-            model_.packNonCritical(g, pool.paramRecord(g));
             std::memset(grad, 0, kParamsPerGaussian * sizeof(float));
         }
     };

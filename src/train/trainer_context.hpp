@@ -5,14 +5,15 @@
  * from (§5.2) into a caller-owned MicrobatchSlot, batch workload
  * construction around the trainer's pre-rendering cull (§5.1), planner
  * invocation, and the finalization pass (CPU Adam straight from the
- * pinned gradient records plus parameter write-back, §4.2.2/§5.4).
+ * pinned gradient records into the master rows, §4.2.2/§5.4).
  *
- * The master model's critical attributes (position, log-scale,
- * rotation; §4.1) are the "GPU-resident" set: the cull and the gather
- * read them in place, so there is no second copy to keep in step.
- * Gathers read only rows of in-flight sets, and finalization writes
- * only rows that no later set of the batch holds (§4.2.2), so the
- * dedicated Adam thread never writes a row a gather reads.
+ * The master model is the one host copy of every attribute. Its
+ * critical attributes (position, log-scale, rotation; §4.1) are the
+ * "GPU-resident" set: the cull and the compact gather read them in
+ * place. Its non-critical rows are what the TransferEngine stages.
+ * Gathers and staging read only rows of in-flight sets, and
+ * finalization writes only rows that no later set of the batch holds
+ * (§4.2.2), so the dedicated Adam thread never writes a row they read.
  */
 
 #ifndef CLM_TRAIN_TRAINER_CONTEXT_HPP
@@ -102,8 +103,8 @@ class TrainerContext
      * Finalize @p fin (§4.2.2, §5.4) in one pass per row, straight from
      * its pinned gradient record in @p pool: feed the densification
      * statistics when @p observe_densify, run CPU Adam on the master
-     * model, write the updated non-critical parameters into the pool
-     * record, and zero the gradient record. Rows are independent; with
+     * model in place (later stagings read the updated rows from it),
+     * and zero the gradient record. Rows are independent; with
      * @p parallel large sets spread over the global thread pool (the
      * dedicated Adam thread passes false so it never competes with the
      * render pool). Calls must not overlap (the engine makes them from

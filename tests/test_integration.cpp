@@ -170,7 +170,8 @@ TEST(Lifecycle, AsyncAdamWithDensification)
     auto stats = t.trainSteps(2);
     EXPECT_GT(stats.back().adam_updated, 0u);
     EXPECT_EQ(t.pinnedBytes(),
-              PinnedLayout::totalBytes(t.model().size()));
+              t.model().size() * PinnedLayout::gradStride()
+                  + kSignalSlots * kCacheLineBytes);
 }
 
 /** Rows of @p a and @p b whose parameters differ in any bit. */

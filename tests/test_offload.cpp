@@ -253,12 +253,12 @@ TEST(PinnedPool, LayoutAndAlignment)
     EXPECT_EQ(pool.size(), 100u);
     EXPECT_EQ(PinnedLayout::paramStride(), 256u);
     EXPECT_EQ(PinnedLayout::gradStride(), 256u);    // 236 -> 256
-    EXPECT_EQ(pool.bytes(), PinnedLayout::totalBytes(100));
+    // Gradient records and signal slots only: parameters stay in the
+    // master model.
+    EXPECT_EQ(pool.bytes(), 100 * PinnedLayout::gradStride()
+                                + kSignalSlots * kCacheLineBytes);
     // Every record cache-line aligned (§5.2).
     for (size_t i : {0u, 1u, 57u, 99u}) {
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(pool.paramRecord(i))
-                      % kCacheLineBytes,
-                  0u);
         EXPECT_EQ(reinterpret_cast<uintptr_t>(pool.gradRecord(i))
                       % kCacheLineBytes,
                   0u);
@@ -272,13 +272,13 @@ TEST(PinnedPool, LayoutAndAlignment)
 
 TEST(PinnedPool, FreshPoolIsZeroAboveParallelThreshold)
 {
-    const size_t n = 4000;
-    ASSERT_GT(PinnedLayout::totalBytes(n), kParallelZeroBytes);
+    const size_t n = 8000;
+    ASSERT_GT(n * PinnedLayout::gradStride(), kParallelZeroBytes);
     // Free a dirtied pool of the same size first: a reused heap block
     // would show through a missing zeroing pass.
     {
         PinnedPool dirty(n);
-        std::memset(dirty.paramRecord(0), 0xA5, dirty.bytes());
+        std::memset(dirty.gradRecord(0), 0xA5, dirty.bytes());
     }
     PinnedPool pool(n);
     auto all_zero = [](const void *p, size_t bytes) {
@@ -286,33 +286,12 @@ TEST(PinnedPool, FreshPoolIsZeroAboveParallelThreshold)
         return std::all_of(b, b + bytes,
                            [](unsigned char c) { return c == 0; });
     };
-    for (size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(all_zero(pool.paramRecord(i), PinnedLayout::paramStride()))
-            << "param record " << i;
+    for (size_t i = 0; i < n; ++i)
         EXPECT_TRUE(all_zero(pool.gradRecord(i), PinnedLayout::gradStride()))
             << "grad record " << i;
-    }
     for (size_t s = 0; s < kSignalSlots; ++s)
         EXPECT_TRUE(all_zero(pool.signalSlot(s), kCacheLineBytes))
             << "signal slot " << s;
-}
-
-TEST(PinnedPool, UploadDownloadRoundTrip)
-{
-    Rng rng(13);
-    GaussianModel m = GaussianModel::random(20, {-1, -1, -1}, {1, 1, 1},
-                                            0.1f, rng);
-    for (size_t i = 0; i < m.size(); ++i)
-        for (int k = 0; k < kShDim; ++k)
-            m.sh(i)[k] = rng.normal();
-    PinnedPool pool(20);
-    pool.uploadParams(m);
-    GaussianModel m2(20);
-    pool.downloadParams(m2);
-    for (size_t i = 0; i < 20; ++i) {
-        EXPECT_FLOAT_EQ(m2.sh(i)[17], m.sh(i)[17]);
-        EXPECT_FLOAT_EQ(m2.rawOpacity(i), m.rawOpacity(i));
-    }
 }
 
 TEST(DeviceBuffer, BindAndRowLookup)
@@ -330,11 +309,9 @@ TEST(DeviceBuffer, BindAndRowLookup)
     Rng rng(12);
     GaussianModel m = GaussianModel::random(40, {-1, -1, -1}, {1, 1, 1},
                                             0.1f, rng);
-    PinnedPool pool(40);
-    pool.uploadParams(m);
     auto expectStaged = [&](const std::vector<uint32_t> &set) {
         buf.bind(set);
-        gatherParams(pool, buf, set);
+        gatherParams(m, buf, set);
         buf.zeroGrads();
         ASSERT_EQ(buf.rows(), set.size());
         for (size_t r = 0; r < set.size(); ++r) {
@@ -361,13 +338,10 @@ TEST(SelectiveCopy, GatherScatterRoundTrip)
     Rng rng(14);
     GaussianModel m = GaussianModel::random(30, {-1, -1, -1}, {1, 1, 1},
                                             0.1f, rng);
-    PinnedPool pool(30);
-    pool.uploadParams(m);
-
     DeviceBuffer buf;
     std::vector<uint32_t> set{3, 7, 8, 21};
     buf.bind(set);
-    gatherParams(pool, buf, set);
+    gatherParams(m, buf, set);
     for (size_t r = 0; r < set.size(); ++r) {
         float expect[kNonCriticalDim];
         m.packNonCritical(set[r], expect);
@@ -381,16 +355,13 @@ TEST(SelectiveCopy, CachedCopyMatchesPinnedLoad)
     Rng rng(15);
     GaussianModel m = GaussianModel::random(30, {-1, -1, -1}, {1, 1, 1},
                                             0.1f, rng);
-    PinnedPool pool(30);
-    pool.uploadParams(m);
-
     DeviceBuffer a, b;
     a.bind({1, 2, 3, 4});
-    gatherParams(pool, a, a.indices());
+    gatherParams(m, a, a.indices());
     b.bind({2, 3, 10});
-    // 2 and 3 cached from a; 10 loaded from pinned memory.
+    // 2 and 3 cached from a; 10 loaded from its master row.
     copyCachedParams(a, b, {2, 3});
-    gatherParams(pool, b, {10});
+    gatherParams(m, b, {10});
     for (uint32_t g : {2u, 3u, 10u}) {
         float expect[kNonCriticalDim];
         m.packNonCritical(g, expect);
@@ -438,8 +409,7 @@ TEST(TransferEngine, GatherScatterRoundTripBitExact)
         for (int k = 0; k < kShDim; ++k)
             m.sh(i)[k] = rng.normal();
 
-    TransferEngine engine(40);
-    engine.uploadParams(m);
+    TransferEngine engine(m);
 
     std::vector<uint32_t> set{1, 4, 5, 19, 33};
     CachePlan cache = planCache({set}, true);
@@ -447,8 +417,8 @@ TEST(TransferEngine, GatherScatterRoundTripBitExact)
     engine.runBatch(
         {set}, std::move(cache), FinalizationSchedule{}, 1,
         [&](size_t, const DeviceBuffer &buf) {
-            // Staged parameter rows are bit-exact copies of the pinned
-            // records.
+            // Staged parameter rows are bit-exact copies of the master
+            // rows.
             for (size_t r = 0; r < set.size(); ++r) {
                 float expect[kNonCriticalDim];
                 m.packNonCritical(set[r], expect);
@@ -481,10 +451,10 @@ TEST(TransferEngine, GatherScatterRoundTripBitExact)
 }
 
 /**
- * Drive one batch through an engine at @p depth with a deterministic
- * fake "compute" running on its own thread (grad row r of microbatch i
- * gets i + r/100) and return the pool grads. Each compute checks that
- * its staged params match the pinned records; @p max_in_flight gets
+ * Drive one batch through an engine over @p m at @p depth with a
+ * deterministic fake "compute" running on its own thread (grad row r of
+ * microbatch i gets i + r/100) and return the pool grads. Each compute
+ * checks that its staged params match m's rows; @p max_in_flight gets
  * the most microbatches ever launched and not yet collected.
  */
 std::vector<std::vector<float>>
@@ -492,7 +462,6 @@ runFakeBatch(TransferEngine &engine, const GaussianModel &m,
              const std::vector<std::vector<uint32_t>> &sets, size_t depth,
              size_t *max_in_flight = nullptr)
 {
-    engine.uploadParams(m);
     CachePlan cache = planCache(sets, true);
     std::vector<std::future<std::vector<float>>> computes(sets.size());
     std::atomic<size_t> in_flight{0}, peak{0}, bad_rows{0};
@@ -503,7 +472,7 @@ runFakeBatch(TransferEngine &engine, const GaussianModel &m,
             computes[i] = std::async(std::launch::async, [&, i] {
                 std::vector<float> grads;
                 for (size_t r = 0; r < buf.rows(); ++r) {
-                    // Staged params must match the pinned records
+                    // Staged params must match the master rows
                     // whether they came by PCIe gather or cached copy.
                     float expect[kNonCriticalDim];
                     m.packNonCritical(buf.indices()[r], expect);
@@ -543,10 +512,10 @@ TEST(TransferEngine, PrefetchMatchesSynchronousStaging)
     auto sets = randomSets(9, 60, 0.4, 18);
     sets[5] = sets[4];    // a repeated view: everything cached, carried
 
-    TransferEngine sync_engine(60);
+    TransferEngine sync_engine(m);
     auto sync_grads = runFakeBatch(sync_engine, m, sets, 1);
     for (size_t depth : {2u, 3u, 4u, 8u, 12u}) {
-        TransferEngine engine(60);
+        TransferEngine engine(m);
         size_t in_flight = 0;
         auto grads = runFakeBatch(engine, m, sets, depth, &in_flight);
         EXPECT_EQ(in_flight, std::min(depth, sets.size()));
@@ -575,10 +544,7 @@ TEST(TransferEngine, FinalizationDispatchAndCounters)
     FinalizationSchedule fin = computeFinalization(30, sets, false);
 
     for (bool async : {false, true}) {
-        TransferEngineConfig ec;
-        ec.async_finalize = async;
-        TransferEngine engine(30, ec);
-        engine.uploadParams(m);
+        TransferEngine engine(m, async);
         std::vector<uint32_t> finalized;
         engine.setFinalizeFn([&](const std::vector<uint32_t> &f) {
             finalized.insert(finalized.end(), f.begin(), f.end());
@@ -597,13 +563,49 @@ TEST(TransferEngine, FinalizationDispatchAndCounters)
     }
 }
 
+TEST(TransferEngine, StagesMasterEditsWithoutUpload)
+{
+    // The master model is the one host copy: an in-place edit of its
+    // SH and opacity (what CPU Adam does) reaches the next staging with
+    // no upload step in between.
+    Rng rng(22);
+    GaussianModel m = GaussianModel::random(30, {-1, -1, -1}, {1, 1, 1},
+                                            0.1f, rng);
+    TransferEngine engine(m);
+    const std::vector<uint32_t> set{0, 4, 11, 29};
+    auto stageAndCompare = [&] {
+        size_t bad_rows = 0;
+        engine.runBatch(
+            {set}, planCache({set}, true), FinalizationSchedule{}, 1,
+            [&](size_t, const DeviceBuffer &buf) {
+                for (size_t r = 0; r < set.size(); ++r) {
+                    float expect[kNonCriticalDim];
+                    m.packNonCritical(set[r], expect);
+                    if (std::memcmp(buf.paramRow(r), expect,
+                                    sizeof(expect)) != 0)
+                        ++bad_rows;
+                }
+            },
+            [](size_t, DeviceBuffer &) {});
+        return bad_rows;
+    };
+    EXPECT_EQ(stageAndCompare(), 0u);
+    for (uint32_t g : set) {
+        for (int k = 0; k < kShDim; ++k)
+            m.sh(g)[k] = rng.normal();
+        m.rawOpacity(g) = rng.normal();
+    }
+    EXPECT_EQ(stageAndCompare(), 0u);
+    EXPECT_EQ(engine.counters().records_loaded, set.size());
+}
+
 TEST(TransferEngine, StageTimingsAccumulate)
 {
     Rng rng(20);
     GaussianModel m = GaussianModel::random(30, {-1, -1, -1}, {1, 1, 1},
                                             0.1f, rng);
     auto sets = randomSets(3, 30, 0.5, 21);
-    TransferEngine engine(30, {});
+    TransferEngine engine(m);
     runFakeBatch(engine, m, sets, 2);
     const StageTimings &t = engine.timings();
     EXPECT_EQ(t.microbatches.size(), sets.size());

@@ -156,7 +156,9 @@ TEST(ClmTrainerAccounting, PinnedBytesMatchLayout)
 {
     Fixture f;
     ClmTrainer t(f.trainee(300), f.cameras, f.gt_images, f.config);
-    EXPECT_EQ(t.pinnedBytes(), PinnedLayout::totalBytes(300));
+    // Gradient records and signal slots: parameters stay in the master.
+    EXPECT_EQ(t.pinnedBytes(), 300 * PinnedLayout::gradStride()
+                                   + kSignalSlots * kCacheLineBytes);
 }
 
 TEST(ClmTrainerAccounting, AdamUpdatesEveryTouchedGaussianOnce)
