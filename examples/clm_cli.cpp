@@ -72,8 +72,7 @@
 #include "serve/retry.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
-#include "train/clm_trainer.hpp"
-#include "train/naive_offload_trainer.hpp"
+#include "train/offload_trainer.hpp"
 
 namespace {
 
@@ -340,13 +339,9 @@ runServe(Clm &session, int warmup_steps, int n_clients, int n_requests,
     // Offload trainers account their pipeline stages in StageTimings;
     // fold them into the registry so the final metrics snapshot (and
     // the exporter's last line) carries the training-side breakdown.
-    if (const auto *clm_trainer =
-            dynamic_cast<const ClmTrainer *>(&session.trainer()))
-        clm_trainer->stageTimings().exportTo(registry);
-    else if (const auto *naive =
-                 dynamic_cast<const NaiveOffloadTrainer *>(
-                     &session.trainer()))
-        naive->stageTimings().exportTo(registry);
+    if (const auto *offload =
+            dynamic_cast<const OffloadTrainer *>(&session.trainer()))
+        offload->stageTimings().exportTo(registry);
     if (exporter != nullptr) {
         exporter->stop();
         std::printf("[obs] metrics: %d snapshots -> %s\n",

@@ -35,8 +35,19 @@ the ratio of the medians and a verdict:
 Per-layer metrics (`--trace 1` runs) have no bound; they get `better` or
 `-`. The same table is written as JSON. Every run must print
 "correct": true; the `repeatable` line of each seed is compared between
-the sides. `--self-test` checks the statistics and verdicts on synthetic
-samples without building anything.
+the sides.
+
+Host contention: over each run's window the script reads the host's CPU
+counters from /proc/stat (read only) and its own children's CPU time. It
+reports, per side, the share of the host's CPU time that was stolen by
+the hypervisor (steal) and the share that other processes used (busy
+time minus the run's own), and flags the pairs in which either run saw
+more than BUSY_SHARE of the host taken that way: their serving metrics
+measured a busy host, not the change. Without /proc/stat the columns
+read n/a.
+
+`--self-test` checks the statistics, verdicts and contention arithmetic
+on synthetic samples without building anything.
 """
 
 import argparse
@@ -44,6 +55,7 @@ import importlib.util
 import json
 import math
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -54,6 +66,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Share of pairs the change must win for a "better" verdict.
 WIN_SHARE = 0.9
+
+# Share of the host's CPU time (steal + other processes) over a run's
+# window above which the run, and its pair, count as run on a busy host.
+BUSY_SHARE = 0.10
 
 
 def seeds_of(text):
@@ -115,6 +131,67 @@ def judge(parent, change, better, bound):
     }
 
 
+def cpu_ticks(text):
+    """(total, busy, steal) ticks of the aggregate "cpu" line of
+    /proc/stat text; busy excludes idle, iowait and steal (guest time is
+    already inside user)."""
+    for line in text.splitlines():
+        if line.startswith("cpu "):
+            v = [int(x) for x in line.split()[1:9]]
+            v += [0] * (8 - len(v))
+            user, nice, system, idle, iowait, irq, softirq, steal = v
+            busy = user + nice + system + irq + softirq
+            return busy + idle + iowait + steal, busy, steal
+    return None
+
+
+def read_cpu_ticks():
+    try:
+        with open("/proc/stat") as f:
+            return cpu_ticks(f.read())
+    except OSError:
+        return None
+
+
+def children_cpu_s():
+    """CPU seconds of this process's waited-for descendants."""
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r.ru_utime + r.ru_stime
+
+
+def contention(before, after, own_cpu_s, hz):
+    """Steal and other-process shares of the host's CPU time between two
+    cpu_ticks() readings, the run itself having used @p own_cpu_s; None
+    without readings."""
+    if before is None or after is None or after[0] <= before[0]:
+        return None
+    total = after[0] - before[0]
+    other = max(0.0, after[1] - before[1] - own_cpu_s * hz)
+    return {"steal": (after[2] - before[2]) / total, "other": other / total}
+
+
+def busy_pairs(parent, change):
+    """1-based pairs in which either run's steal + other share exceeds
+    BUSY_SHARE."""
+    def busy(c):
+        return c is not None and c["steal"] + c["other"] > BUSY_SHARE
+    return [i + 1 for i, (p, c) in enumerate(zip(parent, change))
+            if busy(p) or busy(c)]
+
+
+def contention_line(side, runs):
+    """One report line: median [max] steal and other share of a side."""
+    known = [c for c in runs if c is not None]
+    if not known:
+        return "%-7s steal n/a, other processes n/a" % side
+    def stat(key):
+        vals = [c[key] for c in known]
+        return "%.1f%% [max %.1f%%]" % (100 * statistics.median(vals),
+                                        100 * max(vals))
+    return "%-7s steal %s, other processes %s" % (side, stat("steal"),
+                                                  stat("other"))
+
+
 def load_build(side_root):
     """The build() of @p side_root's perfbench/run.py."""
     path = os.path.join(side_root, "perfbench", "run.py")
@@ -125,13 +202,17 @@ def load_build(side_root):
 
 
 def run_once(side_root, target, workload, seed, seconds, trace):
-    """One benchmark run: (result object, repeatable object or None)."""
+    """One benchmark run: (result object, repeatable object or None,
+    host contention over the run or None)."""
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     cmd = [sys.executable, os.path.join(side_root, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    ticks, own = read_cpu_ticks(), children_cpu_s()
     proc = subprocess.run(cmd, cwd=side_root, env=env, capture_output=True,
                           text=True)
+    host = contention(ticks, read_cpu_ticks(), children_cpu_s() - own,
+                      os.sysconf("SC_CLK_TCK"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr[-2000:])
@@ -141,7 +222,7 @@ def run_once(side_root, target, workload, seed, seconds, trace):
     repeatable = None
     if len(lines) > 1 and lines[-2].startswith('{"repeatable"'):
         repeatable = json.loads(lines[-2])["repeatable"]
-    return result, repeatable
+    return result, repeatable, host
 
 
 def report(workload, rows, out=sys.stdout):
@@ -198,14 +279,16 @@ def run_ab(args):
         for workload in workloads:
             samples = {"parent": [], "change": []}
             repeatable = {"parent": [], "change": []}
+            host = {"parent": [], "change": []}
             correct = True
             for i, seed in enumerate(seeds):
                 order = ["parent", "change"] if i % 2 == 0 else \
                         ["change", "parent"]
                 for side in order:
                     root, target = sides[side]
-                    result, rep = run_once(root, target, workload, seed,
-                                           seconds, args.trace)
+                    result, rep, busy = run_once(root, target, workload,
+                                                 seed, seconds, args.trace)
+                    host[side].append(busy)
                     correct = correct and bool(result.get("correct"))
                     samples[side].append({k: v["value"] for k, v in
                                           result["metrics"].items()})
@@ -225,14 +308,23 @@ def run_ab(args):
                                    if name in end_to_end else None)
             same = sum(1 for a, b in zip(repeatable["parent"],
                                          repeatable["change"]) if a == b)
+            busy = busy_pairs(host["parent"], host["change"])
             table["workloads"][workload] = {
                 "all_correct": correct,
                 "repeatable_identical": "%d/%d" % (same, len(seeds)),
                 "metrics": rows,
+                "host_contention": dict(host, busy_pairs=busy),
             }
             report(workload, rows)
             print("every run correct: %s; repeatable line identical on "
                   "%d/%d seeds" % (correct, same, len(seeds)))
+            print("host contention over the runs (median [max] share of "
+                  "the host's CPU time):")
+            for side in ("parent", "change"):
+                print("  " + contention_line(side, host[side]))
+            print("pairs on a busy host (steal + other > %d%%): %s" % (
+                round(100 * BUSY_SHARE),
+                ", ".join(map(str, busy)) if busy else "none"))
         with open(args.json, "w") as f:
             json.dump(table, f, indent=1)
         print("\nwrote %s" % args.json)
@@ -300,6 +392,31 @@ def self_test():
     r = judge(base, [1.05 * x for x in base], "lower", None)
     check(r["verdict"] == "-", "per-layer: %s" % r["verdict"])
     check(seeds_of("1-3,7") == [1, 2, 3, 7], "seeds_of")
+
+    # Host contention from /proc/stat counters.
+    stat = ("cpu  100 5 20 800 10 2 3 60 7 0\n"
+            "cpu0 50 2 10 400 5 1 1 30 0 0\nintr 1 2 3\n")
+    check(cpu_ticks(stat) == (1000, 130, 60), "cpu_ticks %r" %
+          (cpu_ticks(stat),))
+    check(cpu_ticks("cpu  1 2 3 4\n") == (10, 6, 0), "short cpu line")
+    check(cpu_ticks("intr 1 2\n") is None, "no cpu line")
+    # 1000 ticks at 100 Hz: 50 stolen, 400 busy of which 3 s are ours.
+    c = contention((0, 0, 0), (1000, 400, 50), 3.0, 100)
+    check(abs(c["steal"] - 0.05) < 1e-12 and abs(c["other"] - 0.1) < 1e-12,
+          "contention %r" % (c,))
+    # Own CPU beyond the host's busy delta (tick rounding) is not negative.
+    c = contention((0, 0, 0), (1000, 100, 0), 2.0, 100)
+    check(c["other"] == 0.0, "clamped other %r" % (c,))
+    check(contention(None, (1, 1, 1), 0, 100) is None, "no reading")
+    check(contention((5, 0, 0), (5, 0, 0), 0, 100) is None, "empty window")
+    quiet = {"steal": 0.01, "other": 0.02}
+    loud = {"steal": 0.02, "other": 0.5}
+    check(busy_pairs([quiet, loud, quiet, None], [quiet, quiet, loud, None])
+          == [2, 3], "busy pairs")
+    check("n/a" in contention_line("parent", [None]), "n/a line")
+    check("5.0%" in contention_line("change", [quiet, {"steal": 0.05,
+                                                      "other": 0}, loud]),
+          "steal line")
 
     for f in failures:
         print("self-test FAILED: " + f)

@@ -1,11 +1,12 @@
 /**
  * @file
  * The op-DAG a training system launches for one batch, as the
- * discrete-event GPU simulator times it. The functional trainers do not
- * walk this DAG: they take only the planner's order, cache plan and
- * finalization schedule (planner.hpp) and run them through the
- * TransferEngine, so the simulated and the measured pipelines share
- * those three decisions, not their op-level timing.
+ * discrete-event GPU simulator times it. The functional trainers never
+ * build it: the CLM trainer runs scheduleBatch() (planner.hpp) and hands
+ * its order, cache plan and finalization schedule to the
+ * TransferEngine, while planBatch() emits this DAG from the same
+ * schedule. The simulated and the measured pipelines share those three
+ * decisions, not their op-level timing.
  */
 
 #ifndef CLM_OFFLOAD_BATCH_PLAN_HPP

@@ -190,24 +190,11 @@ planClm(const PlannerConfig &config, const BatchWorkload &wl)
     size_t b = wl.sets.size();
     r.scale = wl.n_target / std::max<double>(wl.n_synthetic, 1);
 
-    // 1. Ordering (§4.2.3).
-    OrderingInputs oi;
-    oi.sets = &wl.sets;
-    oi.camera_centers = &wl.camera_centers;
-    oi.seed = config.seed;
-    oi.tsp = config.tsp;
-    r.order = orderViews(config.ordering, b, oi);
+    static_cast<BatchSchedule &>(r) =
+        scheduleBatch(config, wl.sets, wl.camera_centers, wl.n_synthetic);
+    const std::vector<std::vector<uint32_t>> &ordered = r.sets;
 
-    std::vector<std::vector<uint32_t>> ordered;
-    ordered.reserve(b);
-    for (int v : r.order)
-        ordered.push_back(wl.sets[v]);
-
-    // 2. Caching (§4.2.1) and finalization (§4.2.2).
-    r.cache = planCache(ordered, config.enable_cache);
-    r.fin = computeFinalization(wl.n_synthetic, ordered, false);
-
-    // 3. Emit the op DAG.
+    // Emit the op DAG.
     BatchPlan &plan = r.plan;
     plan.batch_size = static_cast<int>(b);
 
@@ -371,6 +358,30 @@ planClm(const PlannerConfig &config, const BatchWorkload &wl)
 }
 
 } // namespace
+
+BatchSchedule
+scheduleBatch(const PlannerConfig &config,
+              std::vector<std::vector<uint32_t>> sets,
+              const std::vector<Vec3> &camera_centers, size_t n_gaussians)
+{
+    BatchSchedule s;
+
+    // Ordering (§4.2.3).
+    OrderingInputs oi;
+    oi.sets = &sets;
+    oi.camera_centers = &camera_centers;
+    oi.seed = config.seed;
+    oi.tsp = config.tsp;
+    s.order = orderViews(config.ordering, sets.size(), oi);
+    s.sets.reserve(sets.size());
+    for (int v : s.order)
+        s.sets.push_back(std::move(sets[v]));
+
+    // Caching (§4.2.1) and finalization (§4.2.2).
+    s.cache = planCache(s.sets, config.enable_cache);
+    s.fin = computeFinalization(n_gaussians, s.sets, false);
+    return s;
+}
 
 const char *
 systemName(SystemKind s)

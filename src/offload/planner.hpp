@@ -1,13 +1,14 @@
 /**
  * @file
- * Batch planner: turns a batch of views (with their in-frustum sets) into
- * the op-DAG of one of the four evaluated systems — GPU-only baseline,
- * enhanced baseline (pre-rendering culling), naive offloading
- * (ZeRO-Offload-style, Figure 3) and CLM (Figure 6). For CLM the planner
- * runs ordering (§4.2.3), Gaussian caching (§4.2.1) and finalization
- * (§4.2.2), and emits the 1F1B-interleaved two-stream schedule of §5.3.
- * The functional CLM trainer uses only BatchPlanResult's order, cache and
- * fin; the op-DAG and its costs feed the simulator.
+ * Batch planner. scheduleBatch() is CLM's §4.2 batch analysis:
+ * ordering (§4.2.3), Gaussian caching (§4.2.1) and finalization
+ * (§4.2.2) over a batch's in-frustum sets. The functional CLM trainer
+ * runs it directly. planBatch() turns a batch of views into the
+ * simulator's op-DAG for one of the four evaluated systems — GPU-only
+ * baseline, enhanced baseline (pre-rendering culling), naive offloading
+ * (ZeRO-Offload-style, Figure 3) and CLM (Figure 6); for CLM it calls
+ * scheduleBatch() and emits the 1F1B-interleaved two-stream schedule of
+ * §5.3, so the trainer and the simulator share one analysis.
  */
 
 #ifndef CLM_OFFLOAD_PLANNER_HPP
@@ -49,7 +50,32 @@ struct PlannerConfig
     uint64_t seed = 1;
 };
 
-/** One batch's workload description. */
+/** CLM's §4.2 analysis of one batch (see scheduleBatch()). */
+struct BatchSchedule
+{
+    std::vector<int> order;    //!< Microbatch processing order.
+    /** S_i in processing order (sets[i] is view order[i]'s). */
+    std::vector<std::vector<uint32_t>> sets;
+    CachePlan cache;             //!< Transfers per microbatch (§4.2.1).
+    FinalizationSchedule fin;    //!< F_0..F_B (§4.2.2).
+};
+
+/**
+ * Order the views of a batch under @p config's ordering strategy, seed
+ * and TSP budget, then plan caching (config.enable_cache) and
+ * finalization over the ordered sets.
+ *
+ * @param sets Per-view in-frustum sets (ascending) in dataset order;
+ *        moved into the result in processing order.
+ * @param camera_centers Per-view camera centers (Camera ordering).
+ * @param n_gaussians Model size the set indices refer to.
+ */
+BatchSchedule scheduleBatch(const PlannerConfig &config,
+                            std::vector<std::vector<uint32_t>> sets,
+                            const std::vector<Vec3> &camera_centers,
+                            size_t n_gaussians);
+
+/** One batch's workload description (simulator input). */
 struct BatchWorkload
 {
     /** Per-view in-frustum sets (ascending-sorted), in dataset order. */
@@ -65,13 +91,11 @@ struct BatchWorkload
     double pixels_per_view = 0;
 };
 
-/** Planner output: the DAG plus the intermediate analyses benches report. */
-struct BatchPlanResult
+/** Planner output: the DAG plus the schedule it was emitted from (at
+ *  synthetic scale; the non-CLM systems fill only the order). */
+struct BatchPlanResult : BatchSchedule
 {
     BatchPlan plan;
-    std::vector<int> order;          //!< Microbatch processing order.
-    CachePlan cache;                 //!< At synthetic scale.
-    FinalizationSchedule fin;        //!< At synthetic scale.
     double scale = 1.0;              //!< n_target / n_synthetic.
 
     /** Paper-scale PCIe CPU->GPU parameter bytes (the Figure 14 metric). */

@@ -64,46 +64,52 @@ TransferEngine::resetTimings()
 }
 
 void
-TransferEngine::runBatch(std::vector<std::vector<uint32_t>> ordered_sets,
-                         CachePlan cache, FinalizationSchedule fin,
-                         size_t depth, const LaunchFn &launch,
-                         const CollectFn &collect)
+TransferEngine::runBatch(const std::vector<std::vector<uint32_t>> &sets,
+                         const CachePlan &cache,
+                         const FinalizationSchedule &fin, size_t depth,
+                         const LaunchFn &launch, const CollectFn &collect)
 {
-    CLM_ASSERT(cache.mb.size() == ordered_sets.size(),
+    CLM_ASSERT(cache.mb.size() == sets.size(),
                "cache plan does not cover the batch");
     CLM_ASSERT(fin.finalized_after.empty() || finalize_fn_,
                "finalization schedule without a finalize callback");
     CLM_ASSERT(pool_.size() == model_.size(),
                "model resized without TransferEngine::reset()");
-    sets_ = std::move(ordered_sets);
-    cache_ = std::move(cache);
-    fin_ = std::move(fin);
+    sets_ = &sets;
+    cache_ = &cache;
+    fin_ = &fin;
     counters_ = {};
     last_scatter_t_ = 0;
     last_finalize_t_ = 0;
     batch_timer_.reset();
-    const size_t b = sets_.size();
+    const size_t b = sets.size();
     const size_t w = std::min(std::max<size_t>(depth, 1), b);
     ring_size_ = w + 1;
     if (ring_.size() < ring_size_)
         ring_.resize(ring_size_);
     stalls_.assign(b, 0.0);
 
-    // Fill the pipeline; only the first staging has nothing to overlap.
-    for (size_t i = 0; i < w; ++i)
-        stageAndLaunch(i, i == 0, launch);
-    for (size_t j = 0; j < b; ++j) {
-        commit(j, collect);
-        // Buffer j-1 is free: its gradients were carried into j and its
-        // parameter rows were last read when j was staged. At W = 1
-        // nothing is in flight now, so the staging is exposed.
-        if (j + w < b)
-            stageAndLaunch(j + w, w == 1, launch);
+    try {
+        // Fill the pipeline; only the first staging has nothing to
+        // overlap.
+        for (size_t i = 0; i < w; ++i)
+            stageAndLaunch(i, i == 0, launch);
+        for (size_t j = 0; j < b; ++j) {
+            commit(j, collect);
+            // Buffer j-1 is free: its gradients were carried into j and
+            // its parameter rows were last read when j was staged. At
+            // W = 1 nothing is in flight now, so the staging is exposed.
+            if (j + w < b)
+                stageAndLaunch(j + w, w == 1, launch);
+        }
+    } catch (...) {
+        drain();    // queued jobs read the caller's fin
+        throw;
     }
 
     // The batch completes only when the Adam thread has applied every
     // queued update (the next batch's culling must see them).
-    drainAdamThread();
+    drain();
     counters_.finalized += async_finalized_.exchange(0);
     std::lock_guard<std::mutex> lock(timings_mutex_);
     timings_.trailing_adam_seconds +=
@@ -116,11 +122,11 @@ TransferEngine::stageAndLaunch(size_t i, bool exposed,
                                const LaunchFn &launch)
 {
     DeviceBuffer &buf = buffer(i);
-    const MicrobatchTransfers &t = cache_.mb[i];
+    const MicrobatchTransfers &t = cache_->mb[i];
     Timer timer;
     // Selective load (PCIe) of the master rows (§4.2.1, §5.2) into the
     // rebound buffer, whose gradient rows start at zero.
-    buf.bind(sets_[i]);
+    buf.bind((*sets_)[i]);
     gatherParams(model_, buf, t.load_new);
     buf.zeroGrads();
     double staged = timer.seconds();
@@ -155,10 +161,10 @@ TransferEngine::commit(size_t i, const CollectFn &collect)
     // microbatch (§5.3) first, so every row sums as (0 + carry) + own
     // at any depth. Touches only gradient rows, which compute never
     // reads.
-    if (i > 0 && !cache_.mb[i - 1].carry_grads.empty()) {
+    if (i > 0 && !cache_->mb[i - 1].carry_grads.empty()) {
         Timer timer;
         accumulateCarriedGrads(buffer(i - 1), buf,
-                               cache_.mb[i - 1].carry_grads);
+                               cache_->mb[i - 1].carry_grads);
         addStageTime(TrainStage::Carry, timer.seconds());
     }
     // The committing thread's exposed wait for microbatch i's compute.
@@ -171,7 +177,7 @@ TransferEngine::commit(size_t i, const CollectFn &collect)
         timings_.noteMicrobatch(stalls_[i], compute);
     }
 
-    const MicrobatchTransfers &t = cache_.mb[i];
+    const MicrobatchTransfers &t = cache_->mb[i];
     // Selective RMW gradient offload for rows not needed next (§5.3).
     Timer timer;
     scatterAccumulateGrads(buf, pool_, t.store_grads);
@@ -181,9 +187,8 @@ TransferEngine::commit(size_t i, const CollectFn &collect)
 
     // Overlapped CPU Adam: everything finalized by this microbatch
     // (1-based index i+1 in the schedule).
-    if (i + 1 < fin_.finalized_after.size())
-        dispatchFinalize(std::move(fin_.finalized_after[i + 1]),
-                         i % kSignalSlots);
+    if (i + 1 < fin_->finalized_after.size())
+        dispatchFinalize(fin_->finalized_after[i + 1], i % kSignalSlots);
 }
 
 size_t
@@ -204,7 +209,8 @@ TransferEngine::runFinalize(const std::vector<uint32_t> &fin)
 }
 
 void
-TransferEngine::dispatchFinalize(std::vector<uint32_t> fin, size_t slot)
+TransferEngine::dispatchFinalize(const std::vector<uint32_t> &fin,
+                                 size_t slot)
 {
     if (fin.empty())
         return;
@@ -216,7 +222,7 @@ TransferEngine::dispatchFinalize(std::vector<uint32_t> fin, size_t slot)
     *pool_.signalSlot(slot) = 1;
     {
         std::lock_guard<std::mutex> lock(adam_mutex_);
-        adam_jobs_.push(FinalizeJob{std::move(fin), slot});
+        adam_jobs_.push(FinalizeJob{&fin, slot});
         ++adam_pending_;
     }
     adam_cv_.notify_one();
@@ -241,7 +247,7 @@ TransferEngine::adamThreadLoop()
         // gradient-completion flag via DMA before enqueueing the job.
         uint32_t *signal = pool_.signalSlot(job.signal_slot);
         CLM_ASSERT(*signal == 1u, "adam thread woke before gradients");
-        async_finalized_ += runFinalize(job.fin);
+        async_finalized_ += runFinalize(*job.fin);
         *signal = 0;
         {
             std::lock_guard<std::mutex> lock(adam_mutex_);
@@ -253,7 +259,7 @@ TransferEngine::adamThreadLoop()
 }
 
 void
-TransferEngine::drainAdamThread()
+TransferEngine::drain()
 {
     if (!async_finalize_)
         return;

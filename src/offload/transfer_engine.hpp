@@ -9,10 +9,11 @@
  * of up to W microbatches computing at once over a ring of W+1 buffers
  * (§5.3's double buffer, generalized): staging, carried gradients, RMW
  * scatter and finalization dispatch all run on the calling thread,
- * strictly in plan order, while the trainer's compute
- * may run on other threads. Every trainer is a thin policy over this
- * engine: CLM computes one microbatch per pool thread with caching on,
- * naive offloading stages the whole model as a single microbatch. All
+ * strictly in plan order, while the trainer's compute may run on other
+ * threads. Both offload trainers drive it through their shared core
+ * (train/offload_trainer.hpp): CLM computes one microbatch per pool
+ * thread with caching on, naive offloading stages the whole model as a
+ * single microbatch. All
  * stage wall times are stamped into a StageTimings record that
  * sim/metrics converts into the Figure 13/15 measured shapes.
  */
@@ -98,21 +99,25 @@ class TransferEngine
     void reset();
 
     /**
-     * Run one batch (see class comment): microbatch i binds
-     * @p ordered_sets[i] (ascending) and moves data as @p cache plans;
+     * Run one batch (see class comment): microbatch i binds @p sets[i]
+     * (ascending, in plan order) and moves data as @p cache plans;
      * F_{i+1} of @p fin is finalized after microbatch i commits. At most
-     * @p depth microbatches are launched and not yet collected. Returns
-     * once every finalization has been applied. If @p collect throws,
-     * the exception propagates; the caller must still wait for any
-     * compute it launched before touching the buffers again.
+     * @p depth microbatches are launched and not yet collected. The
+     * three inputs are read in place until the call returns, which it
+     * does only once every finalization has been applied (the Adam
+     * thread reads its F_j from @p fin). If @p collect throws, the
+     * Adam thread is drained and the exception propagates; the caller
+     * must still wait for any compute it launched before touching the
+     * buffers again.
      */
-    void runBatch(std::vector<std::vector<uint32_t>> ordered_sets,
-                  CachePlan cache, FinalizationSchedule fin, size_t depth,
-                  const LaunchFn &launch, const CollectFn &collect);
+    void runBatch(const std::vector<std::vector<uint32_t>> &sets,
+                  const CachePlan &cache, const FinalizationSchedule &fin,
+                  size_t depth, const LaunchFn &launch,
+                  const CollectFn &collect);
 
-    /** Block until the Adam thread is idle. Safe to call between
-     *  batches (densification, checkpointing). */
-    void drain() { drainAdamThread(); }
+    /** Block until every queued finalization has been applied. Safe to
+     *  call between batches (densification, checkpointing). */
+    void drain();
 
     /** Per-batch record counters, valid after runBatch(). */
     struct Counters
@@ -162,8 +167,8 @@ class TransferEngine
     void commit(size_t i, const CollectFn &collect);
 
     /** Dispatch finalization of @p fin (inline, or signal + enqueue for
-     *  the Adam thread as in §5.4). */
-    void dispatchFinalize(std::vector<uint32_t> fin, size_t slot);
+     *  the Adam thread as in §5.4; @p fin must outlive the job). */
+    void dispatchFinalize(const std::vector<uint32_t> &fin, size_t slot);
 
     /** Run the finalize callback under the Finalize stage timer. */
     size_t runFinalize(const std::vector<uint32_t> &fin);
@@ -171,9 +176,6 @@ class TransferEngine
     /** §5.4 dedicated-thread loop: wait on the signal slot, run subset
      *  Adam, repeat. */
     void adamThreadLoop();
-
-    /** Block until every queued finalization has been applied. */
-    void drainAdamThread();
 
     void stopAdamThread();
 
@@ -184,10 +186,10 @@ class TransferEngine
     std::vector<DeviceBuffer> ring_;    //!< Grows to the largest W+1.
     size_t ring_size_ = 1;              //!< W+1 of the current batch.
 
-    // Batch-scoped state.
-    std::vector<std::vector<uint32_t>> sets_;
-    CachePlan cache_;
-    FinalizationSchedule fin_;
+    // Batch-scoped state; the inputs are the caller's, for one call.
+    const std::vector<std::vector<uint32_t>> *sets_ = nullptr;
+    const CachePlan *cache_ = nullptr;
+    const FinalizationSchedule *fin_ = nullptr;
     std::vector<double> stalls_;    //!< Exposed staging per microbatch.
     Counters counters_;
     Timer batch_timer_;
@@ -203,7 +205,7 @@ class TransferEngine
     // Dedicated CPU Adam thread state (active when async_finalize_).
     struct FinalizeJob
     {
-        std::vector<uint32_t> fin;
+        const std::vector<uint32_t> *fin;    //!< An F_j of fin_.
         size_t signal_slot;
     };
     std::thread adam_thread_;

@@ -167,10 +167,10 @@ void renderForwardBatch(const GaussianModel &model,
  * would produce them, bit for bit, under any dispatch backend and any
  * parallel split:
  *
- *  - Each view's tiles replay in a FIXED per-view chunk partition
- *    (derived from the pool size only) through the same kernels, with
- *    per-view per-chunk gradient partials reduced in fixed chunk order
- *    and the fixed-lane-order SIMD reduction.
+ *  - Each view's tiles replay in a FIXED per-view chunk partition (at
+ *    most four chunks, whatever the pool size) through the same
+ *    kernels, with per-view per-chunk gradient partials reduced in
+ *    fixed chunk order and the fixed-lane-order SIMD reduction.
  *  - The projection chain then runs once per batch over the union of
  *    the views' subsets: distinct union entries touch distinct model
  *    rows (parallel-safe), and within a union entry the per-view

@@ -17,10 +17,14 @@ namespace {
 // Shared helpers
 // ---------------------------------------------------------------------------
 
+/** Row chunks per pass (at most): a constant, so every pool size
+ *  splits the reductions the same way. */
+constexpr size_t kLossChunks = 8;
+
 /** Fixed row-chunk plan shared by every parallel pass: derived from the
- *  pool size only (NOT from the parallel flag), so serial and parallel
- *  execution perform identical arithmetic — the backward-rasterizer
- *  determinism recipe. */
+ *  row count only (neither the parallel flag nor the pool size), so
+ *  serial and parallel execution at any thread count perform identical
+ *  arithmetic — the backward-rasterizer determinism recipe. */
 struct ChunkPlan
 {
     size_t n_chunks = 1;
@@ -29,10 +33,7 @@ struct ChunkPlan
     static ChunkPlan forRows(size_t rows)
     {
         ChunkPlan p;
-        p.n_chunks = std::max<size_t>(
-            1, std::min<size_t>(
-                   rows,
-                   static_cast<size_t>(ThreadPool::global().threads()) * 2));
+        p.n_chunks = std::max<size_t>(1, std::min(rows, kLossChunks));
         p.per_chunk = rows == 0 ? 0 : (rows + p.n_chunks - 1) / p.n_chunks;
         return p;
     }

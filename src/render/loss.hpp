@@ -36,11 +36,10 @@ struct LossConfig
     float ssim_c1 = 0.01f * 0.01f;    //!< (k1 L)^2 with L = 1.
     float ssim_c2 = 0.03f * 0.03f;    //!< (k2 L)^2 with L = 1.
     /** Tile the SAT passes across the global thread pool. The chunk
-     *  partition is derived from the pool size whether or not this is
-     *  set, so parallel and serial runs perform identical arithmetic
-     *  (bitwise-equal results on any one machine; machines with
-     *  different core counts may differ in the last bits of the
-     *  reduction, exactly like the backward rasterizer). */
+     *  partition (at most eight row chunks) depends neither on this
+     *  flag nor on the pool size, so parallel and serial runs at any
+     *  thread count perform identical arithmetic, exactly like the
+     *  backward rasterizer. */
     bool parallel = true;
 };
 

@@ -60,12 +60,9 @@ struct RenderConfig
     /** Rasterize across the global thread pool. Bitwise-identical to the
      *  serial path: every stage (projection, flat binning, stable radix
      *  sort, per-tile compositing, fixed-order gradient reduction) is
-     *  deterministic. Forward results are additionally independent of
-     *  the machine's thread count; backward gradients accumulate over a
-     *  fixed tile-chunk partition derived from the pool size, so they
-     *  are identical serial-vs-parallel on any one machine but may
-     *  differ in the last bits between machines with different core
-     *  counts. */
+     *  deterministic, and independent of the machine's thread count:
+     *  backward gradients accumulate over a fixed tile-chunk partition
+     *  (at most four chunks per view) whatever the pool size. */
     bool parallel = true;
     /** Drop candidate tiles the footprint provably cannot contribute to
      *  (exact circle-vs-tile-rect test, see render/binning.hpp). Never

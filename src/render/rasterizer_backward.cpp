@@ -13,6 +13,10 @@ namespace clm {
 
 namespace {
 
+/** Tile chunks per view (at most) the gradient reduction runs over: a
+ *  constant, so gradients do not depend on the pool size. */
+constexpr size_t kBackwardChunks = 4;
+
 void
 accumulate(ProjectionGrads &into, const ProjectionGrads &from)
 {
@@ -187,7 +191,6 @@ detail::renderBackwardViews(const GaussianModel &model,
     // alpha bits under any of them.
     const RenderKernels &kern =
         cfg.kernels ? *cfg.kernels : renderKernels();
-    const size_t threads = ThreadPool::global().threads();
 
     // Per-view setup: the cut arrays (left in place by the forward into
     // this arena) and the FIXED per-view chunk partition the gradient
@@ -211,8 +214,8 @@ detail::renderBackwardViews(const GaussianModel &model,
                    "the backward must replay the arena's last forward "
                    "under the same render config");
         const size_t n_tiles = fwd.tile_ranges.size();
-        const size_t n_chunks = std::max<size_t>(
-            1, std::min<size_t>(n_tiles, threads));
+        const size_t n_chunks =
+            std::max<size_t>(1, std::min(n_tiles, kBackwardChunks));
         const size_t tiles_per_chunk =
             n_tiles == 0 ? 0 : (n_tiles + n_chunks - 1) / n_chunks;
         av.grad_partials.resize(n_chunks);

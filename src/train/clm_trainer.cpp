@@ -11,36 +11,6 @@
 
 namespace clm {
 
-ClmTrainer::ClmTrainer(GaussianModel model, std::vector<Camera> cameras,
-                       std::vector<Image> ground_truth, TrainConfig config)
-    : Trainer(std::move(model), std::move(cameras),
-              std::move(ground_truth), config),
-      ctx_(model_, adam_, densifier_, cull_dirty_),
-      engine_(model_, config_.async_adam)
-{
-    engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
-        return ctx_.finalize(engine_.pool(), fin, densificationEnabled(),
-                             !config_.async_adam);
-    });
-}
-
-void
-ClmTrainer::onModelResized()
-{
-    engine_.reset();
-}
-
-DensifyStats
-ClmTrainer::densifyNow()
-{
-    // The finalization thread holds references into the offload state;
-    // quiesce it before restructuring (the real system synchronizes the
-    // stream and the Adam thread before densification for the same
-    // reason).
-    engine_.drain();
-    return Trainer::densifyNow();
-}
-
 BatchStats
 ClmTrainer::trainBatch(const std::vector<int> &view_ids)
 {
@@ -53,11 +23,13 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
     // ordering, caching, finalization — the Figure 13 scheduling stage,
     // part of the batch's measured total.
     Timer sched;
-    BatchWorkload wl = ctx_.buildWorkload(
-        cullBatch(view_ids, config_.render.parallel), cameras_, view_ids);
-    PlannerConfig pc = config_.planner;
-    pc.system = SystemKind::Clm;
-    const BatchPlanResult &plan = ctx_.planViews(pc, wl);
+    std::vector<Vec3> centers;
+    centers.reserve(b);
+    for (int v : view_ids)
+        centers.push_back(cameras_[v].eye());
+    plan_ = scheduleBatch(config_.planner,
+                          cullBatch(view_ids, config_.render.parallel),
+                          centers, model_.size());
     engine_.addScheduleTime(sched.seconds());
 
     // 2. Train the microbatches through the engine: up to W render at
@@ -67,8 +39,8 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
     ThreadPool &pool = ThreadPool::global();
     const size_t w =
         config_.prefetch ? std::min<size_t>(pool.threads(), b) : 1;
-    while (slots_.size() < w)
-        slots_.push_back(std::make_unique<MicrobatchSlot>());
+    if (slots_.size() < w)
+        slots_.resize(w);
     RenderConfig render = activeRenderConfig();
     render.parallel = false;
     LossConfig loss = config_.loss;
@@ -89,10 +61,10 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
 
     auto launch = [&](size_t i, const DeviceBuffer &buf) {
         auto task = std::make_shared<std::packaged_task<double()>>(
-            [&, i, view = view_ids[plan.order[i]]] {
+            [&, i, view = view_ids[plan_.order[i]]] {
                 TraceContext trace(trace_id);
-                MicrobatchSlot &slot = *slots_[i % w];
-                ctx_.gatherCompact(slot, buf, buf.indices());
+                MicrobatchSlot &slot = slots_[i % w];
+                gatherCompact(model_, slot, buf, buf.indices());
                 return renderAndBackprop(slot, view, render, loss);
             });
         losses[i] = task->get_future();
@@ -100,11 +72,11 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
     };
     auto collect = [&](size_t i, DeviceBuffer &buf) {
         stats.loss += losses[i].get();
-        TrainerContext::addCompactGrads(*slots_[i % w], buf);
+        addCompactGrads(slots_[i % w], buf);
         stats.gaussians_rendered += buf.rows();
     };
-    engine_.runBatch(ctx_.orderedSets(wl), plan.cache, plan.fin, w,
-                     launch, collect);
+    engine_.runBatch(plan_.sets, plan_.cache, plan_.fin, w, launch,
+                     collect);
 
     const TransferEngine::Counters &c = engine_.counters();
     stats.h2d_bytes = static_cast<double>(c.records_loaded)

@@ -8,34 +8,6 @@
 
 namespace clm {
 
-NaiveOffloadTrainer::NaiveOffloadTrainer(GaussianModel model,
-                                         std::vector<Camera> cameras,
-                                         std::vector<Image> ground_truth,
-                                         TrainConfig config)
-    : Trainer(std::move(model), std::move(cameras),
-              std::move(ground_truth), config),
-      ctx_(model_, adam_, densifier_, cull_dirty_),
-      engine_(model_, config_.async_adam)
-{
-    engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
-        return ctx_.finalize(engine_.pool(), fin, densificationEnabled(),
-                             !config_.async_adam);
-    });
-}
-
-void
-NaiveOffloadTrainer::onModelResized()
-{
-    engine_.reset();
-}
-
-DensifyStats
-NaiveOffloadTrainer::densifyNow()
-{
-    engine_.drain();
-    return Trainer::densifyNow();
-}
-
 BatchStats
 NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
 {
@@ -72,23 +44,25 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     // pipeline has no overlap: with the whole model one microbatch,
     // its transfers sit on the critical path, and every record reloads
     // each batch.
-    std::vector<uint32_t> all(n);
-    std::iota(all.begin(), all.end(), 0u);
-    CachePlan cache = planCache({all}, /*enable_cache=*/false);
+    std::vector<std::vector<uint32_t>> all(1, std::vector<uint32_t>(n));
+    std::iota(all[0].begin(), all[0].end(), 0u);
+    const CachePlan cache = planCache(all, /*enable_cache=*/false);
     engine_.addScheduleTime(sched.seconds());
     const RenderConfig render = activeRenderConfig();
+    slots_.resize(1);
+    MicrobatchSlot &slot = slots_[0];
     auto train_views = [&](size_t, DeviceBuffer &buf) {
         for (size_t k = 0; k < view_ids.size(); ++k) {
             const std::vector<uint32_t> &subset = subsets[k];
             stats.gaussians_rendered += subset.size();
-            ctx_.gatherCompact(slot_, buf, subset);
+            gatherCompact(model_, slot, buf, subset);
             stats.loss +=
-                renderAndBackprop(slot_, view_ids[k], render, config_.loss);
-            TrainerContext::addCompactGrads(slot_, buf);
+                renderAndBackprop(slot, view_ids[k], render, config_.loss);
+            addCompactGrads(slot, buf);
         }
     };
-    engine_.runBatch({std::move(all)}, std::move(cache), std::move(fin), 1,
-                     [](size_t, const DeviceBuffer &) {}, train_views);
+    engine_.runBatch(all, cache, fin, 1, [](size_t, const DeviceBuffer &) {},
+                     train_views);
     stats.loss /= view_ids.size();
 
     // Figure 3 moves every Gaussian's full 59-parameter record in both

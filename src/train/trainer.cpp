@@ -8,7 +8,6 @@
 #include "serve/snapshot.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
-#include "train/trainer_context.hpp"
 #include "util/logging.hpp"
 
 namespace clm {
@@ -152,27 +151,6 @@ Trainer::cullBatch(const std::vector<int> &view_ids, bool parallel)
     std::vector<std::vector<uint32_t>> sets;
     frustumCullBatch(model_, cams, arena_.cull, sets, parallel);
     return sets;
-}
-
-double
-Trainer::renderAndBackprop(MicrobatchSlot &slot, int v,
-                           const RenderConfig &render,
-                           const LossConfig &loss) const
-{
-    const Camera &cam = cameras_[v];
-    // StageClock: per-step spans (train.forward / train.loss /
-    // train.backward) with zero cost when tracing is off.
-    StageClock stage_clock;
-    const RenderOutput &out = renderForward(slot.compact, cam, slot.subset,
-                                            render, slot.arena);
-    stage_clock.lap("train.forward");
-    LossResult result = computeLoss(out.image, ground_truth_[v],
-                                    &slot.d_image, loss, slot.loss_scratch);
-    stage_clock.lap("train.loss");
-    renderBackward(slot.compact, cam, render, slot.d_image, slot.grads,
-                   slot.arena);
-    stage_clock.lap("train.backward");
-    return result.total;
 }
 
 GpuOnlyTrainer::GpuOnlyTrainer(GaussianModel model,

@@ -5,11 +5,11 @@
  * accumulation algorithm over the shared differentiable rasterizer, so
  * their parameter trajectories are equivalent — the paper's offloading
  * techniques change *where* state lives and *when* updates run, never the
- * math. Both offloaded trainers are thin policies over the shared
- * offload subsystem (TrainerContext + TransferEngine): CLM enables
- * caching, overlapped microbatches and finalization-driven subset
- * Adam; naive offloading stages the whole model synchronously each
- * batch.
+ * math. Both offloaded trainers are thin policies over one offload
+ * core (OffloadTrainer, train/offload_trainer.hpp, which owns the
+ * TransferEngine): CLM enables caching, overlapped microbatches and
+ * finalization-driven subset Adam; naive offloading stages the whole
+ * model synchronously each batch.
  */
 
 #ifndef CLM_TRAIN_TRAINER_HPP
@@ -31,7 +31,6 @@
 namespace clm {
 
 class SnapshotSlot;
-struct MicrobatchSlot;
 
 /** Shared trainer settings. */
 struct TrainConfig
@@ -40,7 +39,9 @@ struct TrainConfig
     RenderConfig render;
     LossConfig loss;
     AdamConfig adam;
-    /** CLM-specific planning knobs (ordering, caching, overlap). */
+    /** CLM's §4.2 planning knobs: ordering, caching, TSP budget and
+     *  seed (scheduleBatch). Its system and overlap_adam shape only the
+     *  simulator's DAG. */
     PlannerConfig planner;
     /** Every this many batches the active SH degree increases by one,
      *  up to render.sh_degree (reference 3DGS ramps every 1000 iters);
@@ -98,8 +99,9 @@ class Trainer
      *  (cullViewGroups, render/batch.hpp). */
     double evaluatePsnr() const;
 
-    /** Current model (the trainer's source of truth). */
-    virtual const GaussianModel &model() const { return model_; }
+    /** Current model (the trainer's source of truth; the CPU-resident
+     *  master copy for the offload trainers). */
+    const GaussianModel &model() const { return model_; }
 
     /** @name Adaptive density control (§2.1)
      * Enable observation, then call densifyNow() periodically; it
@@ -145,15 +147,6 @@ class Trainer
 
     /** Render settings with the ramped SH degree applied. */
     RenderConfig activeRenderConfig() const;
-
-    /** Render view @p v from @p slot's compact model (over its subset)
-     *  as a batch of one, compute the loss gradient and backpropagate
-     *  into its gradients, all in the slot's own scratch. Reads no
-     *  mutable trainer state, so slots may run concurrently.
-     *  @return the loss. */
-    double renderAndBackprop(MicrobatchSlot &slot, int v,
-                             const RenderConfig &render,
-                             const LossConfig &loss) const;
 
     /** Called by trainers after a batch to feed densify statistics. */
     void observeDensify(const GaussianGrads &grads);

@@ -20,7 +20,6 @@
 #include "scene/camera_path.hpp"
 #include "scene/synthetic.hpp"
 #include "train/clm_trainer.hpp"
-#include "train/trainer_context.hpp"
 #include "train/quality_harness.hpp"
 #include "util/thread_pool.hpp"
 
@@ -181,10 +180,9 @@ TEST(ParallelAdam, IdenticalToSerial)
 
 TEST(ParallelFinalize, IdenticalToSerial)
 {
-    // TrainerContext::finalize over a fin set larger than
-    // kParallelAdamRows: the pool-spread pass must leave the model rows,
-    // the moments and the zeroed gradient records bitwise equal to the
-    // serial pass.
+    // finalizeRows over a fin set larger than kParallelAdamRows: the
+    // pool-spread pass must leave the model rows, the moments and the
+    // zeroed gradient records bitwise equal to the serial pass.
     constexpr size_t kRows = 4000;
     const GaussianModel init =
         generateGroundTruth(SceneSpec::bicycle(), kRows);
@@ -199,13 +197,9 @@ TEST(ParallelFinalize, IdenticalToSerial)
         GaussianModel model;
         CpuAdam adam;
         Densifier densifier;
-        std::vector<uint32_t> cull_dirty;
         PinnedPool pool;
-        TrainerContext ctx;
 
-        explicit Side(const GaussianModel &m)
-            : model(m), pool(m.size()),
-              ctx(model, adam, densifier, cull_dirty)
+        explicit Side(const GaussianModel &m) : model(m), pool(m.size())
         {
             adam.reset(m.size());
             densifier.reset(m.size());
@@ -221,9 +215,11 @@ TEST(ParallelFinalize, IdenticalToSerial)
                 serial.pool.gradRecord(g)[k] = v;
                 parallel.pool.gradRecord(g)[k] = v;
             }
-        EXPECT_EQ(serial.ctx.finalize(serial.pool, fin, true, false),
+        EXPECT_EQ(finalizeRows(serial.model, serial.adam, serial.pool, fin,
+                               &serial.densifier, false),
                   fin.size());
-        EXPECT_EQ(parallel.ctx.finalize(parallel.pool, fin, true, true),
+        EXPECT_EQ(finalizeRows(parallel.model, parallel.adam, parallel.pool,
+                               fin, &parallel.densifier, true),
                   fin.size());
     }
     const float zero[kParamsPerGaussian] = {};
@@ -236,10 +232,12 @@ TEST(ParallelFinalize, IdenticalToSerial)
         ASSERT_TRUE(sameBits(serial.pool.gradRecord(g), zero,
                              kParamsPerGaussian));
     }
-    // Finalization really updated the rows it was given.
-    EXPECT_EQ(parallel.adam.stepCount(fin.front()), 2u);
-    EXPECT_EQ(parallel.adam.stepCount(2), 0u);
-    EXPECT_EQ(serial.cull_dirty, parallel.cull_dirty);
+    // Finalization updated exactly the rows it was given.
+    for (uint32_t g = 0; g < kRows; ++g) {
+        const unsigned want = g % 5 != 2 ? 2u : 0u;
+        ASSERT_EQ(serial.adam.stepCount(g), want) << "row " << g;
+        ASSERT_EQ(parallel.adam.stepCount(g), want) << "row " << g;
+    }
 }
 
 struct TrainFixture
@@ -468,12 +466,8 @@ TEST(AttributeOffload, GatherTakesCriticalFromMasterNonCriticalFromBuffer)
     // Buffer rows hold markers that differ from every master
     // non-critical value, so reading either half from the wrong place
     // breaks bitwise equality.
-    GaussianModel model = generateGroundTruth(SceneSpec::bicycle(), 300);
-    CpuAdam adam;
-    adam.reset(model.size());
-    Densifier densifier;
-    std::vector<uint32_t> cull_dirty;
-    TrainerContext ctx(model, adam, densifier, cull_dirty);
+    const GaussianModel model =
+        generateGroundTruth(SceneSpec::bicycle(), 300);
 
     // Bind every third row; gather every sixth, so the merge walk must
     // skip bound rows the set does not hold.
@@ -491,7 +485,7 @@ TEST(AttributeOffload, GatherTakesCriticalFromMasterNonCriticalFromBuffer)
                 -1000.0f - static_cast<float>(r * kNonCriticalDim + k);
 
     MicrobatchSlot slot;
-    ctx.gatherCompact(slot, buf, set);
+    gatherCompact(model, slot, buf, set);
     ASSERT_EQ(slot.compact.size(), set.size());
     ASSERT_EQ(slot.rows.size(), set.size());
     ASSERT_EQ(slot.subset.size(), set.size());
@@ -524,7 +518,6 @@ TEST(AttributeOffload, GatherTakesCriticalFromMasterNonCriticalFromBuffer)
         for (float v : rec)
             EXPECT_EQ(v, 0.0f);
     }
-    EXPECT_TRUE(cull_dirty.empty());    // a gather marks nothing dirty
 }
 
 TEST(Robustness, ViewWithEmptyFrustumSet)

@@ -17,6 +17,7 @@
 #include "render/culling.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/synthetic.hpp"
+#include "serve/snapshot.hpp"
 #include "sim/metrics.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
@@ -78,7 +79,7 @@ TEST_P(CrossSceneEquivalence, BatchStatsObeyConservation)
                    f.config);
     std::vector<int> ids{1, 3, 4, 6};
     BatchStats s = clm.trainBatch(ids);
-    const BatchPlanResult &plan = clm.lastPlan();
+    const BatchSchedule &plan = clm.lastPlan();
 
     // Loads + cache hits == total in-frustum rows rendered.
     EXPECT_EQ(static_cast<size_t>(s.h2d_bytes
@@ -94,6 +95,70 @@ TEST_P(CrossSceneEquivalence, BatchStatsObeyConservation)
 
 INSTANTIATE_TEST_SUITE_P(AllScenes, CrossSceneEquivalence,
                          ::testing::Values(0, 1, 2, 3, 4));
+
+TEST(ClmSchedule, TrainerAndSimulatorShareOneAnalysis)
+{
+    // The trainer runs scheduleBatch() itself; the simulator's
+    // planBatch(Clm) runs it before emitting its op-DAG. On the same
+    // culled sets both must reach the same order, cache plan and
+    // finalization schedule.
+    SceneFixture f(3);
+    ClmTrainer t(makeTrainee(f.gt, 350, 26), f.cameras, f.gt_images,
+                 f.config);
+    for (const std::vector<int> &ids :
+         {std::vector<int>{1, 3, 4, 6}, std::vector<int>{7, 0, 5, 2, 6}}) {
+        SCOPED_TRACE("batch of " + std::to_string(ids.size()));
+        BatchWorkload wl;
+        for (int v : ids) {
+            wl.sets.push_back(frustumCull(t.model(), f.cameras[v]));
+            wl.camera_centers.push_back(f.cameras[v].eye());
+        }
+        wl.n_synthetic = t.model().size();
+        wl.n_target = static_cast<double>(t.model().size());
+        wl.pixels_per_view = f.cameras[ids[0]].pixels();
+        PlannerConfig pc = f.config.planner;
+        pc.system = SystemKind::Clm;
+        const BatchPlanResult sim = planBatch(pc, wl);
+
+        t.trainBatch(ids);
+        const BatchSchedule &plan = t.lastPlan();
+        EXPECT_EQ(plan.order, sim.order);
+        ASSERT_EQ(plan.sets.size(), ids.size());
+        ASSERT_EQ(plan.cache.mb.size(), sim.cache.mb.size());
+        for (size_t i = 0; i < ids.size(); ++i) {
+            SCOPED_TRACE("microbatch " + std::to_string(i));
+            EXPECT_EQ(plan.sets[i], wl.sets[sim.order[i]]);
+            const MicrobatchTransfers &a = plan.cache.mb[i];
+            const MicrobatchTransfers &b = sim.cache.mb[i];
+            EXPECT_EQ(a.load_new, b.load_new);
+            EXPECT_EQ(a.copy_cached, b.copy_cached);
+            EXPECT_EQ(a.store_grads, b.store_grads);
+            EXPECT_EQ(a.carry_grads, b.carry_grads);
+        }
+        EXPECT_EQ(plan.fin.finalized_after, sim.fin.finalized_after);
+    }
+}
+
+TEST(Trajectory, ClmHashIsPinnedAtEveryThreadCount)
+{
+    // The loss and backward reductions split rows and tiles into
+    // constant chunk counts, never by the pool size, and microbatches
+    // commit in plan order at any W, so a CLM run (async Adam and
+    // densification included) lands on the same parameters at every
+    // thread count. ctest also runs this test with CLM_THREADS=1
+    // (test_integration_one_thread), which must reproduce the constant.
+    SceneFixture f(0);
+    TrainConfig cfg = f.config;
+    cfg.async_adam = true;
+    ClmTrainer t(makeTrainee(f.gt, 350, 30), f.cameras, f.gt_images, cfg);
+    DensifyConfig dc;
+    dc.grad_threshold = 1e-7f;
+    t.enableDensification(dc);
+    t.trainSteps(3);
+    t.densifyNow();
+    t.trainSteps(3);
+    EXPECT_EQ(hashModelParams(t.model()), 0x6df0cb6ef9265bdaull);
+}
 
 TEST(CheckpointResume, SaveLoadContinuesIdentically)
 {

@@ -363,7 +363,7 @@ TEST(CullStage, ClmTrainerPlanSetsEqualFrustumCull)
         const GaussianModel before = t.model();
         const std::vector<int> ids = MovingTrainFixture::batch(step);
         t.trainBatch(ids);
-        const BatchPlanResult &plan = t.lastPlan();
+        const BatchSchedule &plan = t.lastPlan();
         ASSERT_EQ(plan.order.size(), ids.size());
         for (size_t k = 0; k < ids.size(); ++k) {
             const MicrobatchTransfers &mb = plan.cache.mb[k];
