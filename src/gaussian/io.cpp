@@ -76,6 +76,20 @@ loadModel(const std::string &path)
         CLM_FATAL("unsupported checkpoint version ", version);
     uint64_t count = 0;
     readBytes(f.get(), &count, sizeof(count));
+    // The rows the header claims must be the bytes the file holds,
+    // checked before the model allocates them: a corrupt or hostile
+    // count must not request terabytes.
+    const long rows_at = std::ftell(f.get());
+    if (rows_at < 0 || std::fseek(f.get(), 0, SEEK_END) != 0)
+        CLM_FATAL("cannot size ", path);
+    const long file_end = std::ftell(f.get());
+    if (file_end < rows_at || std::fseek(f.get(), rows_at, SEEK_SET) != 0)
+        CLM_FATAL("cannot size ", path);
+    const uint64_t row_bytes = kParamsPerGaussian * sizeof(float);
+    const uint64_t left = static_cast<uint64_t>(file_end - rows_at);
+    if (count > left / row_bytes || count * row_bytes != left)
+        CLM_FATAL(path, " claims ", count, " Gaussians but holds ", left,
+                  " bytes of rows (", row_bytes, " per Gaussian)");
 
     GaussianModel model(count);
     std::vector<float> row(kParamsPerGaussian);

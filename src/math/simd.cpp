@@ -41,7 +41,7 @@ bool
 simdBackendSupported(SimdBackend backend)
 {
 #ifdef CLM_DISABLE_SIMD
-    // Scalar reference build: only the scalar table is compiled in.
+    // Scalar-only build: only the scalar table is compiled in.
     return backend == SimdBackend::kScalar;
 #else
     switch (backend) {

@@ -21,9 +21,10 @@
  * with different backends can coexist in one binary without ODR
  * violations while plain `clm::F8` keeps working everywhere.
  *
- * Building with `-DCLM_DISABLE_SIMD=ON` forces the scalar fallback AND
- * flips the default of RenderConfig::use_simd to false, so the whole
- * binary reproduces the pre-SIMD scalar reference bit for bit.
+ * Building with `-DCLM_DISABLE_SIMD=ON` forces the scalar fallback in
+ * every translation unit, so the binary compiles the scalar kernel table
+ * alone. It runs the same op sequence as the vector backends, so that
+ * build's outputs are bitwise identical to a SIMD build's.
  *
  * Every backend performs the *same* IEEE-754 single-precision operation
  * sequence — no FMA contraction, division and sqrt are the

@@ -17,9 +17,8 @@
  * CI runs the full test suite under forced CLM_SIMD=sse2/scalar to
  * hold that guarantee.
  *
- * -DCLM_DISABLE_SIMD=ON builds compile only the scalar table (and flip
- * RenderConfig::use_simd's default to false), reproducing the pre-SIMD
- * scalar reference bit for bit.
+ * -DCLM_DISABLE_SIMD=ON builds compile only the scalar table; it runs
+ * the same op sequence, so they produce the same bits as SIMD builds.
  */
 
 #ifndef CLM_MATH_SIMD_BACKEND_HPP
@@ -27,7 +26,7 @@
 
 namespace clm {
 
-/** True when built with -DCLM_DISABLE_SIMD=ON (scalar reference build). */
+/** True when built with -DCLM_DISABLE_SIMD=ON (scalar table only). */
 #ifdef CLM_DISABLE_SIMD
 constexpr bool kSimdDisabled = true;
 #else

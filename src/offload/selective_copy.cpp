@@ -41,6 +41,10 @@ DeviceBuffer::boundRow(uint32_t g) const
 void
 DeviceBuffer::zeroGrads()
 {
+    // An empty buffer (a view with an empty frustum set) may hold a null
+    // data pointer, which memset must not receive even for 0 bytes.
+    if (rows() == 0)
+        return;
     std::memset(grads_.data(), 0,
                 rows() * kParamsPerGaussian * sizeof(float));
 }

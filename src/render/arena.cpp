@@ -2,26 +2,21 @@
 
 #include <limits>
 
-namespace clm {
+#include "util/logging.hpp"
 
-void
-TileStage::prepare(size_t n, bool for_backward)
-{
-    hot.resize(n);
-    color.resize(n);
-    if (for_backward)
-        grads.assign(n, ProjectionGrads{});
-}
+namespace clm {
 
 void
 TileStage::stageFrom(const std::vector<ProjectedGaussian> &projected,
                      const std::vector<uint32_t> &isect_vals,
                      TileRange range, const std::vector<float> &alpha_cut,
-                     const std::vector<float> &row_k, bool for_backward,
-                     bool stage_soa)
+                     const std::vector<float> &row_k, bool stage_soa)
 {
     const size_t len = range.size();
-    prepare(len, for_backward);
+    CLM_ASSERT(len < kSimdMaxStagedEntries, "tile stages ", len,
+               " entries; the tile kernels handle fewer than 2^24");
+    hot.resize(len);
+    color.resize(len);
     for (size_t j = 0; j < len; ++j) {
         const uint32_t s = isect_vals[range.begin + j];
         const ProjectedGaussian &g = projected[s];
@@ -91,8 +86,7 @@ TileStage::bytes() const
                   + soa_color_b.capacity())
                * sizeof(float);
     return hot.capacity() * sizeof(StagedGaussian)
-         + color.capacity() * sizeof(Vec3)
-         + grads.capacity() * sizeof(ProjectionGrads) + soa;
+         + color.capacity() * sizeof(Vec3) + soa;
 }
 
 size_t

@@ -56,8 +56,6 @@ struct TileStage
 {
     std::vector<StagedGaussian> hot;   //!< Per-entry test fields.
     std::vector<Vec3> color;           //!< Touched only on contribution.
-    /** Per-staged-entry gradient accumulators (backward only). */
-    std::vector<ProjectionGrads> grads;
 
     /** @name SIMD batch staging (backward replay)
      * SoA mirrors of the staged fields, filled when stageFrom() is
@@ -74,19 +72,17 @@ struct TileStage
     std::vector<float> soa_color_r, soa_color_g, soa_color_b;
     /// @}
 
-    /** Size for @p n Gaussians; @p for_backward also zero-inits grads. */
-    void prepare(size_t n, bool for_backward);
-
     /** Pack one tile's Gaussians (the @p range slice of @p isect_vals)
      *  from @p projected plus the per-subset cut arrays into this
      *  stage — the single staging step shared by the forward composite
      *  and the backward replay, so the two passes can never desync.
-     *  @p stage_soa additionally fills the SoA mirrors (backward SIMD
-     *  batching). */
+     *  @p stage_soa additionally fills the SoA mirrors the backward
+     *  kernel reads. Asserts (std::logic_error) that the range holds
+     *  fewer than kSimdMaxStagedEntries entries, before reading any. */
     void stageFrom(const std::vector<ProjectedGaussian> &projected,
                    const std::vector<uint32_t> &isect_vals,
                    TileRange range, const std::vector<float> &alpha_cut,
-                   const std::vector<float> &row_k, bool for_backward,
+                   const std::vector<float> &row_k,
                    bool stage_soa = false);
 
     /** Bytes currently held (for memory accounting). */

@@ -35,7 +35,7 @@
  *    view's RenderOutput (image, final_t, n_contrib, intersections,
  *    ranges) is bitwise identical to rendering it alone as a batch of
  *    one with the same subset — asserted by tests/test_serve.cpp in
- *    both the SIMD and -DCLM_DISABLE_SIMD=ON flavors.
+ *    both the default and -DCLM_DISABLE_SIMD=ON builds.
  *
  *  - renderBackwardBatch(): the matching fused backward, bitwise
  *    identical to B batches of one replayed in view order.

@@ -1,141 +1,11 @@
 #include "render/compositor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "render/arena.hpp"
 #include "render/simd_kernels.hpp"
 
 namespace clm {
-
-namespace {
-
-/**
- * Reference per-tile compositor (the pre-SIMD scalar path, bit-exact
- * with PR 2): quads of four pixels sharing one sweep over the staged
- * tile list, plus a scalar remainder loop. Retained as the reference
- * semantics behind RenderConfig::use_simd == false and for
- * -DCLM_DISABLE_SIMD=ON builds.
- */
-void
-compositeTileScalar(const TileStage &stage, size_t len, int px0, int px1,
-                    int py0, int py1, int w, float alpha_min, float t_min,
-                    const Vec3 &background, RenderOutput &out)
-{
-    const StagedGaussian *hot = stage.hot.data();
-    const Vec3 *colors = stage.color.data();
-    for (int py = py0; py < py1; ++py) {
-        const float pcy = py + 0.5f;
-        // Pixels are processed in quads of four: one sweep over
-        // the tile list serves four independent lanes, so the
-        // staged fields are loaded once per quad and the power
-        // evaluation vectorizes. Each lane runs the exact
-        // scalar per-pixel arithmetic (a lane's early
-        // termination just masks it out), so results are
-        // bitwise identical to the one-pixel-at-a-time loop.
-        int px = px0;
-        for (; px + 4 <= px1; px += 4) {
-            float t_acc[4] = {1.0f, 1.0f, 1.0f, 1.0f};
-            Vec3 c_acc[4] = {};
-            uint32_t last[4] = {0, 0, 0, 0};
-            bool done[4] = {false, false, false, false};
-            int active = 4;
-            float pcx[4];
-            for (int l = 0; l < 4; ++l)
-                pcx[l] = (px + l) + 0.5f;
-            for (size_t pos = 0; pos < len && active > 0; ++pos) {
-                const StagedGaussian e = hot[pos];
-                const float dy = e.mean_y - pcy;
-                // No pixel of this row can reach the alpha cut.
-                if (-0.5f * e.row_k * dy * dy + kRowCutMargin
-                    < e.power_cut)
-                    continue;
-                float power[4];
-                for (int l = 0; l < 4; ++l) {
-                    float dx = e.mean_x - pcx[l];
-                    power[l] = -0.5f * (e.conic_a * dx * dx
-                                        + e.conic_c * dy * dy)
-                             - e.conic_b * dx * dy;
-                }
-                // Whole quad provably below the alpha cut:
-                // skip the per-lane work. (Explicit per-lane
-                // comparisons: a NaN power must NOT be skipped,
-                // matching the scalar loop.)
-                if (power[0] < e.power_cut && power[1] < e.power_cut
-                    && power[2] < e.power_cut
-                    && power[3] < e.power_cut)
-                    continue;
-                for (int l = 0; l < 4; ++l) {
-                    if (done[l])
-                        continue;
-                    if (power[l] > 0.0f)
-                        continue;
-                    if (power[l] < e.power_cut)
-                        continue;    // alpha < alpha_min
-                    float alpha = std::min(
-                        0.99f, e.opacity * std::exp(power[l]));
-                    if (alpha < alpha_min)
-                        continue;
-                    float t_next = t_acc[l] * (1.0f - alpha);
-                    if (t_next < t_min) {
-                        done[l] = true;    // lane "break"
-                        --active;
-                        continue;
-                    }
-                    c_acc[l] += colors[pos] * (alpha * t_acc[l]);
-                    t_acc[l] = t_next;
-                    last[l] = static_cast<uint32_t>(pos) + 1;
-                }
-            }
-            for (int l = 0; l < 4; ++l) {
-                size_t pi = static_cast<size_t>(py) * w + px + l;
-                out.final_t[pi] = t_acc[l];
-                out.n_contrib[pi] = last[l];
-                out.image.setPixel(px + l, py,
-                                   c_acc[l] + background * t_acc[l]);
-            }
-        }
-        for (; px < px1; ++px) {
-            float t_acc = 1.0f;
-            Vec3 c_acc{0, 0, 0};
-            uint32_t last = 0;
-            const float pcx = px + 0.5f;
-            for (size_t pos = 0; pos < len; ++pos) {
-                const StagedGaussian e = hot[pos];
-                float dx = e.mean_x - pcx;
-                float dy = e.mean_y - pcy;
-                // Same row cut as the quad path, so every
-                // pixel of a row skips the same entries.
-                if (-0.5f * e.row_k * dy * dy + kRowCutMargin
-                    < e.power_cut)
-                    continue;
-                float power = -0.5f * (e.conic_a * dx * dx
-                                       + e.conic_c * dy * dy)
-                            - e.conic_b * dx * dy;
-                if (power > 0.0f)
-                    continue;
-                if (power < e.power_cut)
-                    continue;    // provably alpha < alpha_min
-                float alpha =
-                    std::min(0.99f, e.opacity * std::exp(power));
-                if (alpha < alpha_min)
-                    continue;
-                float t_next = t_acc * (1.0f - alpha);
-                if (t_next < t_min)
-                    break;
-                c_acc += colors[pos] * (alpha * t_acc);
-                t_acc = t_next;
-                last = static_cast<uint32_t>(pos) + 1;
-            }
-            size_t pi = static_cast<size_t>(py) * w + px;
-            out.final_t[pi] = t_acc;
-            out.n_contrib[pi] = last;
-            out.image.setPixel(px, py, c_acc + background * t_acc);
-        }
-    }
-}
-
-} // namespace
 
 namespace detail {
 
@@ -147,9 +17,10 @@ compositeTileRange(const RenderConfig &cfg, const TileGrid &grid,
 {
     const int w = grid.width;
     const int h = grid.height;
-    const float alpha_min = cfg.alpha_min;
-    const float t_min = cfg.transmittance_min;
     const Vec3 background = cfg.background;
+    // The runtime-dispatched per-ISA kernel table (or the table
+    // cfg.kernels forces): every table produces bitwise-identical pixels.
+    const RenderKernels &kern = cfg.kernels ? *cfg.kernels : renderKernels();
     for (size_t t = t0; t < t1; ++t) {
         const TileRange range = out.tile_ranges[t];
         const size_t len = range.size();
@@ -173,36 +44,23 @@ compositeTileRange(const RenderConfig &cfg, const TileGrid &grid,
             continue;
         }
         stage.stageFrom(out.projected, out.isect_vals, range, alpha_cut,
-                        row_k, /*for_backward=*/false,
-                        /*stage_soa=*/stage_soa && cfg.use_simd
-                            && len < kSimdMaxStagedEntries);
-        if (cfg.use_simd && len < kSimdMaxStagedEntries) {
-            // SIMD path: the runtime-dispatched per-ISA kernel (or the
-            // table cfg.kernels forces). The kernel body is the former
-            // compositeTileSimd, one copy per F8 backend — every table
-            // produces bitwise-identical pixels.
-            const RenderKernels &kern =
-                cfg.kernels ? *cfg.kernels : renderKernels();
-            CompositeTileArgs args;
-            args.hot = stage.hot.data();
-            args.colors = stage.color.data();
-            args.len = len;
-            args.px0 = px0;
-            args.px1 = px1;
-            args.py0 = py0;
-            args.py1 = py1;
-            args.width = w;
-            args.alpha_min = alpha_min;
-            args.t_min = t_min;
-            args.background = background;
-            args.image = out.image.data().data();
-            args.final_t = out.final_t.data();
-            args.n_contrib = out.n_contrib.data();
-            kern.composite_tile(args);
-        } else {
-            compositeTileScalar(stage, len, px0, px1, py0, py1, w,
-                                alpha_min, t_min, background, out);
-        }
+                        row_k, stage_soa);
+        CompositeTileArgs args;
+        args.hot = stage.hot.data();
+        args.colors = stage.color.data();
+        args.len = len;
+        args.px0 = px0;
+        args.px1 = px1;
+        args.py0 = py0;
+        args.py1 = py1;
+        args.width = w;
+        args.alpha_min = cfg.alpha_min;
+        args.t_min = cfg.transmittance_min;
+        args.background = background;
+        args.image = out.image.data().data();
+        args.final_t = out.final_t.data();
+        args.n_contrib = out.n_contrib.data();
+        kern.composite_tile(args);
     }
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Per-tile forward compositing kernels of the render pipeline
- * (render/batch.cpp). Every view of a batch — a batch of one included —
- * runs the exact same kernels over the exact same staged inputs, which
- * is what makes a view's pixels independent of the batch it is
- * rendered in.
+ * Per-tile forward compositing of the render pipeline
+ * (render/batch.cpp) through the F8 kernel tables
+ * (render/simd_kernels.hpp). Every view of a batch — a batch of one
+ * included — runs the exact same kernel over the exact same staged
+ * inputs, which is what makes a view's pixels independent of the batch
+ * it is rendered in.
  */
 
 #ifndef CLM_RENDER_COMPOSITOR_HPP
@@ -25,16 +26,16 @@ namespace detail {
 /**
  * Composite the tiles [@p t0, @p t1) of @p out's tile grid: stage each
  * tile's Gaussians from @p out (projected footprints + sorted
- * intersections + per-entry cuts), then run the SIMD or scalar reference
- * compositor per RenderConfig::use_simd. Empty tiles write the
+ * intersections + per-entry cuts), then run the kernel table's
+ * composite_tile (cfg.kernels, or the startup dispatch choice) — the
+ * one per-tile compositor, in every build flavor. Empty tiles write the
  * background directly. Tiles touch disjoint pixels, so any parallel
  * split over tile ranges produces identical results; @p stage is the
  * calling worker's private staging scratch.
  *
- * @p stage_soa additionally fills the stage's SoA mirrors for tiles the
- * backward replay would SIMD-batch (cfg.use_simd and the staged-entry
- * bound) — the arena's retained-staging mode, which lets the backward
- * replay each tile without re-staging it. Staging is pure data
+ * @p stage_soa additionally fills the stage's SoA mirrors the backward
+ * kernel reads — the arena's retained-staging mode, which lets the
+ * backward replay each tile without re-staging it. Staging is pure data
  * movement, so the composited pixels are unchanged.
  */
 void compositeTileRange(const RenderConfig &cfg, const TileGrid &grid,

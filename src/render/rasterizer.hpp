@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "gaussian/model.hpp"
-#include "math/simd_backend.hpp"
 #include "render/binning.hpp"
 #include "render/camera.hpp"
 #include "render/image.hpp"
@@ -41,12 +40,12 @@ namespace clm {
 class RenderArena;
 struct RenderKernels;
 
-/** SIMD tile-length gate shared by the forward compositor and the
- *  backward replay (they MUST agree, or a tile could composite with
- *  exp8 but replay with std::exp): the SIMD paths track the 1-based
- *  "last contributor" position in a float lane, which is exact only up
- *  to 2^24, so longer-staged tiles (never seen in practice) fall back
- *  to the scalar loop in both passes. */
+/** Exclusive bound on the entries one tile may stage: the tile kernels
+ *  track the 1-based "last contributor" position in a float lane, which
+ *  is exact only up to 2^24, and pack staged positions above a 4-bit
+ *  chain mask. TileStage::stageFrom asserts it for the forward
+ *  composite and the backward replay alike; reaching it takes more than
+ *  16.7M splats over one tile. */
 constexpr size_t kSimdMaxStagedEntries = size_t(1) << 24;
 
 /** Rasterization settings. */
@@ -70,21 +69,9 @@ struct RenderConfig
      *  tile intersections binned. Off reproduces the plain square bound
      *  (kept togglable so benches can report the reduction). */
     bool exact_tile_bounds = true;
-    /** Composite and replay through the 8-lane SIMD kernel tables
-     *  (render/simd_kernels.hpp): 8-pixel groups with batched
-     *  power/alpha evaluation and the polynomial exp8() in the forward
-     *  pass, and the 8-pixel-lane gradient replay in the backward
-     *  pass. Still fully deterministic — run-to-run, parallel ≡
-     *  serial, and even across ISA backends and dispatch choices
-     *  (every backend runs the same IEEE op sequence) — but NOT
-     *  bit-identical to the scalar reference path: exp8 is within
-     *  kExp8MaxUlp of std::exp, which moves quality-harness PSNR by
-     *  well under 0.05 dB (asserted in tests). Off runs the pre-SIMD
-     *  scalar loops unchanged. Defaults to off in
-     *  -DCLM_DISABLE_SIMD=ON builds, which therefore reproduce the
-     *  scalar reference bit for bit. */
-    bool use_simd = !kSimdDisabled;
-    /** Kernel table the SIMD paths run. nullptr (the default) uses the
+    /** Kernel table the tile composite and the backward replay run:
+     *  8-pixel F8 lanes with the polynomial exp8()
+     *  (render/simd_kernels.hpp). nullptr (the default) uses the
      *  startup dispatch choice, renderKernels(); tests and benches set
      *  it (renderKernelsFor()) to force a specific backend in-process.
      *  The choice never changes an output bit (all tables run the same

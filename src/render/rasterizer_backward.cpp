@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -55,104 +54,6 @@ reduceLanes(const float *g8)
     g.d_color.z = sumLanes(g8 + kG8ColorB * 8);
     g.d_opacity = sumLanes(g8 + kG8Opacity * 8);
     return g;
-}
-
-/**
- * Scalar-reference backward replay of one tile (the pre-SIMD path,
- * kept verbatim behind RenderConfig::use_simd == false and for
- * -DCLM_DISABLE_SIMD=ON builds): per-pixel back-to-front replay with
- * std::exp, accumulating into stage.grads.
- */
-void
-backwardTileScalar(TileStage &stage, const RenderOutput &fwd,
-                   const Image &d_image, int px0, int px1, int py0,
-                   int py1, int w, float alpha_min,
-                   const Vec3 &background)
-{
-    const StagedGaussian *hot = stage.hot.data();
-    const Vec3 *colors = stage.color.data();
-    for (int py = py0; py < py1; ++py) {
-        const float pcy = py + 0.5f;
-        for (int px = px0; px < px1; ++px) {
-            size_t pi = static_cast<size_t>(py) * w + px;
-            uint32_t n_contrib = fwd.n_contrib[pi];
-            if (n_contrib == 0)
-                continue;
-            const float pcx = px + 0.5f;
-            Vec3 dpix = d_image.pixel(px, py);
-            float bg_dot = background.dot(dpix);
-
-            // Replay back-to-front over the composited prefix.
-            float t_acc = fwd.final_t[pi];
-            float last_alpha = 0.0f;
-            Vec3 last_color{0, 0, 0};
-            Vec3 accum_rec{0, 0, 0};
-            for (size_t pos = n_contrib; pos-- > 0;) {
-                const StagedGaussian e = hot[pos];
-                float dx = e.mean_x - pcx;
-                float dy = e.mean_y - pcy;
-                // No pixel of this row reaches the cut.
-                if (-0.5f * e.row_k * dy * dy + kRowCutMargin
-                    < e.power_cut)
-                    continue;
-                float power = -0.5f * (e.conic_a * dx * dx
-                                       + e.conic_c * dy * dy)
-                            - e.conic_b * dx * dy;
-                if (power > 0.0f)
-                    continue;
-                if (power < e.power_cut)
-                    continue;    // alpha < alpha_min
-                float gval = std::exp(power);
-                float raw_alpha = e.opacity * gval;
-                bool clamped = raw_alpha > 0.99f;
-                float alpha = clamped ? 0.99f : raw_alpha;
-                if (alpha < alpha_min)
-                    continue;
-
-                // Transmittance in front of this Gaussian.
-                t_acc = t_acc / (1.0f - alpha);
-                float dchannel_dcolor = alpha * t_acc;
-
-                float dl_dalpha = 0.0f;
-                // c - (color accumulated behind this Gaussian).
-                accum_rec = last_color * last_alpha
-                          + accum_rec * (1.0f - last_alpha);
-                last_color = colors[pos];
-                dl_dalpha +=
-                    (colors[pos].x - accum_rec.x) * dpix.x;
-                dl_dalpha +=
-                    (colors[pos].y - accum_rec.y) * dpix.y;
-                dl_dalpha +=
-                    (colors[pos].z - accum_rec.z) * dpix.z;
-
-                ProjectionGrads &g = stage.grads[pos];
-                g.d_color += dpix * dchannel_dcolor;
-
-                dl_dalpha *= t_acc;
-                last_alpha = alpha;
-
-                // Background shows through less when alpha grows.
-                dl_dalpha +=
-                    (-fwd.final_t[pi] / (1.0f - alpha)) * bg_dot;
-
-                if (clamped)
-                    continue;    // min(0.99, .) sub-gradient = 0
-
-                float dl_dg = e.opacity * dl_dalpha;
-                g.d_opacity += gval * dl_dalpha;
-
-                // G = exp(power(d)), d = mean - pix.
-                float gdl = gval * dl_dg;
-                g.d_mean2d.x += gdl * (-e.conic_a * dx
-                                       - e.conic_b * dy);
-                g.d_mean2d.y += gdl * (-e.conic_c * dy
-                                       - e.conic_b * dx);
-                g.d_conic_a += gdl * (-0.5f * dx * dx);
-                g.d_conic_b += gdl * (-dx * dy);
-                g.d_conic_c += gdl * (-0.5f * dy * dy);
-            }
-        }
-    }
 }
 
 } // namespace
@@ -257,19 +158,12 @@ detail::renderBackwardViews(const GaussianModel &model,
             const size_t len = range.size();
             if (len == 0)
                 continue;
-            const bool simd_batch =
-                cfg.use_simd && len < kSimdMaxStagedEntries;
             TileStage &stage =
                 av.stages[ba.retain_staging ? t : task.chunk];
             if (!ba.retain_staging) {
                 stage.stageFrom(fwd.projected, fwd.isect_vals, range,
                                 av.alpha_cut, av.row_k,
-                                /*for_backward=*/!simd_batch,
-                                /*stage_soa=*/simd_batch);
-            } else if (!simd_batch) {
-                // Forward staging carries hot/color; the scalar replay
-                // additionally accumulates into stage.grads.
-                stage.grads.assign(len, ProjectionGrads{});
+                                /*stage_soa=*/true);
             }
 
             const int ty = static_cast<int>(t) / fwd.tiles_x;
@@ -279,58 +173,48 @@ detail::renderBackwardViews(const GaussianModel &model,
             const int px1 = std::min(px0 + cfg.tile_size, w);
             const int py1 = std::min(py0 + cfg.tile_size, h);
 
-            if (simd_batch) {
-                const size_t need =
-                    len * static_cast<size_t>(kG8Comps) * 8;
-                // Growth zero-fills; the existing prefix is zero by the
-                // flush invariant below.
-                if (g8.size() < need)
-                    g8.resize(need, 0.0f);
-                BackwardTileArgs args;
-                args.mean_x = stage.soa_mean_x.data();
-                args.mean_y = stage.soa_mean_y.data();
-                args.conic_a = stage.soa_conic_a.data();
-                args.conic_b = stage.soa_conic_b.data();
-                args.conic_c = stage.soa_conic_c.data();
-                args.power_cut = stage.soa_power_cut.data();
-                args.row_k = stage.soa_row_k.data();
-                args.opacity = stage.soa_opacity.data();
-                args.color_r = stage.soa_color_r.data();
-                args.color_g = stage.soa_color_g.data();
-                args.color_b = stage.soa_color_b.data();
-                args.len = len;
-                args.px0 = px0;
-                args.px1 = px1;
-                args.py0 = py0;
-                args.py1 = py1;
-                args.width = w;
-                args.alpha_min = alpha_min;
-                args.background = background;
-                args.final_t = fwd.final_t.data();
-                args.n_contrib = fwd.n_contrib.data();
-                args.d_image = d_image.data().data();
-                args.grad8 = g8.data();
-                kern.backward_tile(args);
+            const size_t need = len * static_cast<size_t>(kG8Comps) * 8;
+            // Growth zero-fills; the existing prefix is zero by the
+            // flush invariant below.
+            if (g8.size() < need)
+                g8.resize(need, 0.0f);
+            BackwardTileArgs args;
+            args.mean_x = stage.soa_mean_x.data();
+            args.mean_y = stage.soa_mean_y.data();
+            args.conic_a = stage.soa_conic_a.data();
+            args.conic_b = stage.soa_conic_b.data();
+            args.conic_c = stage.soa_conic_c.data();
+            args.power_cut = stage.soa_power_cut.data();
+            args.row_k = stage.soa_row_k.data();
+            args.opacity = stage.soa_opacity.data();
+            args.color_r = stage.soa_color_r.data();
+            args.color_g = stage.soa_color_g.data();
+            args.color_b = stage.soa_color_b.data();
+            args.len = len;
+            args.px0 = px0;
+            args.px1 = px1;
+            args.py0 = py0;
+            args.py1 = py1;
+            args.width = w;
+            args.alpha_min = alpha_min;
+            args.background = background;
+            args.final_t = fwd.final_t.data();
+            args.n_contrib = fwd.n_contrib.data();
+            args.d_image = d_image.data().data();
+            args.grad8 = g8.data();
+            kern.backward_tile(args);
 
-                // Flush in staged order with the fixed lane reduction,
-                // re-zeroing each block while it is cache-hot (the
-                // all-zero-between-tiles invariant).
-                for (size_t j = 0; j < len; ++j) {
-                    float *blk =
-                        g8.data()
-                        + j * static_cast<size_t>(kG8Comps) * 8;
-                    accumulate(acc[fwd.isect_vals[range.begin + j]],
-                               reduceLanes(blk));
-                    std::memset(blk, 0,
-                                static_cast<size_t>(kG8Comps) * 8
-                                    * sizeof(float));
-                }
-            } else {
-                backwardTileScalar(stage, fwd, d_image, px0, px1, py0,
-                                   py1, w, alpha_min, background);
-                for (size_t j = 0; j < len; ++j)
-                    accumulate(acc[fwd.isect_vals[range.begin + j]],
-                               stage.grads[j]);
+            // Flush in staged order with the fixed lane reduction,
+            // re-zeroing each block while it is cache-hot (the
+            // all-zero-between-tiles invariant).
+            for (size_t j = 0; j < len; ++j) {
+                float *blk =
+                    g8.data() + j * static_cast<size_t>(kG8Comps) * 8;
+                accumulate(acc[fwd.isect_vals[range.begin + j]],
+                           reduceLanes(blk));
+                std::memset(blk, 0,
+                            static_cast<size_t>(kG8Comps) * 8
+                                * sizeof(float));
             }
         }
     };

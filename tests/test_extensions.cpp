@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 #include "gaussian/io.hpp"
 #include "math/rng.hpp"
@@ -373,6 +375,25 @@ TEST(ModelIo, RejectsGarbageFiles)
     std::fclose(file);
     EXPECT_ANY_THROW(loadModel(path));
     EXPECT_ANY_THROW(loadModel("/nonexistent/path/x.bin"));
+    std::remove(path.c_str());
+}
+
+TEST(ModelIo, RejectsHeaderCountBeyondFileSize)
+{
+    // A bare 16-byte header claiming 2^40 rows: the count is checked
+    // against the file size before any row is allocated (2^40 rows
+    // would need ~236 TiB).
+    std::string path = "/tmp/clm_test_hostile_count.bin";
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const char magic[4] = {'C', 'L', 'M', 'G'};
+    const uint32_t version = 1;
+    const uint64_t count = uint64_t(1) << 40;
+    std::fwrite(magic, 1, sizeof(magic), file);
+    std::fwrite(&version, sizeof(version), 1, file);
+    std::fwrite(&count, sizeof(count), 1, file);
+    std::fclose(file);
+    EXPECT_THROW(loadModel(path), std::runtime_error);
     std::remove(path.c_str());
 }
 

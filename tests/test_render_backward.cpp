@@ -6,10 +6,10 @@
  * The fused multi-view backward (renderBackwardBatch) must accumulate
  * gradients bitwise identical to per-view batches of one replayed in
  * view order — batched == per-view, parallel == serial, retained ==
- * re-staged staging, under the dispatched, forced-scalar and
- * use_simd=false kernels. A compact copy of a view's subset rendered
- * over {0..k-1} (the offload trainers' microbatch buffer) must match the
- * full-model render bitwise.
+ * re-staged staging, under the dispatched and forced-scalar kernel
+ * tables. A compact copy of a view's subset rendered over {0..k-1} (the
+ * offload trainers' microbatch buffer) must match the full-model render
+ * bitwise.
  */
 
 #include <gtest/gtest.h>
@@ -541,7 +541,7 @@ TEST(FusedBackward, ParallelMatchesSerial)
         par, sequentialBackward(fix.model, fix.cams, fix.d_images, cfg));
 }
 
-TEST(FusedBackward, BitwiseAcrossKernelTablesAndScalarPath)
+TEST(FusedBackward, BitwiseAcrossKernelTables)
 {
     BackwardFixture fix;
     RenderConfig cfg;
@@ -563,16 +563,6 @@ TEST(FusedBackward, BitwiseAcrossKernelTablesAndScalarPath)
     expectGradsIdentical(
         fusedBackward(fix.model, fix.cams, fix.d_images, forced, true),
         ref);
-
-    // use_simd = false: the pre-SIMD reference replay
-    // (backwardTileScalar) — a different arithmetic structure, so it is
-    // only PSNR-close to the SIMD path; the fused==sequential contract
-    // still holds bitwise WITHIN the path.
-    RenderConfig no_simd = cfg;
-    no_simd.use_simd = false;
-    expectGradsIdentical(
-        fusedBackward(fix.model, fix.cams, fix.d_images, no_simd, true),
-        sequentialBackward(fix.model, fix.cams, fix.d_images, no_simd));
 }
 
 TEST(FusedBackward, ArenaReuseIsBitwiseNeutral)

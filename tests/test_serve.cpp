@@ -458,22 +458,7 @@ TEST(RenderForwardBatch, BitwiseIdenticalToSequentialSimd)
     BatchFixture fix;
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    cfg.use_simd = true;    // scalar fallback in CLM_DISABLE_SIMD builds
     // B=3, and the one-view batch every lone serving request renders as.
-    for (size_t b : {size_t(3), size_t(1)}) {
-        SCOPED_TRACE("batch " + std::to_string(b));
-        std::vector<Camera> cams(fix.cameras.begin(),
-                                 fix.cameras.begin() + b);
-        checkBatchAgainstSequential(fix, cams, cfg);
-    }
-}
-
-TEST(RenderForwardBatch, BitwiseIdenticalToSequentialScalar)
-{
-    BatchFixture fix;
-    RenderConfig cfg;
-    cfg.sh_degree = 2;
-    cfg.use_simd = false;    // the scalar reference compositor
     for (size_t b : {size_t(3), size_t(1)}) {
         SCOPED_TRACE("batch " + std::to_string(b));
         std::vector<Camera> cams(fix.cameras.begin(),
