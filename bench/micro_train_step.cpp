@@ -8,7 +8,10 @@
  * forward's project / bin / composite split comes from the render
  * pipeline's own spans, recorded into a private Tracer and summed by
  * name (render.precompute, the subset union and view map the
- * projection runs over, counts as projection).
+ * projection runs over, counts as projection). The rasterizer
+ * backward splits the same way into its replay (tile staging, replay
+ * kernel, lane flush), per-view reduction and projection-chain spans
+ * (render.bwd_replay / render.bwd_reduce / render.bwd_project).
  *
  * Also times the retained brute-force loss reference
  * (computeLossReference) once per case and reports the SAT-loss
@@ -96,6 +99,9 @@ struct BenchResult
     double bin_ms = 0;
     double composite_ms = 0;
     double raster_bwd_ms = 0;
+    double bwd_replay_ms = 0;     //!< render.bwd_replay span sum.
+    double bwd_reduce_ms = 0;     //!< render.bwd_reduce span sum.
+    double bwd_project_ms = 0;    //!< render.bwd_project span sum.
     double loss_fwd_ms = 0;
     double loss_bwd_ms = 0;
     double adam_ms = 0;
@@ -343,10 +349,17 @@ runCase(const BenchCase &cfg, double min_seconds, int max_reps,
             r.bin_ms += ms;
         else if (name == "render.composite")
             r.composite_ms += ms;
+        else if (name == "render.bwd_replay")
+            r.bwd_replay_ms += ms;
+        else if (name == "render.bwd_reduce")
+            r.bwd_reduce_ms += ms;
+        else if (name == "render.bwd_project")
+            r.bwd_project_ms += ms;
     }
     r.reps = reps;
     for (double *m : {&r.cull_ms, &r.project_ms, &r.bin_ms,
-                      &r.composite_ms, &r.raster_bwd_ms, &r.loss_fwd_ms,
+                      &r.composite_ms, &r.raster_bwd_ms, &r.bwd_replay_ms,
+                      &r.bwd_reduce_ms, &r.bwd_project_ms, &r.loss_fwd_ms,
                       &r.loss_bwd_ms, &r.adam_ms, &r.step_ms})
         *m /= reps;
 
@@ -433,6 +446,9 @@ writeJson(const std::string &path, const std::vector<BenchResult> &results,
           << ", \"bin_ms\": " << r.bin_ms
           << ", \"composite_ms\": " << r.composite_ms
           << ", \"raster_bwd_ms\": " << r.raster_bwd_ms
+          << ", \"bwd_replay_ms\": " << r.bwd_replay_ms
+          << ", \"bwd_reduce_ms\": " << r.bwd_reduce_ms
+          << ", \"bwd_project_ms\": " << r.bwd_project_ms
           << ", \"loss_fwd_ms\": " << r.loss_fwd_ms
           << ", \"loss_bwd_ms\": " << r.loss_bwd_ms
           << ", \"adam_ms\": " << r.adam_ms
@@ -541,6 +557,13 @@ main(int argc, char **argv)
         results.push_back(r);
     }
     table.print(std::cout);
+
+    std::cout << "\nrasterizer backward split (ms, from spans):\n";
+    for (const BenchResult &r : results)
+        std::cout << "  " << r.cfg.name << ": replay "
+                  << Table::fmt(r.bwd_replay_ms, 2) << ", reduce "
+                  << Table::fmt(r.bwd_reduce_ms, 2) << ", project "
+                  << Table::fmt(r.bwd_project_ms, 2) << "\n";
 
     std::cout << "\nbackward by forced kernel table (ms, bitwise vs "
                  "first backend):\n";

@@ -11,7 +11,7 @@
  *
  *   clm_cli serve [--scene NAME] [--system ...] [--steps N]
  *                 [--clients N] [--requests N] [--max-batch N]
- *                 [--shed block|reject|drop-oldest]
+ *                 [--shed block|reject]
  *                 [--deadline-ms N] [--queue N] [--trace-out FILE]
  *                 [--metrics-out FILE] [--metrics-every-ms N]
  *                 [--slo FILE|SPEC]
@@ -100,19 +100,15 @@ parseShed(const std::string &name)
         return ShedPolicy::Block;
     if (name == "reject")
         return ShedPolicy::Reject;
-    if (name == "drop-oldest")
-        return ShedPolicy::DropOldest;
-    CLM_FATAL("unknown shed policy: ", name,
-              " (expected block|reject|drop-oldest)");
+    CLM_FATAL("unknown shed policy: ", name, " (expected block|reject)");
 }
 
 /** --shed default: CLM_SHED env var, else "block". */
 std::string
 defaultShed()
 {
-    static const char *const kChoices[] = {"block", "reject",
-                                           "drop-oldest"};
-    return envChoice("CLM_SHED", kChoices, 3, "block");
+    static const char *const kChoices[] = {"block", "reject"};
+    return envChoice("CLM_SHED", kChoices, 2, "block");
 }
 
 [[noreturn]] void
@@ -126,7 +122,7 @@ usage(const char *argv0)
         "[--render FILE]\n"
         "       %s serve [--scene NAME] [--system ...] [--steps N]\n"
         "          [--clients N] [--requests N] [--max-batch N]\n"
-        "          [--shed block|reject|drop-oldest]\n"
+        "          [--shed block|reject]\n"
         "          [--deadline-ms N] [--queue N] [--trace-out FILE]\n"
         "          [--metrics-out FILE] [--metrics-every-ms N]\n"
         "          [--slo FILE|SPEC]\n"
@@ -260,9 +256,9 @@ runServe(Clm &session, int warmup_steps, int n_clients, int n_requests,
         "[serve] %d clients, %d total requests, max_batch=%d, training "
         "in the background...\n",
         n_clients, n_requests, max_batch);
-    // Clients go through the seeded RetryPolicy: a shed or throttled
-    // response becomes a deterministic capped-backoff retry, never an
-    // error surfaced to the caller.
+    // Clients go through the seeded RetryPolicy: a shed response
+    // becomes a deterministic capped-backoff retry, never an error
+    // surfaced to the caller.
     std::atomic<int> budget{n_requests};
     RetryPolicy retry;
     std::vector<RetryStats> client_retries(
@@ -277,8 +273,7 @@ runServe(Clm &session, int warmup_steps, int n_clients, int n_requests,
             while (budget.fetch_sub(1) > 0) {
                 RenderResponse resp = submitWithRetry(
                     service, session.camera(pos % session.viewCount()),
-                    /*client_id=*/static_cast<uint64_t>(c) + 1, retry,
-                    /*request_key=*/pos, &rs);
+                    retry, /*request_key=*/pos, &rs);
                 if (!resp.ok())
                     gave_up_total.fetch_add(1);
                 ++pos;
@@ -310,14 +305,13 @@ runServe(Clm &session, int warmup_steps, int n_clients, int n_requests,
     }
     std::printf(
         "[serve] admission: %llu submitted, %llu shed (queue-full "
-        "%llu, deadline %llu), %llu throttled, %llu retries "
+        "%llu, deadline %llu), %llu retries "
         "(%.1f ms backoff), %llu gave up\n",
         static_cast<unsigned long long>(stats.submitted),
         static_cast<unsigned long long>(stats.shed_queue_full
                                         + stats.shed_deadline),
         static_cast<unsigned long long>(stats.shed_queue_full),
         static_cast<unsigned long long>(stats.shed_deadline),
-        static_cast<unsigned long long>(stats.throttled_client),
         static_cast<unsigned long long>(retries), backoffs_us / 1e3,
         static_cast<unsigned long long>(gave_up_total.load()));
     std::printf("[serve] batch occupancy:");

@@ -89,9 +89,8 @@ main()
             ++shed;
             std::printf("frame %d shed (%s) — retrying\n", f,
                         serveStatusName(resp.status));
-            resp = submitWithRetry(service, path[f], /*client_id=*/1,
-                                   retry, /*request_key=*/f,
-                                   &retry_stats);
+            resp = submitWithRetry(service, path[f], retry,
+                                   /*request_key=*/f, &retry_stats);
             if (!resp.ok()) {
                 std::printf("frame %d failed after %llu attempts (%s)\n",
                             f,

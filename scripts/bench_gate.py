@@ -93,17 +93,7 @@ def extract_serve(data):
             m[f"{name}.b{b}.p99_ms"] = (pt["p99_ms"], "lower", LAT)
         if case.get("batch4_speedup"):
             m[f"{name}.batch4_speedup"] = (case["batch4_speedup"], "higher", RATIO)
-    return m
-
-
-def extract_overload(data):
-    m = {}
-    for case in data.get("cases", []):
-        name = case.get("name", "case")
-        m[f"{name}.capacity_rps"] = (case["capacity_rps"], "higher", 1.0)
-        for pt in case.get("points", []):
-            if pt.get("policy") != "reject":
-                continue
+        for pt in case.get("open_loop", {}).get("points", []):
             x = pt.get("load_x", 0)
             tag = f"{name}.reject{x:g}x"
             m[f"{tag}.goodput_rps"] = (pt["goodput_rps"], "higher", 1.0)
@@ -151,7 +141,6 @@ def extract_generic(data):
 
 EXTRACTORS = {
     "serve": extract_serve,
-    "overload": extract_overload,
     "train_step": extract_train_step,
 }
 

@@ -5,7 +5,16 @@
 # sizes 1/2/4/8 (every batch, a batch of one included, renders through
 # the fused multi-view pipeline, whose frames are verified bit-identical
 # to sequential renders under the dispatched and the forced-scalar
-# kernel tables before timing).
+# kernel tables before timing), then open-loop arrivals at 1x/2x/4x of
+# the batch-4 rps against the Reject admission configuration (6-deep
+# queue, per-request deadline), plus a worker-stall fault point.
+#
+# Invariants the binary itself enforces (non-zero exit on violation):
+#   - batched, traced and admitted open-loop frames are bitwise equal
+#     to direct renders;
+#   - hung_requests == 0: every open-loop future resolves;
+#   - no sweep point and no clean open-loop point breaches its SLO,
+#     and the worker-stall fault point does.
 #
 # The JSON includes the machine/build context block (thread count,
 # compiler, SIMD backend, CLM_DISABLE_SIMD). Worker threads default to

@@ -2,6 +2,7 @@
 #include <cstring>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "render/arena.hpp"
 #include "render/batch.hpp"
 #include "render/simd_kernels.hpp"
@@ -83,6 +84,8 @@ detail::renderBackwardViews(const GaussianModel &model,
                "arena, with the same views");
     CLM_ASSERT(out.size() == model.size(),
                "gradient buffer must cover the full model");
+
+    StageClock stage_clock;
 
     const float alpha_min = cfg.alpha_min;
     const Vec3 background = cfg.background;
@@ -228,6 +231,7 @@ detail::renderBackwardViews(const GaussianModel &model,
         for (size_t ti = 0; ti < tasks.size(); ++ti)
             run_task(ti);
     }
+    stage_clock.lap("render.bwd_replay");
 
     // --- 2. Per-view reduction in chunk order — element-wise over
     // (view, entry), so any parallel split is the same arithmetic.
@@ -245,6 +249,7 @@ detail::renderBackwardViews(const GaussianModel &model,
                          }
                      });
     }
+    stage_clock.lap("render.bwd_reduce");
 
     // --- 3. Projection chain, once per batch over the union of the
     // views' subsets, through the forward's view map. Distinct union
@@ -271,6 +276,7 @@ detail::renderBackwardViews(const GaussianModel &model,
                 }
             }
         });
+    stage_clock.lap("render.bwd_project");
 }
 
 } // namespace clm

@@ -1,6 +1,5 @@
 #include "serve/render_service.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -16,7 +15,6 @@ serveStatusName(ServeStatus s)
     case ServeStatus::ShedQueueFull: return "shed_queue_full";
     case ServeStatus::ShedDeadline: return "shed_deadline";
     case ServeStatus::RejectedShutdown: return "rejected_shutdown";
-    case ServeStatus::ThrottledClient: return "throttled_client";
     }
     return "unknown";
 }
@@ -45,7 +43,6 @@ RenderService::initMetrics()
     m_shed_queue_full_ = &m.counter("serve.shed_queue_full");
     m_shed_deadline_ = &m.counter("serve.shed_deadline");
     m_rejected_shutdown_ = &m.counter("serve.rejected_shutdown");
-    m_throttled_client_ = &m.counter("serve.throttled_client");
     m_queue_depth_ = &m.gauge("serve.queue_depth");
     // Millisecond histograms spanning 1 us .. 100 s at 8 buckets per
     // octave (~9% relative resolution) — wide enough for queue waits
@@ -64,42 +61,18 @@ RenderService::failRequest(PendingRequest &req, ServeStatus status)
     RenderResponse resp;
     resp.status = status;
     resp.request_id = req.id;
-    resp.client_id = req.client_id;
     resp.queue_s = clock_.seconds() - req.enqueue_s;
     req.reply.set_value(std::move(resp));
     switch (status) {
     case ServeStatus::ShedQueueFull: m_shed_queue_full_->add(); break;
     case ServeStatus::ShedDeadline: m_shed_deadline_->add(); break;
     case ServeStatus::RejectedShutdown: m_rejected_shutdown_->add(); break;
-    case ServeStatus::ThrottledClient: m_throttled_client_->add(); break;
     case ServeStatus::Ok: break;    // not a failure; never passed here
     }
 }
 
-bool
-RenderService::admitClient(uint64_t client_id)
-{
-    const AdmissionConfig &adm = config_.admission;
-    const double now = clock_.seconds();
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    auto emplaced =
-        buckets_.try_emplace(client_id, TokenBucket{adm.client_burst, now});
-    TokenBucket &bucket = emplaced.first->second;
-    if (!emplaced.second && adm.client_rate > 0)
-        bucket.tokens =
-            std::min(adm.client_burst,
-                     bucket.tokens
-                         + (now - bucket.refill_s) * adm.client_rate);
-    bucket.refill_s = now;
-    if (bucket.tokens >= 1.0) {
-        bucket.tokens -= 1.0;
-        return true;
-    }
-    return false;
-}
-
 std::future<RenderResponse>
-RenderService::submit(const Camera &camera, uint64_t client_id)
+RenderService::submit(const Camera &camera)
 {
     // The request id doubles as the trace id: minted here, carried in
     // the queue slot, echoed in every span the request's path records.
@@ -107,19 +80,13 @@ RenderService::submit(const Camera &camera, uint64_t client_id)
     m_submitted_->add();
     TraceContext trace_ctx(id);
     ScopedSpan admit_span("serve.admit");
-    PendingRequest req{camera, id, client_id, clock_.seconds(), 0, 0, {}};
+    PendingRequest req{camera, id, clock_.seconds(), 0, 0, {}};
     if (config_.admission.deadline_s > 0)
         req.deadline_s = req.enqueue_s + config_.admission.deadline_s;
     if (Tracer *tracer = Tracer::current())
         req.enqueue_ns = tracer->nowNs();
     std::future<RenderResponse> fut = req.reply.get_future();
 
-    // Fairness gate first: a throttled client never consumes queue
-    // space another client could have used.
-    if (config_.admission.client_burst > 0 && !admitClient(client_id)) {
-        failRequest(req, ServeStatus::ThrottledClient);
-        return fut;
-    }
     // Fault injection (tests): the admission path sees a saturated
     // queue regardless of actual occupancy.
     if (config_.faults != nullptr
@@ -128,26 +95,11 @@ RenderService::submit(const Camera &camera, uint64_t client_id)
         return fut;
     }
 
-    QueuePush result = QueuePush::Closed;
-    switch (config_.admission.shed) {
-    case ShedPolicy::Block:
-        if (config_.admission.block_timeout_s > 0)
-            result = queue_.pushFor(req, config_.admission.block_timeout_s);
-        else
-            result =
-                queue_.push(req) ? QueuePush::Ok : QueuePush::Closed;
-        break;
-    case ShedPolicy::Reject:
+    QueuePush result;
+    if (config_.admission.shed == ShedPolicy::Reject)
         result = queue_.tryPush(req);
-        break;
-    case ShedPolicy::DropOldest: {
-        std::vector<PendingRequest> evicted;
-        result = queue_.pushDropOldest(req, evicted);
-        for (PendingRequest &old : evicted)
-            failRequest(old, ServeStatus::ShedQueueFull);
-        break;
-    }
-    }
+    else
+        result = queue_.push(req) ? QueuePush::Ok : QueuePush::Closed;
     // Every non-enqueued request is fulfilled with an explicit status:
     // never a hang, never a broken promise — submit-after-stop()
     // included.
@@ -177,20 +129,14 @@ bool
 RenderService::admitBatch(std::vector<PendingRequest> &batch,
                           std::vector<PendingRequest> &expired)
 {
-    const size_t cap = static_cast<size_t>(config_.max_batch);
-    bool alive;
-    if (config_.admission.deadline_s > 0) {
-        alive = queue_.popBatchFiltered(
-            batch, cap,
+    // The predicate short-circuits on requests without a deadline, so
+    // the deadline-free configuration reads no clock here.
+    if (!queue_.popBatch(
+            batch, static_cast<size_t>(config_.max_batch),
             [this](const PendingRequest &r) {
                 return r.deadline_s > 0 && clock_.seconds() > r.deadline_s;
             },
-            expired);
-    } else {
-        expired.clear();
-        alive = queue_.popBatch(batch, cap);
-    }
-    if (!alive)
+            expired))
         return false;
     for (PendingRequest &r : expired)
         failRequest(r, ServeStatus::ShedDeadline);
@@ -259,7 +205,6 @@ RenderService::workerLoop()
             RenderResponse resp;
             resp.image = arena.views[v].out.image;
             resp.request_id = batch[v].id;
-            resp.client_id = batch[v].client_id;
             resp.snapshot_version = snap->version;
             resp.snapshot_hash = snap->param_hash;
             resp.train_step = snap->train_step;
@@ -303,7 +248,6 @@ RenderService::stats() const
     s.shed_queue_full = m_shed_queue_full_->value();
     s.shed_deadline = m_shed_deadline_->value();
     s.rejected_shutdown = m_rejected_shutdown_->value();
-    s.throttled_client = m_throttled_client_->value();
     s.p50_ms = m_latency_ms_->percentile(50);
     s.p99_ms = m_latency_ms_->percentile(99);
     s.mean_ms = m_latency_ms_->mean();

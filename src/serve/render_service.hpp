@@ -23,20 +23,17 @@
  *
  * Overload is a first-class input, not an error path: every submit()
  * resolves to a RenderResponse with an explicit ServeStatus — never a
- * hang, never a broken promise. AdmissionConfig picks the shed policy
- * (Block preserves the original backpressure-by-blocking behavior;
- * Reject sheds on a full queue; DropOldest evicts the stalest queued
- * request to admit the newest), an optional per-request deadline
+ * hang, never a broken promise. AdmissionConfig picks one of two shed
+ * policies (Block: backpressure by blocking the caller; Reject: a full
+ * queue sheds the new request) and an optional per-request deadline
  * (expired requests are swept out at dequeue time and failed fast
- * without rendering), and per-client token-bucket fairness keyed by
- * the client id passed to submit(). Shedding changes *which* requests
- * render, never *what* a render produces.
+ * without rendering). Shedding changes *which* requests render, never
+ * *what* a render produces.
  *
  * Counters, gauges and the queue-wait / render-time / end-to-end
  * latency histograms live in a MetricsRegistry (serve.*); ServeStats
- * is the read-side view of it, and bench/micro_serve.cpp and
- * bench/micro_overload.cpp record it in BENCH_serve.json /
- * BENCH_overload.json. The request path records tracer spans
+ * is the read-side view of it, and bench/micro_serve.cpp records it in
+ * BENCH_serve.json. The request path records tracer spans
  * (serve.admit on the submitting thread; a cross-thread
  * serve.queue_wait async span closed at worker dequeue;
  * serve.render_batch around the batch render, whose per-stage
@@ -54,7 +51,6 @@
 #include <future>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -76,7 +72,6 @@ enum class ServeStatus : int
     ShedQueueFull = 1,    //!< Shed at admission: queue at capacity.
     ShedDeadline = 2,     //!< Expired in queue past its deadline.
     RejectedShutdown = 3, //!< Submitted after stop(); nothing rendered.
-    ThrottledClient = 4,  //!< Client token bucket empty.
 };
 
 /** Stable lowercase name ("ok", "shed_queue_full", ...). */
@@ -87,13 +82,11 @@ enum class ShedPolicy : int
 {
     Block = 0,      //!< Block the caller until space (backpressure).
     Reject = 1,     //!< Fail the new request with ShedQueueFull.
-    DropOldest = 2, //!< Evict the stalest queued request, admit new.
 };
 
 /**
- * Admission control (ServeConfig::admission). Defaults reproduce the
- * historical behavior exactly: block on a full queue, no deadlines, no
- * per-client throttling.
+ * Admission control (ServeConfig::admission). Defaults: block on a
+ * full queue, no deadlines.
  */
 struct AdmissionConfig
 {
@@ -102,16 +95,6 @@ struct AdmissionConfig
      *  (checked when a worker dequeues; a request already being
      *  rendered is never cancelled). 0 disables deadlines. */
     double deadline_s = 0;
-    /** Block policy only: give up with ShedQueueFull after waiting
-     *  this long for queue space. 0 blocks indefinitely. */
-    double block_timeout_s = 0;
-    /** Per-client token bucket: capacity in requests. 0 disables
-     *  throttling. Each admitted request costs one token. */
-    double client_burst = 0;
-    /** Token refill rate in requests/second (0 = no refill: exactly
-     *  the first client_burst requests per client are admitted — the
-     *  deterministic configuration the fairness tests use). */
-    double client_rate = 0;
 };
 
 /** Serving configuration. */
@@ -124,7 +107,7 @@ struct ServeConfig
     int max_batch = 4;
     size_t queue_capacity = 1024;
     RenderConfig render;
-    /** Overload policy: shed/deadline/fairness (see AdmissionConfig). */
+    /** Overload policy: shed/deadline (see AdmissionConfig). */
     AdmissionConfig admission;
     /** Fault injection, tests only (util/fault.hpp): may stall workers
      *  at the pop loop and force admission-path saturation. Must
@@ -142,13 +125,12 @@ struct ServeConfig
 struct RenderResponse
 {
     /** Admission outcome. Only Ok responses carry a rendered image;
-     *  shed/rejected/throttled responses report id, status and
+     *  shed/rejected responses report id, status and
      *  queue_s (time spent queued before shedding, 0 if never
      *  admitted) with an empty image. */
     ServeStatus status = ServeStatus::Ok;
     Image image;
     uint64_t request_id = 0;
-    uint64_t client_id = 0;          //!< Fairness key from submit().
     uint64_t snapshot_version = 0;   //!< ModelSnapshot::version rendered.
     uint64_t snapshot_hash = 0;      //!< ModelSnapshot::param_hash.
     int train_step = 0;              //!< Trainer step of that snapshot.
@@ -168,7 +150,7 @@ struct ServeStats
     double elapsed_s = 0;            //!< Since service start.
     double requests_per_s = 0;       //!< requests / elapsed.
     /** @name Admission-control counters (see AdmissionConfig)
-     * submitted = requests + every shed/rejected/throttled outcome;
+     * submitted = requests + every shed/rejected outcome;
      * no request ever goes unaccounted.
      */
     /// @{
@@ -176,7 +158,6 @@ struct ServeStats
     uint64_t shed_queue_full = 0;    //!< ShedQueueFull responses.
     uint64_t shed_deadline = 0;      //!< ShedDeadline responses.
     uint64_t rejected_shutdown = 0;  //!< RejectedShutdown responses.
-    uint64_t throttled_client = 0;   //!< ThrottledClient responses.
     size_t queue_depth = 0;          //!< Gauge: queued right now.
     /// @}
     /** @name Latency of admitted (rendered) requests
@@ -225,22 +206,17 @@ class RenderService
     RenderService &operator=(const RenderService &) = delete;
 
     /**
-     * Enqueue a view request under the configured admission policy
-     * (@p client_id keys per-client fairness; callers without a notion
-     * of clients can leave it 0). The returned future ALWAYS resolves
-     * to a RenderResponse — never a hang past the policy's blocking
-     * window, never a std::future_error: an admitted request resolves
-     * with status Ok when a worker has rendered it; a shed, throttled,
-     * expired, or submitted-after-stop() request resolves immediately
-     * (or at dequeue, for deadline expiry) with the matching non-Ok
-     * status and an empty image. Block policy blocks the *caller*
-     * while the queue is at capacity (bounded by
-     * AdmissionConfig::block_timeout_s when set) — that is its
-     * backpressure contract — but the future it returns still always
-     * resolves.
+     * Enqueue a view request under the configured admission policy.
+     * The returned future ALWAYS resolves to a RenderResponse — never a
+     * std::future_error: an admitted request resolves with status Ok
+     * when a worker has rendered it; a shed, expired, or
+     * submitted-after-stop() request resolves immediately (or at
+     * dequeue, for deadline expiry) with the matching non-Ok status and
+     * an empty image. Block policy blocks the *caller* while the queue
+     * is at capacity — that is its backpressure contract — but the
+     * future it returns still always resolves.
      */
-    std::future<RenderResponse> submit(const Camera &camera,
-                                       uint64_t client_id = 0);
+    std::future<RenderResponse> submit(const Camera &camera);
 
     /** Close the queue, drain pending requests, join the workers.
      *  Idempotent; also run by the destructor. Requests already queued
@@ -263,7 +239,6 @@ class RenderService
     {
         Camera camera;
         uint64_t id = 0;          //!< Request id; doubles as trace id.
-        uint64_t client_id = 0;
         double enqueue_s = 0;
         double deadline_s = 0;    //!< Absolute (clock_); 0 = none.
         /** Tracer-clock enqueue stamp (0 when tracing was off at
@@ -271,13 +246,6 @@ class RenderService
          *  serve.queue_wait async span. */
         uint64_t enqueue_ns = 0;
         std::promise<RenderResponse> reply;
-    };
-
-    /** Tokens-available state of one client's bucket. */
-    struct TokenBucket
-    {
-        double tokens = 0;
-        double refill_s = 0;    //!< Last refill timestamp (clock_).
     };
 
     void workerLoop();
@@ -289,8 +257,6 @@ class RenderService
     /** Fulfill @p req with a non-Ok @p status (empty image) and bump
      *  the matching counter. */
     void failRequest(PendingRequest &req, ServeStatus status);
-    /** Token-bucket check; true admits (and debits) the client. */
-    bool admitClient(uint64_t client_id);
     void recordBatch(size_t batch_size, uint64_t snapshot_version);
     /** Resolve the serve.* metric handles (once, before workers). */
     void initMetrics();
@@ -302,9 +268,6 @@ class RenderService
     Timer clock_;    //!< Service-lifetime clock (latency timestamps).
     bool stopped_ = false;
     std::mutex stop_mutex_;
-
-    std::mutex admission_mutex_;    //!< Guards buckets_.
-    std::unordered_map<uint64_t, TokenBucket> buckets_;
 
     /** Private registry used when ServeConfig::metrics is null. */
     MetricsRegistry own_metrics_;
@@ -320,7 +283,6 @@ class RenderService
     Counter *m_shed_queue_full_ = nullptr;
     Counter *m_shed_deadline_ = nullptr;
     Counter *m_rejected_shutdown_ = nullptr;
-    Counter *m_throttled_client_ = nullptr;
     Gauge *m_queue_depth_ = nullptr;
     Histogram *m_queue_wait_ms_ = nullptr;
     Histogram *m_render_ms_ = nullptr;

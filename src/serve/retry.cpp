@@ -14,7 +14,6 @@ RetryPolicy::retryable(ServeStatus s) const
     switch (s) {
     case ServeStatus::ShedQueueFull:
     case ServeStatus::ShedDeadline:
-    case ServeStatus::ThrottledClient:
         return true;
     case ServeStatus::Ok:
     case ServeStatus::RejectedShutdown:
@@ -37,14 +36,14 @@ RetryPolicy::backoffSeconds(uint64_t request_key, int attempt) const
 
 RenderResponse
 submitWithRetry(RenderService &service, const Camera &camera,
-                uint64_t client_id, const RetryPolicy &policy,
-                uint64_t request_key, RetryStats *stats)
+                const RetryPolicy &policy, uint64_t request_key,
+                RetryStats *stats)
 {
     RenderResponse resp;
     for (int attempt = 1;; ++attempt) {
         if (stats != nullptr)
             ++stats->attempts;
-        resp = service.submit(camera, client_id).get();
+        resp = service.submit(camera).get();
         if (resp.ok())
             return resp;
         if (!policy.retryable(resp.status)

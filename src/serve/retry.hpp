@@ -1,13 +1,13 @@
 /**
  * @file
- * Client-side retry for shed/throttled serving responses. When the
- * RenderService is overloaded it resolves requests with an explicit
- * non-Ok ServeStatus instead of blocking or erroring (see
- * AdmissionConfig); a well-behaved client degrades those into retries
- * with capped exponential backoff. The jitter is *deterministic*: a
- * pure function of (seed, request key, attempt) via splitmix64, so a
- * fixed client schedule replays the same backoff sequence run-to-run —
- * same spirit as the deterministic latency reservoir and FaultPlan.
+ * Client-side retry for shed serving responses. When the RenderService
+ * is overloaded it resolves requests with an explicit non-Ok
+ * ServeStatus (ShedQueueFull under the Reject policy, ShedDeadline
+ * past a deadline; see AdmissionConfig); a well-behaved client
+ * degrades those into retries with capped exponential backoff. The
+ * jitter is *deterministic*: a pure function of (seed, request key,
+ * attempt) via splitmix64, so a fixed client schedule replays the same
+ * backoff sequence run-to-run — same spirit as FaultPlan.
  *
  * Used by the clm_cli serve clients and the flythrough example;
  * submitWithRetry() is the synchronous convenience wrapper.
@@ -39,7 +39,7 @@ struct RetryPolicy
     double cap_s = 0.050;      //!< Backoff ceiling.
     uint64_t seed = 0x7e747;   //!< Jitter seed (determinism key).
 
-    /** Shed/throttled outcomes are worth retrying; RejectedShutdown is
+    /** Shed outcomes are worth retrying; RejectedShutdown is
      *  terminal (the service is gone); Ok never retries. */
     bool retryable(ServeStatus s) const;
 
@@ -54,7 +54,7 @@ struct RetryPolicy
 };
 
 /**
- * Submit @p camera and wait for the response, retrying shed/throttled
+ * Submit @p camera and wait for the response, retrying shed
  * outcomes per @p policy (sleeping the policy's backoff between
  * attempts). Returns the final response — Ok on success, or the last
  * non-Ok status once attempts are exhausted or the failure is
@@ -62,7 +62,7 @@ struct RetryPolicy
  * something stable per logical request (e.g. a frame index).
  */
 RenderResponse submitWithRetry(RenderService &service,
-                               const Camera &camera, uint64_t client_id,
+                               const Camera &camera,
                                const RetryPolicy &policy,
                                uint64_t request_key,
                                RetryStats *stats = nullptr);

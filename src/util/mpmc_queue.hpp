@@ -6,23 +6,19 @@
  * is what lets the render service coalesce queued view requests into
  * multi-view batches without any artificial batching delay.
  *
- * Beyond the blocking push() there are admission-control intakes: a
- * non-blocking tryPush() (reject-on-full), a timed pushFor() (bounded
- * blocking), and pushDropOldest() (evict the head to make room) — the
- * three shed policies of ServeConfig::admission map onto them. Every
- * intake reports Ok/Full/Closed explicitly and *never consumes the item
- * unless it was enqueued*, so a caller holding a promise inside the
- * item can still fulfill it with a shed/rejected status instead of
- * dropping it. popBatchFiltered() is the deadline-aware pop: expired
- * items are swept out of the queue (all of them, not just the batch
- * cap) and handed back separately so the consumer can fail them fast
- * without rendering.
+ * Two intakes, one per shed policy of ServeConfig::admission: the
+ * blocking push() (Block) and the non-blocking tryPush() (Reject).
+ * Neither consumes the item unless it was enqueued, so a caller holding
+ * a promise inside the item can still fulfill it with a shed/rejected
+ * status instead of dropping it. The one pop, popBatch(), is
+ * deadline-aware: expired items are swept out of the queue (all of
+ * them, not just the batch cap) and handed back separately so the
+ * consumer can fail them fast without rendering.
  */
 
 #ifndef CLM_UTIL_MPMC_QUEUE_HPP
 #define CLM_UTIL_MPMC_QUEUE_HPP
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -95,89 +91,20 @@ class MpmcQueue
     }
 
     /**
-     * Timed enqueue: block up to @p timeout_s seconds for space, then
-     * give up with Full. Same ownership contract as tryPush().
-     */
-    QueuePush
-    pushFor(T &item, double timeout_s)
-    {
-        const auto deadline =
-            std::chrono::steady_clock::now()
-            + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(timeout_s));
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (!not_full_.wait_until(lock, deadline, [&] {
-                return closed_ || items_.size() < capacity_;
-            }))
-            return QueuePush::Full;
-        if (closed_)
-            return QueuePush::Closed;
-        items_.push_back(std::move(item));
-        lock.unlock();
-        not_empty_.notify_one();
-        return QueuePush::Ok;
-    }
-
-    /**
-     * Enqueue, evicting from the *head* (oldest items) to make room
-     * when full. Evicted items are appended to @p evicted so the caller
-     * can fail their promises; never returns Full.
-     */
-    QueuePush
-    pushDropOldest(T &item, std::vector<T> &evicted)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (closed_)
-            return QueuePush::Closed;
-        while (items_.size() >= capacity_ && !items_.empty()) {
-            evicted.push_back(std::move(items_.front()));
-            items_.pop_front();
-        }
-        items_.push_back(std::move(item));
-        lock.unlock();
-        not_empty_.notify_one();
-        return QueuePush::Ok;
-    }
-
-    /**
-     * Pop up to @p max_items into @p out (cleared first): blocks until
-     * at least one item is available, then drains whatever is queued up
-     * to the cap — the natural batch-coalescing pop.
-     * @return false when the queue is closed and fully drained.
-     */
-    bool
-    popBatch(std::vector<T> &out, size_t max_items)
-    {
-        out.clear();
-        std::unique_lock<std::mutex> lock(mutex_);
-        not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-        if (items_.empty())
-            return false;    // closed and drained — nothing was removed
-        while (!items_.empty() && out.size() < max_items) {
-            out.push_back(std::move(items_.front()));
-            items_.pop_front();
-        }
-        lock.unlock();
-        // Only notify producers when items were actually removed — a
-        // closed-and-drained wakeup frees no capacity.
-        not_full_.notify_all();
-        return true;
-    }
-
-    /**
-     * Deadline-aware batch pop: like popBatch(), but items for which
-     * @p expired returns true are swept into @p expired_out instead of
-     * @p out — ALL of them, front to back, not just the batch cap, so a
-     * consumer can fail every already-dead request in one wakeup. Both
-     * vectors are cleared first. Blocks until something is queued or
-     * the queue closes.
+     * Pop up to @p max_items into @p out: blocks until at least one
+     * item is available, then drains whatever is queued up to the cap
+     * — the natural batch-coalescing pop. Items for which @p expired
+     * returns true are swept into @p expired_out instead of @p out —
+     * ALL of them, front to back, not just the batch cap, so a consumer
+     * can fail every already-dead request in one wakeup. Both vectors
+     * are cleared first.
      * @return false only when closed and fully drained; true otherwise
      * (note @p out may be empty when everything queued had expired).
      */
     template <typename ExpiredPred>
     bool
-    popBatchFiltered(std::vector<T> &out, size_t max_items,
-                     ExpiredPred &&expired, std::vector<T> &expired_out)
+    popBatch(std::vector<T> &out, size_t max_items, ExpiredPred &&expired,
+             std::vector<T> &expired_out)
     {
         out.clear();
         expired_out.clear();

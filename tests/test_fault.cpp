@@ -8,8 +8,7 @@
  * RenderResponse with an explicit status (no hang, no broken promise),
  * admitted frames stay bitwise identical to direct renders, and with a
  * fixed FaultPlan seed plus a fixed arrival schedule the set of shed
- * request ids is reproducible run-to-run (same spirit as the
- * deterministic latency reservoir). Runs under ASan/UBSan via
+ * request ids is reproducible run-to-run. Runs under ASan/UBSan via
  * scripts/verify.sh and under TSan in the thread-sanitizer CI job.
  */
 
@@ -241,7 +240,7 @@ TEST(FaultInjection, StalledWorkerDelaysButCompletesEverything)
     ServeStats stats = service.stats();
     EXPECT_EQ(stats.requests, 16u);
     EXPECT_EQ(stats.shed_queue_full + stats.shed_deadline
-                  + stats.rejected_shutdown + stats.throttled_client,
+                  + stats.rejected_shutdown,
               0u);
 }
 
@@ -326,7 +325,6 @@ TEST(RetryPolicy, DeterministicBackoffAndRetryLoop)
 
     EXPECT_TRUE(policy.retryable(ServeStatus::ShedQueueFull));
     EXPECT_TRUE(policy.retryable(ServeStatus::ShedDeadline));
-    EXPECT_TRUE(policy.retryable(ServeStatus::ThrottledClient));
     EXPECT_FALSE(policy.retryable(ServeStatus::Ok));
     EXPECT_FALSE(policy.retryable(ServeStatus::RejectedShutdown));
 
@@ -345,7 +343,7 @@ TEST(RetryPolicy, DeterministicBackoffAndRetryLoop)
     RetryStats rstats;
     for (int r = 0; r < 6; ++r) {
         RenderResponse resp = submitWithRetry(
-            service, fix.cameras[r % 6], /*client_id=*/1, policy,
+            service, fix.cameras[r % 6], policy,
             /*request_key=*/static_cast<uint64_t>(r), &rstats);
         EXPECT_TRUE(resp.ok()) << "request " << r;
     }
@@ -358,8 +356,8 @@ TEST(RetryPolicy, DeterministicBackoffAndRetryLoop)
     // saturation fault is disabled so the closed queue is what decides).
     faults.disable();
     RetryStats after;
-    RenderResponse resp = submitWithRetry(service, fix.cameras[0], 1,
-                                          policy, 123, &after);
+    RenderResponse resp =
+        submitWithRetry(service, fix.cameras[0], policy, 123, &after);
     EXPECT_EQ(resp.status, ServeStatus::RejectedShutdown);
     EXPECT_EQ(after.attempts, 1u);
     EXPECT_EQ(after.gave_up, 1u);

@@ -7,13 +7,14 @@
  * (enable/disable, ring overflow eviction, span nesting, trace-context
  * scoping, StageClock laps, Chrome export shape) — plus the invariant
  * the whole layer is built around: tracing must not perturb rendering
- * bitwise.
+ * or its gradients bitwise.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -437,21 +438,52 @@ TEST_F(ObsTest, TracingPreservesRenderBitwise)
 
     Tracer tracer;
     RenderArena arena_off, arena_on;
+    GaussianGrads grads_off, grads_on;
+    grads_off.resize(model.size());
+    grads_on.resize(model.size());
     for (const Camera &cam : path)
     {
         auto subset = frustumCull(model, cam);
+        // A deterministic, non-uniform loss gradient to replay.
+        Image d_image(cam.width(), cam.height());
+        for (size_t i = 0; i < d_image.data().size(); ++i)
+            d_image.data()[i] = 1e-3f * static_cast<float>(i % 17) - 8e-3f;
         const RenderOutput &off =
             renderForward(model, cam, subset, cfg, arena_off);
+        renderBackward(model, cam, cfg, d_image, grads_off, arena_off);
         Tracer::enable(&tracer);
         const RenderOutput &on =
             renderForward(model, cam, subset, cfg, arena_on);
+        renderBackward(model, cam, cfg, d_image, grads_on, arena_on);
         Tracer::enable(nullptr);
         EXPECT_TRUE(off.image.data() == on.image.data());
         EXPECT_TRUE(off.final_t == on.final_t);
         EXPECT_TRUE(off.n_contrib == on.n_contrib);
     }
-    // The traced renders did record the pipeline stage spans.
+    // Gradients compared as bytes: tracing must not reorder a single
+    // floating-point operation of the backward.
+    auto sameBytes = [](const auto &a, const auto &b) {
+        return a.size() == b.size()
+            && std::memcmp(a.data(), b.data(),
+                           a.size() * sizeof(a[0])) == 0;
+    };
+    EXPECT_TRUE(sameBytes(grads_off.d_position, grads_on.d_position));
+    EXPECT_TRUE(sameBytes(grads_off.d_log_scale, grads_on.d_log_scale));
+    EXPECT_TRUE(sameBytes(grads_off.d_rotation, grads_on.d_rotation));
+    EXPECT_TRUE(sameBytes(grads_off.d_sh, grads_on.d_sh));
+    EXPECT_TRUE(sameBytes(grads_off.d_opacity, grads_on.d_opacity));
+    // The traced renders did record the forward and backward stage
+    // spans.
+    bool saw_bwd[3] = {false, false, false};
+    for (const SpanRecord &s : tracer.snapshotSpans())
+    {
+        const std::string name = s.name;
+        saw_bwd[0] = saw_bwd[0] || name == "render.bwd_replay";
+        saw_bwd[1] = saw_bwd[1] || name == "render.bwd_reduce";
+        saw_bwd[2] = saw_bwd[2] || name == "render.bwd_project";
+    }
     EXPECT_GT(tracer.stats().recorded, 0u);
+    EXPECT_TRUE(saw_bwd[0] && saw_bwd[1] && saw_bwd[2]);
 }
 
 TEST_F(ObsTest, ServiceWithTracingStaysBitwiseAndExportsMetrics)

@@ -878,52 +878,6 @@ TEST(RenderService, SubmitAfterStopResolvesRejectedShutdown)
     EXPECT_EQ(stats.submitted, 4u);
 }
 
-TEST(RenderService, DropOldestEvictsStalestAndServesNewest)
-{
-    BatchFixture fix(400);
-    SnapshotSlot slot;
-    slot.publish(fix.model, 0);
-
-    FaultPlan plan;
-    plan.at(FaultPoint::WorkerStall).every_n = 1;
-    plan.at(FaultPoint::WorkerStall).hold = true;
-    FaultInjector faults(plan);
-
-    ServeConfig cfg;
-    cfg.workers = 1;
-    cfg.max_batch = 4;
-    cfg.queue_capacity = 3;
-    cfg.render.sh_degree = 1;
-    cfg.admission.shed = ShedPolicy::DropOldest;
-    cfg.faults = &faults;
-    RenderService service(slot, cfg);
-
-    // Worker pinned: 6 submits through a 3-deep queue evict ids 1-3.
-    std::vector<std::future<RenderResponse>> futs;
-    for (int r = 0; r < 6; ++r)
-        futs.push_back(service.submit(fix.cameras[r % 6]));
-    faults.release(FaultPoint::WorkerStall);
-    for (int r = 0; r < 6; ++r) {
-        RenderResponse resp = futs[r].get();
-        if (r < 3) {
-            EXPECT_EQ(resp.status, ServeStatus::ShedQueueFull)
-                << "request " << r;
-        } else {
-            ASSERT_TRUE(resp.ok()) << "request " << r;
-            // Admitted frames stay bitwise identical to direct renders.
-            auto subset = frustumCull(fix.model, fix.cameras[r % 6]);
-            Image direct = renderForward(fix.model, fix.cameras[r % 6],
-                                         subset, cfg.render)
-                               .image;
-            EXPECT_EQ(resp.image.data(), direct.data());
-        }
-    }
-    service.stop();
-    ServeStats stats = service.stats();
-    EXPECT_EQ(stats.shed_queue_full, 3u);
-    EXPECT_EQ(stats.requests, 3u);
-}
-
 TEST(RenderService, DeadlineExpiredRequestsAreShedAtDequeue)
 {
     BatchFixture fix(400);
@@ -965,58 +919,13 @@ TEST(RenderService, DeadlineExpiredRequestsAreShedAtDequeue)
     EXPECT_EQ(stats.submitted, 7u);
 }
 
-TEST(RenderService, TokenBucketThrottlesPerClientDeterministically)
-{
-    BatchFixture fix(300);
-    SnapshotSlot slot;
-    slot.publish(fix.model, 0);
-
-    ServeConfig cfg;
-    cfg.workers = 1;
-    cfg.render.sh_degree = 1;
-    // No refill: exactly the first burst=2 requests per client admit —
-    // the deterministic fairness configuration.
-    cfg.admission.client_burst = 2;
-    cfg.admission.client_rate = 0;
-    RenderService service(slot, cfg);
-
-    std::vector<std::future<RenderResponse>> futs;
-    for (int r = 0; r < 4; ++r)
-        futs.push_back(service.submit(fix.cameras[r % 6],
-                                      /*client_id=*/10));
-    for (int r = 0; r < 3; ++r)
-        futs.push_back(service.submit(fix.cameras[r % 6],
-                                      /*client_id=*/20));
-    std::vector<ServeStatus> statuses;
-    for (auto &f : futs)
-        statuses.push_back(f.get().status);
-    // Client 10: 2 admitted then 2 throttled; client 20: 2 then 1 —
-    // one client's burst never eats another's.
-    EXPECT_EQ(statuses,
-              (std::vector<ServeStatus>{
-                  ServeStatus::Ok, ServeStatus::Ok,
-                  ServeStatus::ThrottledClient,
-                  ServeStatus::ThrottledClient, ServeStatus::Ok,
-                  ServeStatus::Ok, ServeStatus::ThrottledClient}));
-    service.stop();
-    ServeStats stats = service.stats();
-    EXPECT_EQ(stats.throttled_client, 3u);
-    EXPECT_EQ(stats.requests, 4u);
-
-    // With a refill rate, a drained bucket recovers.
-    SnapshotSlot slot2;
-    slot2.publish(fix.model, 0);
-    ServeConfig cfg2 = cfg;
-    cfg2.admission.client_burst = 1;
-    cfg2.admission.client_rate = 200;    // 1 token per 5 ms
-    RenderService service2(slot2, cfg2);
-    EXPECT_TRUE(service2.submit(fix.cameras[0], 1).get().ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    EXPECT_TRUE(service2.submit(fix.cameras[1], 1).get().ok());
-    service2.stop();
-}
-
-TEST(RenderService, BlockTimeoutShedsInsteadOfWaitingForever)
+/**
+ * Block on a full queue: the caller waits for space instead of
+ * shedding, and the request it was blocked on still renders. The
+ * worker is pinned before its first pop, so a 2-deep queue holds two
+ * requests and a third submit must stay parked until the worker runs.
+ */
+TEST(RenderService, BlockWaitsForSpaceThenRenders)
 {
     BatchFixture fix(300);
     SnapshotSlot slot;
@@ -1033,20 +942,37 @@ TEST(RenderService, BlockTimeoutShedsInsteadOfWaitingForever)
     cfg.queue_capacity = 2;
     cfg.render.sh_degree = 1;
     cfg.admission.shed = ShedPolicy::Block;
-    cfg.admission.block_timeout_s = 0.01;
     cfg.faults = &faults;
     RenderService service(slot, cfg);
 
     std::vector<std::future<RenderResponse>> futs;
-    for (int r = 0; r < 3; ++r)
-        futs.push_back(service.submit(fix.cameras[r % 6]));
-    // The third submit waited its 10 ms window against a pinned worker
-    // and shed; it did NOT hang the caller.
-    EXPECT_EQ(futs[2].get().status, ServeStatus::ShedQueueFull);
+    for (int r = 0; r < 2; ++r)
+        futs.push_back(service.submit(fix.cameras[r]));
+    std::atomic<bool> third_returned{false};
+    std::future<RenderResponse> third;
+    std::thread producer([&] {
+        third = service.submit(fix.cameras[2]);
+        third_returned = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_FALSE(third_returned.load())
+        << "Block returned on a full queue instead of waiting";
     faults.release(FaultPoint::WorkerStall);
-    EXPECT_TRUE(futs[0].get().ok());
-    EXPECT_TRUE(futs[1].get().ok());
+    producer.join();
+    futs.push_back(std::move(third));
+    for (int r = 0; r < 3; ++r) {
+        RenderResponse resp = futs[r].get();
+        ASSERT_TRUE(resp.ok()) << "request " << r;
+        auto subset = frustumCull(fix.model, fix.cameras[r]);
+        Image direct =
+            renderForward(fix.model, fix.cameras[r], subset, cfg.render)
+                .image;
+        EXPECT_EQ(resp.image.data(), direct.data()) << "request " << r;
+    }
     service.stop();
+    ServeStats stats = service.stats();
+    EXPECT_EQ(stats.requests, 3u);
+    EXPECT_EQ(stats.shed_queue_full, 0u);
 }
 
 } // namespace

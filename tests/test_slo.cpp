@@ -511,8 +511,9 @@ TEST_F(SloTest, ServiceCleanRejectRunIsHealthyWorkerStallBreaches)
     SceneSpec spec = SceneSpec::bicycle();
     GaussianModel model = generateSceneGaussians(spec, 500);
     std::vector<Camera> cameras = generateCameraPath(spec, 6, 64, 40);
-    // The exact rules micro_overload embeds (anchored loosely here —
-    // what matters is the clean/fault verdict FLIP, not the band).
+    // The deadline-shed rule micro_serve's open-loop points embed
+    // (anchored loosely here — what matters is the clean/fault verdict
+    // FLIP, not the band).
     const std::string rules =
         "ratio serve.shed_deadline / serve.requests warn 0.1 fail 0.5";
 

@@ -303,6 +303,16 @@ TEST(ThreadPool, ConcurrentParallelForCallersDoNotWaitOnEachOther)
         << "a parallelFor caller waited on another caller's chunks";
 }
 
+/** MpmcQueue::popBatch with nothing ever expired. */
+template <typename T>
+bool
+popFresh(MpmcQueue<T> &q, std::vector<T> &out, size_t max_items)
+{
+    std::vector<T> expired;
+    return q.popBatch(
+        out, max_items, [](const T &) { return false; }, expired);
+}
+
 TEST(MpmcQueue, PopBatchDrainsInFifoOrderUpToCap)
 {
     MpmcQueue<int> q(16);
@@ -311,9 +321,9 @@ TEST(MpmcQueue, PopBatchDrainsInFifoOrderUpToCap)
     EXPECT_EQ(q.size(), 7u);
 
     std::vector<int> batch;
-    EXPECT_TRUE(q.popBatch(batch, 4));
+    EXPECT_TRUE(popFresh(q, batch, 4));
     EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_TRUE(q.popBatch(batch, 4));
+    EXPECT_TRUE(popFresh(q, batch, 4));
     EXPECT_EQ(batch, (std::vector<int>{4, 5, 6}));
 }
 
@@ -326,9 +336,9 @@ TEST(MpmcQueue, CloseDrainsRemainderThenFails)
     EXPECT_FALSE(q.push(3));    // dropped
 
     std::vector<int> batch;
-    EXPECT_TRUE(q.popBatch(batch, 8));
+    EXPECT_TRUE(popFresh(q, batch, 8));
     EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-    EXPECT_FALSE(q.popBatch(batch, 8));    // closed and empty
+    EXPECT_FALSE(popFresh(q, batch, 8));    // closed and empty
     EXPECT_TRUE(batch.empty());
 }
 
@@ -346,10 +356,10 @@ TEST(MpmcQueue, BoundedPushBlocksUntilConsumed)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_FALSE(third_pushed.load());
     std::vector<int> batch;
-    EXPECT_TRUE(q.popBatch(batch, 1));
+    EXPECT_TRUE(popFresh(q, batch, 1));
     producer.join();
     EXPECT_TRUE(third_pushed.load());
-    EXPECT_TRUE(q.popBatch(batch, 4));
+    EXPECT_TRUE(popFresh(q, batch, 4));
     EXPECT_EQ(batch, (std::vector<int>{1, 2}));
 }
 
@@ -367,7 +377,7 @@ TEST(MpmcQueue, ManyProducersOneConsumer)
     std::vector<int> got;
     std::vector<int> batch;
     while (got.size() < kProducers * kPerProducer) {
-        ASSERT_TRUE(q.popBatch(batch, 8));
+        ASSERT_TRUE(popFresh(q, batch, 8));
         EXPECT_GE(batch.size(), 1u);
         EXPECT_LE(batch.size(), 8u);
         got.insert(got.end(), batch.begin(), batch.end());
@@ -396,50 +406,7 @@ TEST(MpmcQueue, TryPushRejectsWithoutConsumingTheItem)
     ASSERT_NE(c, nullptr);    // NOT consumed on Closed either
 }
 
-TEST(MpmcQueue, PushForTimesOutOnFullAndSucceedsWhenDrained)
-{
-    MpmcQueue<int> q(1);
-    int v = 7;
-    EXPECT_EQ(q.pushFor(v, 0.01), QueuePush::Ok);
-    v = 8;
-    EXPECT_EQ(q.pushFor(v, 0.01), QueuePush::Full);    // timed out
-    EXPECT_EQ(v, 8);
-    // A consumer frees space while a timed push waits.
-    std::thread consumer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        std::vector<int> batch;
-        EXPECT_TRUE(q.popBatch(batch, 1));
-        EXPECT_EQ(batch, (std::vector<int>{7}));
-    });
-    EXPECT_EQ(q.pushFor(v, 5.0), QueuePush::Ok);
-    consumer.join();
-    std::vector<int> batch;
-    EXPECT_TRUE(q.popBatch(batch, 1));
-    EXPECT_EQ(batch, (std::vector<int>{8}));
-}
-
-TEST(MpmcQueue, PushDropOldestEvictsFromTheHead)
-{
-    MpmcQueue<int> q(3);
-    std::vector<int> evicted;
-    for (int i = 0; i < 3; ++i)
-        EXPECT_TRUE(q.push(i));
-    int v = 3;
-    EXPECT_EQ(q.pushDropOldest(v, evicted), QueuePush::Ok);
-    EXPECT_EQ(evicted, (std::vector<int>{0}));    // oldest out
-    v = 4;
-    EXPECT_EQ(q.pushDropOldest(v, evicted), QueuePush::Ok);
-    EXPECT_EQ(evicted, (std::vector<int>{0, 1}));    // appended
-    std::vector<int> batch;
-    EXPECT_TRUE(q.popBatch(batch, 8));
-    EXPECT_EQ(batch, (std::vector<int>{2, 3, 4}));
-    q.close();
-    v = 5;
-    EXPECT_EQ(q.pushDropOldest(v, evicted), QueuePush::Closed);
-    EXPECT_EQ(evicted.size(), 2u);    // close evicts nothing
-}
-
-TEST(MpmcQueue, PopBatchFilteredSweepsAllExpiredItems)
+TEST(MpmcQueue, PopBatchSweepsAllExpiredItems)
 {
     MpmcQueue<int> q(16);
     // 0..9 queued; odd values "expired". Cap of 3 applies to FRESH
@@ -447,12 +414,12 @@ TEST(MpmcQueue, PopBatchFilteredSweepsAllExpiredItems)
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(q.push(i));
     std::vector<int> out, expired;
-    EXPECT_TRUE(q.popBatchFiltered(
+    EXPECT_TRUE(q.popBatch(
         out, 3, [](int v) { return v % 2 == 1; }, expired));
     EXPECT_EQ(out, (std::vector<int>{0, 2, 4}));
     EXPECT_EQ(expired, (std::vector<int>{1, 3, 5, 7, 9}));
     EXPECT_EQ(q.size(), 2u);    // 6, 8 still queued
-    EXPECT_TRUE(q.popBatchFiltered(
+    EXPECT_TRUE(q.popBatch(
         out, 3, [](int v) { return v % 2 == 1; }, expired));
     EXPECT_EQ(out, (std::vector<int>{6, 8}));
     EXPECT_TRUE(expired.empty());
@@ -460,12 +427,12 @@ TEST(MpmcQueue, PopBatchFilteredSweepsAllExpiredItems)
     // All-expired wakeup: returns true with an empty fresh batch (the
     // consumer loops again) — not the closed-and-drained false.
     EXPECT_TRUE(q.push(11));
-    EXPECT_TRUE(q.popBatchFiltered(
+    EXPECT_TRUE(q.popBatch(
         out, 3, [](int v) { return v % 2 == 1; }, expired));
     EXPECT_TRUE(out.empty());
     EXPECT_EQ(expired, (std::vector<int>{11}));
     q.close();
-    EXPECT_FALSE(q.popBatchFiltered(
+    EXPECT_FALSE(q.popBatch(
         out, 3, [](int v) { return v % 2 == 1; }, expired));
 }
 
@@ -498,7 +465,7 @@ TEST(MpmcQueue, CloseWhileProducersBlockedAndConsumerDraining)
         std::atomic<int> popped{0};
         std::thread consumer([&] {
             std::vector<int> batch;
-            while (q.popBatch(batch, 3))
+            while (popFresh(q, batch, 3))
                 popped.fetch_add(static_cast<int>(batch.size()));
         });
         // Let the system churn briefly, then slam the door.
@@ -516,9 +483,6 @@ TEST(MpmcQueue, CloseWhileProducersBlockedAndConsumerDraining)
         int v = -1;
         EXPECT_FALSE(q.push(v));
         EXPECT_EQ(q.tryPush(v), QueuePush::Closed);
-        std::vector<int> evicted;
-        EXPECT_EQ(q.pushDropOldest(v, evicted), QueuePush::Closed);
-        EXPECT_EQ(q.pushFor(v, 0.001), QueuePush::Closed);
     }
 }
 
